@@ -294,6 +294,9 @@ std::uint16_t Network::start_monitor(std::uint16_t port,
   });
   if (srv->start(port, bind_addr) == 0) return 0;
   monitor_ = std::move(srv);
+  // Mid-run /gc serves the snapshots executors publish; without a
+  // monitor nothing reads them, so the run path builds none.
+  set_gc_publishing(true);
   // A transport built before the monitor (late start_monitor) has been
   // gossiping monitor_port 0; publish the real port to connected peers.
   if (auto* t = dynamic_cast<net::TcpTransport*>(transport_.get()))
@@ -665,7 +668,15 @@ std::size_t Network::heal_releases() {
   return queued;
 }
 
-void Network::stop_monitor() { monitor_.reset(); }
+void Network::stop_monitor() {
+  monitor_.reset();
+  set_gc_publishing(false);
+}
+
+void Network::set_gc_publishing(bool on) {
+  for (auto& n : nodes_)
+    for (auto& s : n->sites()) s->set_gc_publishing(on);
+}
 
 std::string Network::health_json() const {
   // Everything below is either atomic or (in_flight, gated on sim mode)
@@ -827,6 +838,7 @@ Site& Network::add_site(std::size_t node_idx, const std::string& name) {
     throw std::logic_error("duplicate site name " + name);
   Site& s = nodes_.at(node_idx)->add_site(name);
   if (cfg_.gc) s.set_gc_enabled(true);
+  if (monitor_) s.set_gc_publishing(true);
   return s;
 }
 
@@ -898,6 +910,7 @@ net::Transport& Network::transport() {
     } else {
       transport_ = std::make_unique<net::InProcTransport>(nodes_.size());
     }
+    for (auto& n : nodes_) transport_->set_doorbell(n->id(), &n->doorbell());
   }
   return *transport_;
 }
@@ -1153,194 +1166,20 @@ Network::Result Network::run_sequential() {
 Network::Result Network::run_threaded() {
   net::Transport& t = transport();
   Result res;
-
-  std::atomic<bool> stop{false};
-  // The progress clock lives in LiveStatus so TyCOmon's /healthz can
-  // report it mid-run: `executed` counts instructions, `progress` counts
-  // queue movements (messages applied by sites plus packets pumped by
-  // daemons). The termination scan compares both across its grace
-  // period. Both are cumulative across runs, hence the baselines.
-  std::atomic<std::uint64_t>& executed = live_->instructions;
-  std::atomic<std::uint64_t>& progress = live_->progress;
-  const std::uint64_t executed0 = executed.load(std::memory_order_relaxed);
-  // Per-thread idleness hints. A worker clears its hint BEFORE touching
-  // any queue, so a message "in hand" (popped from one queue but not yet
-  // pushed into the next) always keeps its holder visibly busy —
-  // otherwise the drain scan could declare quiescence while the last
-  // packet sits in a daemon's or executor's hands and is in no queue.
-  std::vector<std::unique_ptr<std::atomic<bool>>> idle_hints;
-  std::vector<std::unique_ptr<std::atomic<bool>>> daemon_hints;
-  // Remote transports only: a site parked on an import is quiescent
-  // locally, but its reply is still in flight *somewhere* — in the
-  // peer's queues, which this process cannot scan. The executor
-  // publishes a parked hint (machine().parked() is executor-private
-  // state, unsafe to read from the scan thread) and the drain scan
-  // refuses to declare quiescence while any site still waits.
-  std::vector<std::unique_ptr<std::atomic<bool>>> parked_hints;
-  std::vector<Site*> sites;
-  for (auto& n : nodes_)
-    for (auto& s : n->sites()) {
-      sites.push_back(s.get());
-      idle_hints.push_back(std::make_unique<std::atomic<bool>>(false));
-      parked_hints.push_back(std::make_unique<std::atomic<bool>>(false));
-    }
-  for (std::size_t j = 0; j < nodes_.size(); ++j)
-    daemon_hints.push_back(std::make_unique<std::atomic<bool>>(false));
-
-  std::vector<std::thread> threads;
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    threads.emplace_back([&, i] {
-      ::prctl(PR_SET_TIMERSLACK, 1000, 0, 0, 0);
-      Site& s = *sites[i];
-      // Periodic REL resend (Config::gc_resend_ms): collect() is an
-      // executor-thread operation, so the heal timer lives here.
-      const bool resend_gc = cfg_.gc && cfg_.gc_resend_ms > 0;
-      auto next_resend = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(cfg_.gc_resend_ms);
-      bool was_idle = false;
-      std::uint32_t idle_streak = 0;
-      // The credit snapshot walk is O(export table + heap), and a
-      // request/reply site flips busy->idle once per round trip — so
-      // publishing on every flip is quadratic over a long run. Throttle
-      // the idle-edge publish; /gc mid-run is last-published state by
-      // contract, and every collect() still publishes unconditionally.
-      auto next_publish = std::chrono::steady_clock::now();
-      const auto publish_every = std::chrono::milliseconds(20);
-      while (!stop.load(std::memory_order_relaxed)) {
-        idle_hints[i]->store(false, std::memory_order_release);
-        const std::size_t applied = s.process_incoming();
-        const std::uint64_t ran = s.run_slice(cfg_.slice);
-        executed.fetch_add(ran, std::memory_order_relaxed);
-        if (resend_gc && std::chrono::steady_clock::now() >= next_resend) {
-          next_resend += std::chrono::milliseconds(cfg_.gc_resend_ms);
-          const std::size_t queued = s.collect(/*final=*/false,
-                                               /*resend=*/true);
-          if (queued != 0)
-            progress.fetch_add(queued, std::memory_order_release);
-        }
-        if (applied != 0)
-          progress.fetch_add(applied, std::memory_order_release);
-        const bool idle =
-            applied == 0 && ran == 0 && s.incoming_size() == 0;
-        // Publish the credit snapshot on busy→idle transitions (at most
-        // one per throttle window) so a mid-run /gc scrape sees state
-        // roughly as of the last real work.
-        if (idle && !was_idle &&
-            std::chrono::steady_clock::now() >= next_publish) {
-          s.publish_gc_snapshot();
-          next_publish = std::chrono::steady_clock::now() + publish_every;
-        }
-        was_idle = idle;
-        parked_hints[i]->store(s.machine().parked() > 0 && !s.failed(),
-                               std::memory_order_release);
-        idle_hints[i]->store(idle, std::memory_order_release);
-        if (idle) {
-          // Adaptive idle: a 50µs park really costs ~100µs of wall once
-          // timer slack and a scheduler pass are added — several hops of
-          // that dominates cross-site RPC latency. Yield first (a
-          // freshly-arrived message is picked up within one scheduler
-          // pass) and only park after a sustained idle streak.
-          if (++idle_streak < 64)
-            std::this_thread::yield();
-          else
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-        } else {
-          idle_streak = 0;
-        }
-      }
-    });
-  }
-  for (std::size_t j = 0; j < nodes_.size(); ++j) {
-    threads.emplace_back([&, j, node = nodes_[j].get()] {
-      ::prctl(PR_SET_TIMERSLACK, 1000, 0, 0, 0);
-      std::uint32_t idle_streak = 0;
-      // Sharded NS over a real wire: death advisories gossiped on
-      // kPeers frames move shard ownership here (generation-gated so a
-      // quiet fleet costs one atomic load per pump).
-      net::TcpTransport* tcp =
-          node->ns_router() != nullptr ? dynamic_cast<net::TcpTransport*>(&t)
-                                       : nullptr;
-      std::uint64_t adv_gen = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        daemon_hints[j]->store(false, std::memory_order_release);
-        if (tcp != nullptr) {
-          const std::uint64_t g = tcp->advisory_dead_generation();
-          if (g != adv_gen) {
-            adv_gen = g;
-            node->ns_merge_dead(tcp->advisory_dead(), t, 0);
-          }
-        }
-        const std::size_t moved =
-            node->pump_incoming(t, 0) + node->pump_outgoing(t, 0);
-        if (moved != 0)
-          progress.fetch_add(moved, std::memory_order_release);
-        daemon_hints[j]->store(moved == 0, std::memory_order_release);
-        if (moved == 0) {
-          // The daemon is the NS owner thread: publish its tables for
-          // concurrent /names scrapes (cheap — gated on a dirty count).
-          // Only the home node's daemon may touch a service's state.
-          NameService& dns = node->name_service();
-          if (dns.home_node() == node->id()) dns.publish_snapshot();
-          // Same adaptive idle as the executors (see above).
-          if (++idle_streak < 64)
-            std::this_thread::yield();
-          else
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-        } else {
-          idle_streak = 0;
-        }
-      }
-    });
-  }
-
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(cfg_.timeout_ms);
-  // Cross-process transports make the in-flight count approximate: a
-  // frame the peer has written but we have not yet read is invisible to
-  // every scan this process can make. Two adjustments: parked imports
-  // veto the drain (their replies are queued at the peer), and the
-  // confirm grace stretches to cover loopback delivery latency.
   const bool remote = t.remote();
-  const auto grace = std::chrono::milliseconds(remote ? 250 : 1);
-  auto all_drained = [&] {
-    if (t.in_flight() != 0) return false;
-    for (std::size_t j = 0; j < nodes_.size(); ++j)
-      if (!daemon_hints[j]->load(std::memory_order_acquire)) return false;
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-      if (!idle_hints[i]->load(std::memory_order_acquire)) return false;
-      if (remote && parked_hints[i]->load(std::memory_order_acquire))
-        return false;
-      if (sites[i]->incoming_size() != 0 || sites[i]->outgoing_size() != 0)
-        return false;
-    }
-    return true;
-  };
-  for (;;) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-    if (executed.load(std::memory_order_relaxed) - executed0 >
-        cfg_.max_instructions) {
-      res.budget_exhausted = true;
-      break;
-    }
-    if (std::chrono::steady_clock::now() > deadline) {
-      res.budget_exhausted = true;
-      break;
-    }
-    if (all_drained()) {
-      // Confirm over a grace period with a stable progress clock: a
-      // message that crosses any queue between the two scans (and could
-      // thus dodge both) moves the clock and voids the pass.
-      const std::uint64_t p0 = progress.load(std::memory_order_acquire);
-      const std::uint64_t e0 = executed.load(std::memory_order_relaxed);
-      std::this_thread::sleep_for(grace);
-      if (all_drained() && progress.load(std::memory_order_acquire) == p0 &&
-          executed.load(std::memory_order_relaxed) == e0)
-        break;
-    }
-  }
-  stop.store(true);
-  for (auto& th : threads) th.join();
-  res.instructions = executed.load() - executed0;
+
+  // Exact termination (net::WorkCount): attach at rest, then add what
+  // is already held — queued packets, runnable machines. A remote
+  // transport counts frames arriving from now on itself, and there a
+  // parked import counts too: its reply is owed by a peer.
+  net::WorkCount work;
+  std::int64_t held = static_cast<std::int64_t>(t.attach_work(&work));
+  for (auto& n : nodes_) held += n->attach_work(&work, remote);
+  work.take(held);
+  // In-process, a run with nothing queued or runnable is already over.
+  if (remote || held != 0) drive_threads(t, work, res);
+  t.attach_work(nullptr);
+  for (auto& n : nodes_) n->attach_work(nullptr, false);
   instructions_run_ += res.instructions;
   // Executors are joined: the network is single-threaded again, so GC
   // passes run through the sequential pump (any work the RELs uncover is
@@ -1352,6 +1191,182 @@ Network::Result Network::run_threaded() {
     res.budget_exhausted |= gc_res.budget_exhausted;
   }
   return finish(res);
+}
+
+void Network::drive_threads(net::Transport& t, net::WorkCount& work,
+                            Result& res) {
+  std::atomic<bool> stop{false};
+  // The progress clock lives in LiveStatus so TyCOmon's /healthz can
+  // report it mid-run: `executed` counts instructions, `progress` counts
+  // queue movements (messages applied by sites plus packets pumped by
+  // daemons). Both are cumulative across runs, hence the baselines.
+  std::atomic<std::uint64_t>& executed = live_->instructions;
+  std::atomic<std::uint64_t>& progress = live_->progress;
+  const std::uint64_t executed0 = executed.load(std::memory_order_relaxed);
+  const bool remote = t.remote();
+
+  std::vector<Site*> sites;
+  for (auto& n : nodes_)
+    for (auto& s : n->sites()) sites.push_back(s.get());
+
+  // Executors and daemons spin briefly (a packet that arrives within a
+  // scheduler pass is picked up without a wakeup), then park on their
+  // doorbell until a push rings it.
+  constexpr std::uint32_t kYieldsBeforePark = 64;
+  std::vector<std::thread> threads;
+  for (Site* site : sites) {
+    threads.emplace_back([&, site] {
+      ::prctl(PR_SET_TIMERSLACK, 1000, 0, 0, 0);
+      Site& s = *site;
+      net::Doorbell& bell = s.doorbell();
+      // Periodic REL resend (Config::gc_resend_ms): collect() is an
+      // executor-thread operation, so the heal timer lives here and
+      // bounds the park.
+      const bool resend_gc = cfg_.gc && cfg_.gc_resend_ms > 0;
+      const auto resend_every = std::chrono::milliseconds(cfg_.gc_resend_ms);
+      auto next_resend = std::chrono::steady_clock::now() + resend_every;
+      bool was_idle = false;
+      std::uint32_t idle_streak = 0;
+      // The credit snapshot walk is O(export table + heap), and a
+      // request/reply site flips busy->idle once per round trip — so
+      // publishing on every flip is quadratic over a long run. Throttle
+      // the idle-edge publish; /gc mid-run is last-published state by
+      // contract.
+      auto next_publish = std::chrono::steady_clock::now();
+      const auto publish_every = std::chrono::milliseconds(20);
+      for (;;) {
+        const std::uint32_t ticket = bell.ticket();
+        if (stop.load(std::memory_order_relaxed)) break;
+        const std::size_t applied = s.process_incoming();
+        const std::uint64_t ran = s.run_slice(cfg_.slice);
+        if (ran != 0 &&
+            executed.fetch_add(ran, std::memory_order_relaxed) + ran -
+                    executed0 >
+                cfg_.max_instructions)
+          work.done().ring();  // over budget: wake the main thread
+        if (resend_gc && std::chrono::steady_clock::now() >= next_resend) {
+          next_resend += resend_every;
+          const std::size_t queued = s.collect(/*final=*/false,
+                                               /*resend=*/true);
+          if (queued != 0)
+            progress.fetch_add(queued, std::memory_order_relaxed);
+        }
+        if (applied != 0)
+          progress.fetch_add(applied, std::memory_order_relaxed);
+        const bool idle = applied == 0 && ran == 0;
+        // With a monitor serving /gc, publish the credit snapshot on
+        // busy→idle transitions (at most one per throttle window) so a
+        // mid-run scrape sees state roughly as of the last real work.
+        if (idle && !was_idle && s.gc_publishing() &&
+            std::chrono::steady_clock::now() >= next_publish) {
+          s.publish_gc_snapshot();
+          next_publish = std::chrono::steady_clock::now() + publish_every;
+        }
+        was_idle = idle;
+        if (!idle) {
+          idle_streak = 0;
+        } else if (++idle_streak < kYieldsBeforePark) {
+          std::this_thread::yield();
+        } else if (resend_gc) {
+          bell.wait_for(ticket,
+                        next_resend - std::chrono::steady_clock::now());
+        } else {
+          bell.wait(ticket);
+        }
+      }
+    });
+  }
+  for (auto& n : nodes_) {
+    threads.emplace_back([&, node = n.get()] {
+      ::prctl(PR_SET_TIMERSLACK, 1000, 0, 0, 0);
+      net::Doorbell& bell = node->doorbell();
+      std::uint32_t idle_streak = 0;
+      // Sharded NS over a real wire: death advisories gossiped on
+      // kPeers frames move shard ownership here (generation-gated so a
+      // quiet fleet costs one atomic load per pump; the transport rings
+      // the bell when the set changes).
+      net::TcpTransport* tcp =
+          node->ns_router() != nullptr ? dynamic_cast<net::TcpTransport*>(&t)
+                                       : nullptr;
+      std::uint64_t adv_gen = 0;
+      for (;;) {
+        const std::uint32_t ticket = bell.ticket();
+        if (stop.load(std::memory_order_relaxed)) break;
+        if (tcp != nullptr) {
+          const std::uint64_t g = tcp->advisory_dead_generation();
+          if (g != adv_gen) {
+            adv_gen = g;
+            node->ns_merge_dead(tcp->advisory_dead(), t, 0);
+          }
+        }
+        const std::size_t moved =
+            node->pump_incoming(t, 0) + node->pump_outgoing(t, 0);
+        if (moved != 0) {
+          progress.fetch_add(moved, std::memory_order_relaxed);
+          idle_streak = 0;
+          continue;
+        }
+        // The daemon is the NS owner thread: publish its tables for
+        // concurrent /names scrapes (cheap — gated on a dirty count).
+        // Only the home node's daemon may touch a service's state.
+        NameService& dns = node->name_service();
+        if (dns.home_node() == node->id()) dns.publish_snapshot();
+        if (++idle_streak < kYieldsBeforePark)
+          std::this_thread::yield();
+        else
+          bell.wait(ticket);
+      }
+    });
+  }
+
+  // The main thread sleeps until the count reaches zero (the release
+  // that gets there rings done()), an executor passes the instruction
+  // budget, or the deadline. In-process, zero is termination. A remote
+  // transport cannot see a frame a peer wrote but this process has not
+  // read, so there zero must hold — with the transport's queues empty
+  // and no progress — over one confirm window.
+  using Clock = std::chrono::steady_clock;
+  const auto deadline =
+      Clock::now() + std::chrono::milliseconds(cfg_.timeout_ms);
+  constexpr auto kRemoteConfirm = std::chrono::milliseconds(250);
+  net::Doorbell& done = work.done();
+  bool confirming = false;
+  Clock::time_point confirm_until;
+  std::uint64_t p0 = 0, e0 = 0;
+  for (;;) {
+    const std::uint32_t ticket = done.ticket();
+    if (executed.load(std::memory_order_relaxed) - executed0 >
+            cfg_.max_instructions ||
+        Clock::now() > deadline) {
+      res.budget_exhausted = true;
+      break;
+    }
+    auto until = deadline;
+    if (work.value() == 0) {
+      if (!remote) break;
+      const std::uint64_t p = progress.load(std::memory_order_relaxed);
+      const std::uint64_t e = executed.load(std::memory_order_relaxed);
+      if (confirming && p == p0 && e == e0 && Clock::now() >= confirm_until) {
+        if (t.in_flight() == 0) break;
+        confirming = false;  // frames still queued for peers: look again
+      }
+      if (!confirming || p != p0 || e != e0) {
+        confirming = true;
+        p0 = p;
+        e0 = e;
+        confirm_until = Clock::now() + kRemoteConfirm;
+      }
+      until = std::min(until, confirm_until);
+    } else {
+      confirming = false;
+    }
+    done.wait_for(ticket, until - Clock::now());
+  }
+  stop.store(true);
+  for (Site* s : sites) s->doorbell().ring();
+  for (auto& n : nodes_) n->doorbell().ring();
+  for (auto& th : threads) th.join();
+  res.instructions = executed.load() - executed0;
 }
 
 // ---------------------------------------------------------------------

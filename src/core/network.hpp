@@ -269,7 +269,8 @@ class Network {
   /// free-list sizes. At rest the snapshots are built fresh under
   /// scrape_mu (executors cannot start mid-build); while run() executes
   /// the last snapshots published by the executor threads are served
-  /// (sites that never published are marked "stale").
+  /// (sites that never published are marked "stale"). Sites publish
+  /// only while the monitor is started.
   std::string gc_json() const;
 
   /// The /names payload: the name service's Site/Id tables with
@@ -303,12 +304,19 @@ class Network {
  private:
   Result run_sequential();
   Result run_threaded();
+  /// run_threaded's live part: one executor per site and one daemon per
+  /// node, while the main thread sleeps until `work` reaches zero (plus
+  /// the remote confirm window), the budget or the deadline.
+  void drive_threads(net::Transport& t, net::WorkCount& work, Result& res);
   Result run_sim();
   bool anything_parked() const;
   Result finish(Result r) const;
   /// One distributed-GC collection pass over every site; returns the
   /// number of packets (RELs, unregisters) the pass queued.
   std::size_t gc_pass(bool final, bool resend = false);
+  /// Turn every site's mid-run credit-snapshot publishing on or off
+  /// (on exactly while the monitor serves /gc).
+  void set_gc_publishing(bool on);
   /// Publish a TcpTransport's counters/gauges into the registry.
   void register_tcp_metrics(net::TcpTransport& t, const std::string& label);
   /// The TCP endpoints already constructed, without forcing the lazy

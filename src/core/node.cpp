@@ -52,6 +52,7 @@ Site& Node::add_site(const std::string& name) {
       std::make_unique<Site>(name, id_, site_id, ns_->home_node()));
   ns_->register_site(name, id_, site_id);
   Site& s = *sites_.back();
+  s.set_outbox_bell(&bell_);
   if (router_ != nullptr) {
     s.set_ns_router(router_);
     s.set_lease_cache(ns_cache_);
@@ -103,7 +104,28 @@ void Node::enable_tracing(std::size_t capacity, std::uint64_t sample_every,
   }
 }
 
+std::int64_t Node::attach_work(net::WorkCount* w, bool count_parked) {
+  work_ = w;
+  std::int64_t held = 0;
+  for (auto& s : sites_) held += s->attach_work(w, count_parked);
+  return held;
+}
+
+void Node::emit(net::Packet p, net::Transport& t, double now_us) {
+  if (work_ != nullptr) work_->take();
+  if (p.dst_node == id_)
+    route(std::move(p), t, now_us);
+  else
+    t.send(std::move(p), now_us);
+}
+
 void Node::route(net::Packet p, net::Transport& t, double now_us) {
+  // Work tokens (WorkCount): `p` holds one. Forwarding it or handing it
+  // to a site passes the token on; packets made here take their own
+  // (emit) before `p`'s is released by consume().
+  const auto consume = [this] {
+    if (work_ != nullptr) work_->release();
+  };
   if (packet_is_ns(p)) {
     // This node hosts a name service (the central one, a replica when the
     // service is distributed, or a shard slice when it is sharded).
@@ -114,6 +136,7 @@ void Node::route(net::Packet p, net::Transport& t, double now_us) {
       // binding so the next import re-resolves authoritatively.
       const NsInvalidate inv = read_ns_invalidate(r);
       if (ns_cache_ != nullptr) ns_cache_->invalidate(inv.site, inv.name);
+      consume();
       return;
     }
     // Sharded mode: the key's rendezvous owners decide this packet's
@@ -149,6 +172,8 @@ void Node::route(net::Packet p, net::Transport& t, double now_us) {
           fwd.bytes = std::move(p.bytes);
           if (owners.primary != ns::ShardRouter::kNoNode)
             t.send(std::move(fwd), now_us);
+          else
+            consume();
           return;
         }
         if (primary_here && owners.replica != ns::ShardRouter::kNoNode &&
@@ -159,7 +184,7 @@ void Node::route(net::Packet p, net::Transport& t, double now_us) {
           copy.src_node = id_;
           copy.dst_node = owners.replica;
           copy.bytes = p.bytes;
-          t.send(std::move(copy), now_us);
+          emit(std::move(copy), t, now_us);
         }
         // Exactly one credit holder per minted unit: the primary.
         keep_credit = primary_here;
@@ -179,7 +204,7 @@ void Node::route(net::Packet p, net::Transport& t, double now_us) {
           copy.src_node = id_;
           copy.dst_node = n;
           copy.bytes = p.bytes;
-          t.send(std::move(copy), now_us);
+          emit(std::move(copy), t, now_us);
         }
       }
       if (h.type == MsgType::kNsExport)
@@ -194,12 +219,8 @@ void Node::route(net::Packet p, net::Transport& t, double now_us) {
         ring_.record(obs::EventType::kNsLookup, h.trace_id, p.bytes.size());
       ns_->handle_lookup(r, replies, h.trace_id, h.sampled);
     }
-    for (auto& rep : replies) {
-      if (rep.dst_node == id_)
-        route(std::move(rep), t, now_us);
-      else
-        t.send(std::move(rep), now_us);
-    }
+    for (auto& rep : replies) emit(std::move(rep), t, now_us);
+    consume();
     return;
   }
   if (packet_type(p.bytes) == MsgType::kPeerDown) {
@@ -214,7 +235,11 @@ void Node::route(net::Packet p, net::Transport& t, double now_us) {
       ns_handle_dead(dead, t, now_us);
     else if (ns_->home_node() == id_)
       ns_->evict_node(dead);
-    for (auto& s : sites_) s->push_incoming(p.bytes, p.src_node);
+    for (auto& s : sites_) {
+      if (work_ != nullptr) work_->take();
+      s->push_incoming(p.bytes, p.src_node);
+    }
+    consume();
     return;
   }
   const std::uint32_t dst_site = packet_dst_site(p);
@@ -235,12 +260,7 @@ void Node::ns_handle_dead(std::uint32_t dead, net::Transport& t,
   // we now serve as primary gets re-replicated to its new follower.
   ns_reshard(t, now_us);
   if (ns_cache_ != nullptr) ns_cache_->invalidate_node(dead);
-  for (auto& o : out) {
-    if (o.dst_node == id_)
-      route(std::move(o), t, now_us);
-    else
-      t.send(std::move(o), now_us);
-  }
+  for (auto& o : out) emit(std::move(o), t, now_us);
 }
 
 void Node::ns_reshard(net::Transport& t, double now_us) {
@@ -259,7 +279,7 @@ void Node::ns_reshard(net::Transport& t, double now_us) {
     copy.dst_node = rep;
     copy.bytes = NameService::make_export(0, rec.site, rec.name, rec.ref,
                                           rec.type_sig, 0, true, /*credit=*/0);
-    t.send(std::move(copy), now_us);
+    emit(std::move(copy), t, now_us);
   }
 }
 

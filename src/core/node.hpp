@@ -86,6 +86,15 @@ class Node {
   /// transport (the shared-memory optimisation of section 5).
   std::uint64_t local_deliveries() const { return local_deliveries_; }
 
+  /// The daemon's parking bell: rung by pushes into any of this node's
+  /// site outboxes and by the transport when a packet arrives.
+  net::Doorbell& doorbell() { return bell_; }
+
+  /// Threaded driver, at rest: count packets this node creates and
+  /// consumes into `w` (null detaches), and attach every site (see
+  /// Site::attach_work). Returns the tokens the sites hold now.
+  std::int64_t attach_work(net::WorkCount* w, bool count_parked);
+
   // -- observability --
 
   /// Enable event tracing on every current and future site of this node,
@@ -120,6 +129,9 @@ class Node {
   /// Push a weak copy of every binding this node serves as primary to
   /// its current follower (replication repair after a map change).
   void ns_reshard(net::Transport& t, double now_us);
+  /// Send a packet this node created (NS replies, replicas, copies):
+  /// takes its work token, then routes it here or hands it to `t`.
+  void emit(net::Packet p, net::Transport& t, double now_us);
 
   std::uint64_t local_deliveries_ = 0;
   std::uint32_t id_;
@@ -136,6 +148,8 @@ class Node {
   obs::SloPlane* slo_ = nullptr;           // set by set_slo
   std::uint64_t prof_period_ = 0;          // 0 = profiling off
   obs::TraceRing ring_;             // daemon-side events
+  net::Doorbell bell_;
+  net::WorkCount* work_ = nullptr;  // threaded runs only
 };
 
 }  // namespace dityco::core

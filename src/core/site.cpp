@@ -142,8 +142,11 @@ void Site::record_error(std::string what) {
 
 void Site::push_incoming(std::vector<std::uint8_t> bytes,
                          std::uint32_t src_node) {
-  std::lock_guard<std::mutex> lk(queue_mu_);
-  incoming_.push_back(Delivery{std::move(bytes), src_node});
+  {
+    std::lock_guard<std::mutex> lk(queue_mu_);
+    incoming_.push_back(Delivery{std::move(bytes), src_node});
+  }
+  bell_.ring();
 }
 
 bool Site::pop_outgoing(net::Packet& out) {
@@ -164,14 +167,42 @@ std::size_t Site::outgoing_size() const {
   return outgoing_.size();
 }
 
+std::int64_t Site::attach_work(net::WorkCount* w, bool count_parked) {
+  work_ = w;
+  count_parked_ = count_parked;
+  busy_ = w != nullptr && wants_busy();
+  if (w == nullptr) return 0;
+  std::lock_guard<std::mutex> lk(queue_mu_);
+  return static_cast<std::int64_t>(incoming_.size() + outgoing_.size()) +
+         (busy_ ? 1 : 0);
+}
+
+bool Site::wants_busy() const {
+  return !failed() && (!machine_.idle() ||
+                       (count_parked_ && machine_.parked() > 0));
+}
+
+void Site::sync_busy() {
+  if (work_ == nullptr || wants_busy() == busy_) return;
+  busy_ = !busy_;
+  if (busy_)
+    work_->take();
+  else
+    work_->release();
+}
+
 void Site::send_packet(std::uint32_t dst_node,
                        std::vector<std::uint8_t> bytes) {
   net::Packet p;
   p.src_node = node_id_;
   p.dst_node = dst_node;
   p.bytes = std::move(bytes);
-  std::lock_guard<std::mutex> lk(queue_mu_);
-  outgoing_.push_back(std::move(p));
+  if (work_ != nullptr) work_->take();
+  {
+    std::lock_guard<std::mutex> lk(queue_mu_);
+    outgoing_.push_back(std::move(p));
+  }
+  if (outbox_bell_ != nullptr) outbox_bell_->ring();
 }
 
 std::size_t Site::process_incoming(std::size_t max_packets) {
@@ -186,6 +217,8 @@ std::size_t Site::process_incoming(std::size_t max_packets) {
     }
     if (failed()) {
       ++mobility_.dropped;  // crashed sites lose their deliveries
+      sync_busy();
+      if (work_ != nullptr) work_->release();
       ++n;
       continue;
     }
@@ -212,6 +245,9 @@ std::size_t Site::process_incoming(std::size_t max_packets) {
     }
     machine_.set_credit_peer(vm::Machine::kNoPeer);
     machine_.set_credit_trace(0);
+    // Work it woke (or replies it sent) holds its own token by now.
+    sync_busy();
+    if (work_ != nullptr) work_->release();
     ++n;
   }
   return n;
@@ -388,6 +424,7 @@ void Site::import_id(const std::string& site, const std::string& name,
       // weak (no credit share) — safe, the exporter's name pin holds
       // the entry for the binding's lifetime.
       cache_tokens_.insert(token);
+      if (work_ != nullptr) work_->take();
       Writer w;
       write_header(w, MsgType::kNsReply, site_id_, tid.id, tid.sampled);
       w.u64(token);
@@ -466,10 +503,10 @@ std::size_t Site::collect(bool final, bool resend) {
     ++mobility_.gc_rel_sent;
     ++queued;
   }
-  // Every collection pass ends with a fresh published snapshot, so /gc
-  // served mid-run reflects the credit state as of the last quiescence
-  // or resend pass.
-  publish_gc_snapshot();
+  // While a monitor serves /gc, every collection pass ends with a fresh
+  // published snapshot, so /gc served mid-run reflects the credit state
+  // as of the last quiescence or resend pass.
+  if (gc_publishing()) publish_gc_snapshot();
   return queued;
 }
 

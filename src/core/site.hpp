@@ -7,6 +7,7 @@
 // Threading contract: the Machine and process_incoming()/run_slice() are
 // owned by exactly one executor thread; push_incoming()/pop_outgoing()
 // are thread-safe and are the only surface touched by the node daemon.
+// The executor parks on doorbell(), which every inbox push rings.
 #pragma once
 
 #include <atomic>
@@ -98,7 +99,9 @@ class Site {
   std::size_t process_incoming(std::size_t max_packets = SIZE_MAX);
   /// Run the VM for a bounded number of instructions.
   std::uint64_t run_slice(std::uint64_t max_instructions) {
-    return failed() ? 0 : machine_.run(max_instructions);
+    const std::uint64_t ran = failed() ? 0 : machine_.run(max_instructions);
+    sync_busy();
+    return ran;
   }
 
   /// Distributed-GC collection pass (executor thread, between run
@@ -128,6 +131,18 @@ class Site {
   bool pop_outgoing(net::Packet& out);
   std::size_t incoming_size() const;
   std::size_t outgoing_size() const;
+
+  /// The executor's parking bell (rung by every inbox push).
+  net::Doorbell& doorbell() { return bell_; }
+  /// Rung by every outbox push: the owning node's daemon bell.
+  void set_outbox_bell(net::Doorbell* bell) { outbox_bell_ = bell; }
+
+  /// Threaded driver, at rest: count into `w` (null detaches) one token
+  /// per packet this site sends or applies, plus one while the machine
+  /// has runnable work — or, with `count_parked`, parked imports (a
+  /// remote transport owes their replies). Returns the tokens held now:
+  /// queued packets plus the busy token.
+  std::int64_t attach_work(net::WorkCount* w, bool count_parked);
 
   /// Disable the dynamic-link cache (ablation A2): every remote
   /// instantiation re-fetches the class code.
@@ -186,10 +201,18 @@ class Site {
   void register_metrics(obs::Registry& registry);
 
   /// Executor thread: rebuild and publish the machine's credit-state
-  /// snapshot for concurrent /gc scrapes (called at the end of every
-  /// collect() pass and on executor idle transitions — the same
-  /// single-writer/atomic-snapshot discipline as the trace ring).
+  /// snapshot for concurrent /gc scrapes (the same single-writer /
+  /// atomic-snapshot discipline as the trace ring). With publishing on,
+  /// every collect() pass ends with one and the threaded driver adds
+  /// one on executor idle transitions; off (no monitor serving), the
+  /// run path builds none — at-rest /gc builds its own.
   void publish_gc_snapshot();
+  void set_gc_publishing(bool on) {
+    publish_gc_.store(on, std::memory_order_relaxed);
+  }
+  bool gc_publishing() const {
+    return publish_gc_.load(std::memory_order_relaxed);
+  }
   /// Last published snapshot (any thread; null until first publish).
   std::shared_ptr<const vm::Machine::GcSnapshot> gc_snapshot() const;
 
@@ -197,6 +220,11 @@ class Site {
   class Backend;
 
   void handle_packet(const std::vector<std::uint8_t>& bytes);
+  /// Runnable frames, or (count_parked_) imports awaiting a reply.
+  bool wants_busy() const;
+  /// Take or release the busy token to match wants_busy() (executor
+  /// thread; no-op unless attached).
+  void sync_busy();
   void send_packet(std::uint32_t dst_node, std::vector<std::uint8_t> bytes);
   void record_error(std::string what);
   /// Fresh trace id + sampling decision when tracing is on; an untraced
@@ -251,6 +279,12 @@ class Site {
   mutable std::mutex queue_mu_;
   std::deque<Delivery> incoming_;
   std::deque<net::Packet> outgoing_;
+  net::Doorbell bell_;
+  net::Doorbell* outbox_bell_ = nullptr;
+  // Threaded runs only: the run's count and this executor's busy token.
+  net::WorkCount* work_ = nullptr;
+  bool count_parked_ = false;
+  bool busy_ = false;
 
   // Nodes a failure detector confirmed dead (via PEER-DOWN). Their
   // export credit has been written off; RELs to them are pointless and
@@ -287,6 +321,7 @@ class Site {
   obs::Registry::Registration metrics_reg_;
   obs::Registry::Registration gauges_reg_;
 
+  std::atomic<bool> publish_gc_{false};
   mutable std::mutex snap_mu_;
   std::shared_ptr<const vm::Machine::GcSnapshot> gc_snap_;
 };

@@ -318,14 +318,36 @@ void TcpTransport::set_trace_record_all(bool on) {
 }
 
 void TcpTransport::send(Packet p, double /*now_us: wall clock rules*/) {
-  if (stop_.load(std::memory_order_relaxed)) return;
+  // Across processes a packet leaves this process's work count once it
+  // is handed to a peer (the peer counts it on arrival); a dropped
+  // packet is done wherever it was headed.
+  const bool leaves = cfg_.multiprocess && p.dst_node != cfg_.self;
+  if (!post(std::move(p)) || leaves)
+    if (WorkCount* w = work_.load(std::memory_order_acquire)) w->release();
+}
+
+void TcpTransport::set_doorbell(std::uint32_t node, Doorbell* bell) {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (node == cfg_.self) bell_ = bell;
+}
+
+std::size_t TcpTransport::attach_work(WorkCount* w) {
+  std::lock_guard<std::mutex> lk(mu_);
+  work_.store(w, std::memory_order_release);
+  // Frames queued for peers already left this process's count (a mesh
+  // part is never attached: the mesh counts for its parts).
+  return inbox_.size();
+}
+
+bool TcpTransport::post(Packet p) {
+  if (stop_.load(std::memory_order_relaxed)) return false;
   {
     // Fault injection: a filtered packet vanishes before framing, as if
     // the wire lost it.
     std::lock_guard<std::mutex> lk(mu_);
     if (drop_filter_ && drop_filter_(p)) {
       stats_.frames_filtered.fetch_add(1, std::memory_order_relaxed);
-      return;
+      return false;
     }
   }
   const std::size_t wire = p.bytes.size();
@@ -343,7 +365,8 @@ void TcpTransport::send(Packet p, double /*now_us: wall clock rules*/) {
       if (tid != 0) slo_hook_(tid, true, obs::trace_now_ns());
     }
     inbox_.push_back(std::move(p));
-    return;
+    if (bell_ != nullptr) bell_->ring();
+    return true;
   }
   // Encode straight into a pooled buffer — the steady-state hot path
   // allocates nothing: [len u32][kData u8][src u32][dst u32][packet].
@@ -360,7 +383,7 @@ void TcpTransport::send(Packet p, double /*now_us: wall clock rules*/) {
   if (peer.dead) {
     stats_.frames_dropped.fetch_add(1, std::memory_order_relaxed);
     pool_.release(std::move(frame));
-    return;
+    return false;
   }
   if (peer.out_bytes - peer.wr_off > cfg_.max_queue_bytes) {
     stats_.backpressure_waits.fetch_add(1, std::memory_order_relaxed);
@@ -377,7 +400,7 @@ void TcpTransport::send(Packet p, double /*now_us: wall clock rules*/) {
     }
     if (stop_.load(std::memory_order_relaxed)) {
       pool_.release(std::move(frame));
-      return;
+      return false;
     }
     if (!ok) {
       // The queue never drained: drop this frame rather than wedge an
@@ -386,12 +409,12 @@ void TcpTransport::send(Packet p, double /*now_us: wall clock rules*/) {
       stats_.send_timeouts.fetch_add(1, std::memory_order_relaxed);
       stats_.frames_dropped.fetch_add(1, std::memory_order_relaxed);
       pool_.release(std::move(frame));
-      return;
+      return false;
     }
     if (peer.dead) {
       stats_.frames_dropped.fetch_add(1, std::memory_order_relaxed);
       pool_.release(std::move(frame));
-      return;
+      return false;
     }
   }
   if (!peer.ever_connected && peer.demand_since_ms < 0)
@@ -423,6 +446,7 @@ void TcpTransport::send(Packet p, double /*now_us: wall clock rules*/) {
     const char b = 1;
     [[maybe_unused]] ssize_t rc = ::write(wake_w_, &b, 1);
   }
+  return true;
 }
 
 bool TcpTransport::recv(std::uint32_t node, Packet& out, double /*now_us*/) {
@@ -603,7 +627,10 @@ void TcpTransport::mark_dead(std::uint32_t node, Peer& p) {
     obit.dst_node = cfg_.self;
     obit.bytes = death_frame_(node);
     inbox_.push_back(std::move(obit));
+    if (WorkCount* w = work_.load(std::memory_order_acquire)) w->take();
   }
+  // The daemon also folds the advisory set into its shard map.
+  if (bell_ != nullptr) bell_->ring();
   backpressure_cv_.notify_all();
 }
 
@@ -694,6 +721,11 @@ bool TcpTransport::handle_payload(int fd, std::uint32_t tagged_node,
           tagged_node != kUnknownNode ? tagged_node : src;
       feed_liveness(liveness_node, now);
       inbox_.push_back(std::move(p));
+      // A frame from another process enters this process's work count;
+      // a mesh part's frame still holds its sender's token.
+      if (cfg_.multiprocess)
+        if (WorkCount* w = work_.load(std::memory_order_acquire)) w->take();
+      if (bell_ != nullptr) bell_->ring();
       return true;
     }
     case FrameKind::kHeartbeat: {
@@ -774,6 +806,7 @@ bool TcpTransport::handle_payload(int fd, std::uint32_t tagged_node,
       if (deaths_changed) {
         advisory_gen_.fetch_add(1, std::memory_order_release);
         broadcast_peers_locked();
+        if (bell_ != nullptr) bell_->ring();
       }
       if (tagged_node != kUnknownNode) feed_liveness(tagged_node, now);
       (void)changed;
@@ -1110,13 +1143,26 @@ void TcpMeshTransport::shutdown() {
   for (auto& p : parts_) p->shutdown();
 }
 
-void TcpMeshTransport::send(Packet p, double now_us) {
+void TcpMeshTransport::send(Packet p, double /*now_us*/) {
   bytes_.fetch_add(p.bytes.size(), std::memory_order_relaxed);
   packets_.fetch_add(1, std::memory_order_relaxed);
   // Count before the socket write: the packet must be visible to
-  // quiescence scans for its entire socket transit.
+  // quiescence scans for its entire socket transit. Its work token
+  // rides the socket too; a part that drops it hands both back.
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  parts_.at(p.src_node)->send(std::move(p), now_us);
+  if (!parts_.at(p.src_node)->post(std::move(p))) {
+    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+    if (work_ != nullptr) work_->release();
+  }
+}
+
+void TcpMeshTransport::set_doorbell(std::uint32_t node, Doorbell* bell) {
+  parts_.at(node)->set_doorbell(node, bell);
+}
+
+std::size_t TcpMeshTransport::attach_work(WorkCount* w) {
+  work_ = w;
+  return in_flight();
 }
 
 bool TcpMeshTransport::recv(std::uint32_t node, Packet& out, double now_us) {

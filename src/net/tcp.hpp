@@ -343,6 +343,12 @@ class TcpTransport : public Transport {
   }
   void shutdown() override;
   bool remote() const override { return cfg_.multiprocess; }
+  void set_doorbell(std::uint32_t node, Doorbell* bell) override;
+  std::size_t attach_work(WorkCount* w) override;
+  /// send() without work accounting: queue (or loop back) the packet
+  /// and return false when it was dropped instead — filtered, dead
+  /// peer, send timeout or shutdown. The mesh accounts drops itself.
+  bool post(Packet p);
 
   std::uint16_t port() const { return port_; }
   /// The packet-buffer pool behind encode/enqueue/read (tcp_pool_*
@@ -532,6 +538,10 @@ class TcpTransport : public Transport {
       peer_event_hook_;
   std::function<void(std::uint64_t, bool, std::uint64_t)> slo_hook_;
   std::function<bool(const Packet&)> drop_filter_;
+  Doorbell* bell_ = nullptr;  // this node's daemon; rung under mu_
+  // Attached under mu_ so the attach and the inbox count agree; loaded
+  // without it on the send path.
+  std::atomic<WorkCount*> work_{nullptr};
   obs::TraceRing ring_;  // all record sites hold mu_ (single producer)
   std::uint64_t rng_ = 0x9e3779b97f4a7c15ull;  // jitter; I/O thread only
   /// Packet-buffer recycling for encode/enqueue/read (own lock; safe
@@ -571,12 +581,15 @@ class TcpMeshTransport : public Transport {
   void shutdown() override;
   // In-process: termination detection needs no remote grace period.
   bool remote() const override { return false; }
+  void set_doorbell(std::uint32_t node, Doorbell* bell) override;
+  std::size_t attach_work(WorkCount* w) override;
 
   TcpTransport& part(std::size_t i) { return *parts_.at(i); }
   std::size_t parts_count() const { return parts_.size(); }
 
  private:
   std::vector<std::unique_ptr<TcpTransport>> parts_;
+  WorkCount* work_ = nullptr;  // set at rest, before daemons start
   std::atomic<std::size_t> in_flight_{0};
   std::atomic<std::uint64_t> bytes_{0};
   std::atomic<std::uint64_t> packets_{0};

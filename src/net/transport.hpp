@@ -12,7 +12,10 @@
 //     (latency hiding, granularity limits, local-vs-remote cost).
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -25,6 +28,52 @@ struct Packet {
   std::uint32_t src_node = 0;
   std::uint32_t dst_node = 0;
   std::vector<std::uint8_t> bytes;
+};
+
+/// A futex wakeup for one parked thread. Any thread may ring(); the
+/// owner takes a ticket *before* it looks for work and parks with
+/// wait(ticket), which returns at once if the bell rang since — so a
+/// push that lands between the look and the park is never missed.
+/// ring() costs one atomic add, plus a wake syscall only while the
+/// owner is actually parked.
+class Doorbell {
+ public:
+  std::uint32_t ticket() const {
+    return word_.load(std::memory_order_acquire) & ~1u;
+  }
+  void ring();
+  /// Park until a ring after `ticket`. May return early; callers
+  /// re-check their condition.
+  void wait(std::uint32_t ticket);
+  /// As wait(), but for at most `timeout` (none left: returns at once).
+  void wait_for(std::uint32_t ticket, std::chrono::nanoseconds timeout);
+
+ private:
+  void park(std::uint32_t ticket, const std::timespec* timeout);
+
+  // Ring count in the high 31 bits; bit 0 is set while the owner sleeps.
+  std::atomic<std::uint32_t> word_{0};
+};
+
+/// Exact termination for the threaded driver: the run-wide count of
+/// packets not yet applied plus executors with runnable work. Every
+/// packet holds one token from creation until it is applied or
+/// dropped, and a holder always takes the new token (a packet it
+/// sends, its executor's busy token) before releasing the old one, so
+/// the count reaches zero only when no work is left anywhere. The
+/// release that reaches zero rings done().
+class WorkCount {
+ public:
+  void take(std::int64_t n = 1) { n_.fetch_add(n, std::memory_order_relaxed); }
+  void release(std::int64_t n = 1) {
+    if (n_.fetch_sub(n, std::memory_order_acq_rel) == n) done_.ring();
+  }
+  std::int64_t value() const { return n_.load(std::memory_order_acquire); }
+  Doorbell& done() { return done_; }
+
+ private:
+  std::atomic<std::int64_t> n_{0};
+  Doorbell done_;
 };
 
 class Transport {
@@ -57,9 +106,26 @@ class Transport {
   /// True when this transport reaches peers *outside* the current
   /// process (tycod over TCP). Remote transports make quiescence
   /// fundamentally approximate — packets can be on another machine's
-  /// queue — so drivers extend their drain grace period and keep
+  /// queue — so drivers confirm an idle count over a window and keep
   /// serving until the remote side goes idle too.
   virtual bool remote() const { return false; }
+
+  /// Ring `bell` whenever a packet for `node` becomes receivable (the
+  /// node daemon parks on it). The bell must outlive the transport.
+  virtual void set_doorbell(std::uint32_t node, Doorbell* bell) {
+    (void)node;
+    (void)bell;
+  }
+
+  /// Report to `w` from now on every packet this transport drops (and,
+  /// for a remote transport, every packet entering or leaving the
+  /// process); null detaches. Returns the packets held right now that
+  /// this process will still receive — the transport's share of the
+  /// count's starting value, read atomically with the attach.
+  virtual std::size_t attach_work(WorkCount* w) {
+    (void)w;
+    return in_flight();
+  }
 
   /// Earliest arrival time of any undelivered packet for `node`
   /// (virtual-time transports only; nullopt when none or not simulated).
@@ -76,13 +142,16 @@ class Transport {
 /// Immediate delivery with per-node FIFO inboxes; thread safe.
 class InProcTransport : public Transport {
  public:
-  explicit InProcTransport(std::size_t nodes) : inboxes_(nodes) {}
+  explicit InProcTransport(std::size_t nodes)
+      : inboxes_(nodes), bells_(nodes, nullptr) {}
 
   void send(Packet p, double now_us) override;
   bool recv(std::uint32_t node, Packet& out, double now_us) override;
   std::size_t in_flight() const override;
   std::uint64_t bytes_sent() const override { return bytes_; }
   std::uint64_t packets_sent() const override { return packets_; }
+  void set_doorbell(std::uint32_t node, Doorbell* bell) override;
+  std::size_t attach_work(WorkCount* w) override;
 
   /// Fault injection: packets the filter claims are silently discarded
   /// at send time (a lossy link). The filter runs under the transport
@@ -93,6 +162,8 @@ class InProcTransport : public Transport {
  private:
   mutable std::mutex mu_;
   std::vector<std::deque<Packet>> inboxes_;
+  std::vector<Doorbell*> bells_;
+  WorkCount* work_ = nullptr;
   std::function<bool(const Packet&)> drop_;
   std::size_t in_flight_ = 0;
   std::uint64_t bytes_ = 0;

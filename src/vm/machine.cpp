@@ -124,8 +124,7 @@ std::uint32_t Machine::new_channel() {
   if (!free_chans_.empty()) {
     const std::uint32_t idx = free_chans_.back();
     free_chans_.pop_back();
-    chan_freed_[idx] = 0;
-    heap_[idx] = Channel{};
+    chan_freed_[idx] = 0;  // free_channel left its queues empty
     return idx;
   }
   heap_.emplace_back();
@@ -599,7 +598,11 @@ Machine::GcSnapshot Machine::gc_snapshot() const {
 void Machine::free_channel(std::uint32_t idx) {
   pending_msgs_ -= heap_[idx].msgs.size();
   pending_objs_ -= heap_[idx].objs.size();
-  heap_[idx] = Channel{};
+  // clear(), not a fresh Channel{}: the slot keeps its deques' map and
+  // first node for the next new_channel() instead of freeing and
+  // reallocating both.
+  heap_[idx].msgs.clear();
+  heap_[idx].objs.clear();
   chan_freed_[idx] = 1;
   free_chans_.push_back(idx);
   ++gc_stats_.channels_freed;

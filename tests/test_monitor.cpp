@@ -691,6 +691,9 @@ TEST(Monitor, GcAndNamesScrapesRaceThreadedRun) {
   scraper2.join();
   runner.join();
   EXPECT_TRUE(res.quiescent);
+  // With the monitor serving, the run path published snapshots.
+  for (const char* name : {"server", "client"})
+    EXPECT_NE(net.find_site(name)->gc_snapshot(), nullptr) << name;
 
   // Post-run the fresh at-rest documents audit clean.
   fleet::Json gc, names;
@@ -698,6 +701,29 @@ TEST(Monitor, GcAndNamesScrapesRaceThreadedRun) {
   ASSERT_TRUE(fleet::parse_json(body_of(http_get(port, "/names")), names));
   const fleet::AuditReport rep = fleet::audit({gc}, {names}, {0, 1});
   EXPECT_TRUE(rep.balanced) << rep.to_text();
+}
+
+TEST(Monitor, NoMonitorMeansNoRunPathSnapshots) {
+  // Nothing serves /gc, so neither the executors nor the quiescence GC
+  // passes build a credit snapshot; an at-rest /gc still builds fresh.
+  namespace fleet = obs::fleet;
+  core::Network::Config cfg;
+  cfg.mode = core::Network::Mode::kThreaded;
+  auto net = rpc_net(cfg, 50);
+  ASSERT_TRUE(net.run().quiescent);
+  for (const char* name : {"server", "client"})
+    EXPECT_EQ(net.find_site(name)->gc_snapshot(), nullptr) << name;
+
+  fleet::Json gc;
+  ASSERT_TRUE(fleet::parse_json(net.gc_json(), gc));
+  EXPECT_TRUE(gc.find("fresh")->boolean);
+  const fleet::Json* sites = gc.find("sites");
+  ASSERT_NE(sites, nullptr);
+  ASSERT_EQ(sites->items.size(), 2u);
+  for (const fleet::Json& site : sites->items) {
+    EXPECT_FALSE(site.find("stale")->boolean);
+    EXPECT_NE(site.find("exports"), nullptr);
+  }
 }
 
 TEST(Fleet, IdleTcpMeshAuditsToZeroImbalance) {

@@ -4,14 +4,193 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <functional>
 
 #include "compiler/codegen.hpp"
 #include "core/network.hpp"
+#include "core/wire.hpp"
 #include "vm/machine.hpp"
 
 namespace dityco::core {
 namespace {
 
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+// ---------------------------------------------------------------------
+// Exact termination of the threaded driver: many short runs per shape,
+// each of which must end on its own — right flag, every queue empty,
+// output equal to the sequential driver's — never by the deadline.
+// ---------------------------------------------------------------------
+
+constexpr const char* kServer =
+    "export new svc in def Serve(self) = "
+    "self?{ val(x, r) = (r![x + 1] | Serve[self]) } in Serve[svc]";
+constexpr const char* kClient =
+    "import svc from server in let y = svc![41] in print[\"got\", y]";
+
+/// Sets up a fresh network (topology, fault hooks, programs) under cfg.
+using Scenario = std::function<void(Network&)>;
+
+struct Outcome {
+  bool quiescent = false, stalled = false;
+  std::vector<std::string> output;  // every site's, in site order
+};
+
+/// With `gc` off nothing runs after the threads stop, so work a wrong
+/// zero left behind stays visible in the queues and machines.
+Outcome run_once(Network::Mode mode, const Scenario& scenario, bool gc) {
+  Network::Config cfg;
+  cfg.mode = mode;
+  cfg.gc = gc;
+  cfg.timeout_ms = 10'000;
+  Network net(cfg);
+  scenario(net);
+  const Network::Result res = net.run();
+  EXPECT_FALSE(res.budget_exhausted) << "ended by the deadline";
+  EXPECT_EQ(net.transport().in_flight(), 0u);
+  Outcome o{res.quiescent, res.stalled, {}};
+  for (const auto& n : net.nodes())
+    for (const auto& s : n->sites()) {
+      EXPECT_EQ(s->incoming_size(), 0u) << s->name();
+      EXPECT_EQ(s->outgoing_size(), 0u) << s->name();
+      EXPECT_TRUE(s->failed() || s->machine().idle()) << s->name();
+      for (const auto& line : s->machine().output())
+        o.output.push_back(s->name() + ": " + line);
+    }
+  return o;
+}
+
+void expect_exact_termination(const Scenario& scenario, bool stalled) {
+  const Outcome want =
+      run_once(Network::Mode::kSequential, scenario, /*gc=*/true);
+  ASSERT_EQ(want.stalled, stalled);
+  ASSERT_EQ(want.quiescent, !stalled);
+  const int runs = kSanitized ? 200 : 2000;
+  for (int i = 0; i < runs; ++i) {
+    const Outcome got =
+        run_once(Network::Mode::kThreaded, scenario, /*gc=*/i % 2 == 0);
+    ASSERT_EQ(got.stalled, stalled) << "run " << i;
+    ASSERT_EQ(got.quiescent, !stalled) << "run " << i;
+    ASSERT_EQ(got.output, want.output) << "run " << i;
+    if (::testing::Test::HasFailure()) FAIL() << "run " << i;
+  }
+}
+
+TEST(Termination, CrossNodeRpc) {
+  expect_exact_termination(
+      [](Network& net) {
+        net.add_node();
+        net.add_node();
+        net.add_site(0, "server");
+        net.add_site(1, "client");
+        net.submit_source("server", kServer);
+        net.submit_source("client", kClient);
+      },
+      /*stalled=*/false);
+}
+
+TEST(Termination, SameNodeRpc) {
+  expect_exact_termination(
+      [](Network& net) {
+        net.add_node();
+        net.add_site(0, "server");
+        net.add_site(0, "client");
+        net.submit_source("server", kServer);
+        net.submit_source("client", kClient);
+      },
+      /*stalled=*/false);
+}
+
+TEST(Termination, DropFilterEatsRelsAndShipms) {
+  // Every REL and every SHIPM bound for node 2 vanishes on the wire; the
+  // lost packets must count as consumed or the run never ends.
+  expect_exact_termination(
+      [](Network& net) {
+        net.add_node();
+        net.add_node();
+        net.add_node();
+        net.add_site(0, "server");
+        net.add_site(1, "client");
+        net.add_site(2, "sink");
+        auto& tr = dynamic_cast<net::InProcTransport&>(net.transport());
+        tr.set_drop_filter([](const net::Packet& p) {
+          const MsgType t = packet_type(p.bytes);
+          return t == MsgType::kRelease ||
+                 (t == MsgType::kShipMsg && p.dst_node == 2);
+        });
+        net.submit_source("server", kServer);
+        net.submit_source("sink", "export new box in box?(v) = print[v]");
+        net.submit_source("client",
+                          std::string(kClient) +
+                              " | import box from sink in box![1]");
+      },
+      /*stalled=*/false);
+}
+
+TEST(Termination, KilledSite) {
+  // The server exports, then dies: it drops the request, and the client
+  // is left waiting on a reply channel — quiescence, not a stall.
+  expect_exact_termination(
+      [](Network& net) {
+        net.add_node();
+        net.add_node();
+        net.add_site(0, "server");
+        net.add_site(1, "client");
+        net.submit_source("server", kServer);
+        ASSERT_TRUE(net.run().quiescent);
+        net.find_site("server")->kill();
+        net.submit_source("client", kClient);
+      },
+      /*stalled=*/false);
+}
+
+TEST(Termination, StalledImport) {
+  expect_exact_termination(
+      [](Network& net) {
+        net.add_node();
+        net.add_node();
+        net.add_site(0, "server");
+        net.add_site(1, "client");
+        net.submit_source("client", "import ghost from server in ghost![1]");
+      },
+      /*stalled=*/true);
+}
+
+TEST(Termination, EmptyRunEndsWellUnderAMillisecond) {
+  // No grace window: a run with nothing queued or runnable returns at
+  // once.
+  if (kSanitized) GTEST_SKIP() << "timing check; sanitizers distort it";
+#ifndef NDEBUG
+  GTEST_SKIP() << "timing check; optimised builds only";
+#endif
+  Network::Config cfg;
+  cfg.mode = Network::Mode::kThreaded;
+  std::vector<double> us;
+  for (int i = 0; i < 200; ++i) {
+    Network net(cfg);
+    net.add_node();
+    net.add_site(0, "main");
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto res = net.run();
+    us.push_back(std::chrono::duration<double, std::micro>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+    ASSERT_TRUE(res.quiescent);
+  }
+  std::nth_element(us.begin(), us.begin() + 100, us.end());
+  EXPECT_LT(us[100], 500.0) << "median run() of an empty network, us";
+}
 
 TEST(Stress, ThreadedManyToOneFlood) {
   Network::Config cfg;

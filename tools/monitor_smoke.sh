@@ -81,7 +81,14 @@ if ! printf '%s' "$FLIGHT" | grep -q '"traceEvents"'; then
   fail=1
 fi
 
-PROFILE="$(curl -sf "http://127.0.0.1:$PORT/profile")" || fail=1
+# The profiler samples once per 1024 instructions of a site, so the
+# first folded stack appears some way into the run: poll for it.
+PROFILE=""
+for _ in $(seq 1 50); do
+  PROFILE="$(curl -sf "http://127.0.0.1:$PORT/profile")" || { fail=1; break; }
+  printf '%s' "$PROFILE" | grep -q ';' && break
+  sleep 0.1
+done
 if ! printf '%s' "$PROFILE" | grep -q ';'; then
   echo "monitor_smoke: /profile has no folded stacks:" >&2
   printf '%s\n' "$PROFILE" | head -5 >&2
