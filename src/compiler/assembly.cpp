@@ -100,8 +100,7 @@ std::string quote(const std::string& s) {
 const std::unordered_map<std::string, Op>& op_by_name() {
   static const auto* map = [] {
     auto* m = new std::unordered_map<std::string, Op>();
-    for (std::uint32_t o = 0;
-         o <= static_cast<std::uint32_t>(Op::kImportClass); ++o)
+    for (std::uint32_t o = 0; o < vm::kOpCount; ++o)
       (*m)[vm::op_name(static_cast<Op>(o))] = static_cast<Op>(o);
     return m;
   }();

@@ -187,6 +187,9 @@ vm::Value unmarshal_value(vm::Machine& m, Reader& r, bool gc) {
 
 std::vector<vm::Value> unmarshal_values(vm::Machine& m, Reader& r, bool gc) {
   const std::uint32_t n = r.u32();
+  // Every value takes at least its tag byte: a count beyond the bytes
+  // present is forged, and reserving it could ask for 64 GiB.
+  if (n > r.remaining()) throw DecodeError("value count exceeds the frame");
   std::vector<vm::Value> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i)

@@ -132,64 +132,100 @@ std::uint32_t Machine::new_channel() {
   return static_cast<std::uint32_t>(heap_.size() - 1);
 }
 
-void Machine::reduce(std::uint32_t chan, ObjClosure obj, PendingMsg msg) {
-  const Segment& seg = *linked_.at(obj.seg).seg;
-  const auto& lmap = linked_.at(obj.seg).label_map;
+void Machine::reduce(std::uint32_t chan, std::uint32_t seg_slot,
+                     std::span<const Value> env, std::uint32_t label,
+                     std::span<const Value> args) {
+  const LinkedSegment& ls = linked_.at(seg_slot);
+  const Segment& seg = *ls.seg;
   // Method table: [nmethods, (labelidx, nparams, offset)*]
   const std::uint32_t nmethods = seg.code.at(0);
+  const char* failure = "method not understood: ";
   for (std::uint32_t k = 0; k < nmethods; ++k) {
     const std::uint32_t labelidx = seg.code.at(1 + 3 * k);
     const std::uint32_t nparams = seg.code.at(2 + 3 * k);
     const std::uint32_t off = seg.code.at(3 + 3 * k);
-    if (lmap.at(labelidx) != msg.label) continue;
-    if (nparams != msg.args.size()) {
-      error("arity mismatch on method " + labels_.name(msg.label));
-      heap_[chan].objs.push_front(std::move(obj));
-      ++pending_objs_;
-      return;
+    if (ls.label_map.at(labelidx) != label) continue;
+    if (nparams != args.size()) {
+      failure = "arity mismatch on method ";
+      break;
     }
     Frame f;
-    f.seg = obj.seg;
+    f.seg = seg_slot;
     f.pc = off;
-    f.locals = std::move(obj.env);
-    f.locals.insert(f.locals.end(), msg.args.begin(), msg.args.end());
+    f.locals = values(env, args);
     ++stats_.comm_reductions;
-    if (ring_) ring_->record(obs::EventType::kComm, 0, msg.label);
+    if (ring_) ring_->record(obs::EventType::kComm, 0, label);
     spawn_frame(std::move(f));
     return;
   }
-  error("method not understood: " + labels_.name(msg.label));
-  heap_[chan].objs.push_front(std::move(obj));
+  error(failure + labels_.name(label));
+  heap_[chan].objs.push_front(
+      ObjClosure{seg_slot, std::vector<Value>(env.begin(), env.end())});
   ++pending_objs_;
+}
+
+bool Machine::meet_object(std::uint32_t chan, std::uint32_t label,
+                          std::span<const Value> args) {
+  gc_dirty_ = true;
+  Channel& ch = heap_.at(chan);
+  if (ch.objs.empty()) return false;
+  ObjClosure obj = ch.objs.pop_front();
+  --pending_objs_;
+  reduce(chan, obj.seg, obj.env, label, args);
+  recycle(std::move(obj.env));
+  return true;
+}
+
+bool Machine::meet_message(std::uint32_t chan, std::uint32_t seg,
+                           std::span<const Value> env) {
+  gc_dirty_ = true;
+  Channel& ch = heap_.at(chan);
+  if (ch.msgs.empty()) return false;
+  PendingMsg msg = ch.msgs.pop_front();
+  --pending_msgs_;
+  reduce(chan, seg, env, msg.label, msg.args);
+  recycle(std::move(msg.args));
+  return true;
 }
 
 void Machine::channel_send(std::uint32_t chan, std::uint32_t label,
                            std::vector<Value> args) {
-  gc_dirty_ = true;
-  Channel& ch = heap_.at(chan);
-  if (!ch.objs.empty()) {
-    ObjClosure obj = std::move(ch.objs.front());
-    ch.objs.pop_front();
-    --pending_objs_;
-    reduce(chan, std::move(obj), PendingMsg{label, std::move(args)});
-    return;
-  }
-  ch.msgs.push_back(PendingMsg{label, std::move(args)});
+  if (meet_object(chan, label, args)) return;
+  heap_[chan].msgs.push_back(PendingMsg{label, std::move(args)});
   ++pending_msgs_;
 }
 
 void Machine::channel_recv(std::uint32_t chan, ObjClosure obj) {
-  gc_dirty_ = true;
-  Channel& ch = heap_.at(chan);
-  if (!ch.msgs.empty()) {
-    PendingMsg msg = std::move(ch.msgs.front());
-    ch.msgs.pop_front();
-    --pending_msgs_;
-    reduce(chan, std::move(obj), std::move(msg));
-    return;
-  }
-  ch.objs.push_back(std::move(obj));
+  if (meet_message(chan, obj.seg, obj.env)) return;
+  heap_[chan].objs.push_back(std::move(obj));
   ++pending_objs_;
+}
+
+namespace {
+// Bounds of the recycled-vector pool: 64 vectors of at most 64 values.
+constexpr std::size_t kSpareVectors = 64;
+constexpr std::size_t kSpareCapacity = 64;
+}  // namespace
+
+std::vector<Value> Machine::values(std::span<const Value> a,
+                                   std::span<const Value> b) {
+  std::vector<Value> v;
+  if (!spare_.empty()) {
+    v = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  v.reserve(a.size() + b.size());
+  v.insert(v.end(), a.begin(), a.end());
+  v.insert(v.end(), b.begin(), b.end());
+  return v;
+}
+
+void Machine::recycle(std::vector<Value>&& v) {
+  if (v.capacity() == 0 || v.capacity() > kSpareCapacity ||
+      spare_.size() >= kSpareVectors)
+    return;
+  v.clear();
+  spare_.push_back(std::move(v));
 }
 
 std::uint32_t Machine::make_block(std::uint32_t seg_slot,
@@ -203,7 +239,7 @@ Value Machine::make_class_value(std::uint32_t block, std::uint32_t cls) {
   return Value::make_class(static_cast<std::uint32_t>(classes_.size() - 1));
 }
 
-void Machine::instantiate_class(Value cls, std::vector<Value> args) {
+void Machine::instantiate_class(Value cls, std::span<const Value> args) {
   if (cls.tag != Value::Tag::kClass) {
     error("instantiation of a non-class value");
     return;
@@ -227,8 +263,7 @@ void Machine::instantiate_class(Value cls, std::vector<Value> args) {
   f.seg = blk.seg;
   f.pc = off;
   f.block = entry.block;
-  f.locals = blk.env;
-  f.locals.insert(f.locals.end(), args.begin(), args.end());
+  f.locals = values(blk.env, args);
   ++stats_.inst_reductions;
   if (ring_) ring_->record(obs::EventType::kInst, 0, entry.cls);
   spawn_frame(std::move(f));
@@ -598,9 +633,8 @@ Machine::GcSnapshot Machine::gc_snapshot() const {
 void Machine::free_channel(std::uint32_t idx) {
   pending_msgs_ -= heap_[idx].msgs.size();
   pending_objs_ -= heap_[idx].objs.size();
-  // clear(), not a fresh Channel{}: the slot keeps its deques' map and
-  // first node for the next new_channel() instead of freeing and
-  // reallocating both.
+  // clear(), not a fresh Channel{}: the slot keeps its queues' capacity
+  // for the next new_channel() instead of freeing and reallocating it.
   heap_[idx].msgs.clear();
   heap_[idx].objs.clear();
   chan_freed_[idx] = 1;
@@ -826,8 +860,7 @@ std::uint64_t Machine::run(std::uint64_t max_instructions) {
   if (tracing) ring_->record(obs::EventType::kSliceBegin, 0);
   std::uint64_t executed = 0;
   while (!queue_.empty() && executed < max_instructions) {
-    Frame f = std::move(queue_.front());
-    queue_.pop_front();
+    Frame f = queue_.pop_front();
     ++stats_.frames_run;
     if (f.enq_ns != 0) {
       const std::uint64_t now = clock_ns();
@@ -837,7 +870,10 @@ std::uint64_t Machine::run(std::uint64_t max_instructions) {
     }
     bool requeue = false;
     executed += exec(f, max_instructions - executed, requeue);
-    if (requeue) queue_.push_front(std::move(f));
+    if (requeue)
+      queue_.push_front(std::move(f));
+    else
+      recycle(std::move(f.locals));
   }
   stats_.instructions += executed;
   if (executed > 0) gc_dirty_ = true;
@@ -850,17 +886,33 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
   const LinkedSegment* ls = &linked_.at(f.seg);
   const std::vector<std::uint32_t>* code = &ls->seg->code;
 
+  // Operands live on the machine's stack while the frame runs; a frame
+  // that left mid-expression brings its saved operands back.
+  std::vector<Value>& st = stack_;
+  if (!f.stack.empty()) {
+    st.assign(f.stack.begin(), f.stack.end());
+    f.stack.clear();
+  }
+  // Leaving mid-expression (preempted or parked): the operands go with
+  // the frame, so the stack is empty again for the next frame and gc().
+  auto save_operands = [&] {
+    f.stack.assign(st.begin(), st.end());
+    st.clear();
+  };
+
   auto pop = [&]() -> Value {
-    if (f.stack.empty()) throw VmError{"operand stack underflow"};
-    Value v = f.stack.back();
-    f.stack.pop_back();
+    if (st.empty()) throw VmError{"operand stack underflow"};
+    const Value v = st.back();
+    st.pop_back();
     return v;
   };
-  auto pop_n = [&](std::uint32_t k) {
-    std::vector<Value> out(k);
-    for (std::uint32_t i = k; i-- > 0;) out[i] = pop();
-    return out;
+  // The top k operands as one range, with one underflow check. The range
+  // stays valid until the next push; drop(k) then pops it.
+  auto top = [&](std::uint32_t k) -> std::span<const Value> {
+    if (st.size() < k) throw VmError{"operand stack underflow"};
+    return {st.data() + (st.size() - k), k};
   };
+  auto drop = [&](std::uint32_t k) { st.resize(st.size() - k); };
   auto store = [&](std::uint32_t slot, Value v) {
     if (f.locals.size() <= slot) f.locals.resize(slot + 1);
     f.locals[slot] = v;
@@ -876,6 +928,7 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
     for (;;) {
       if (n >= budget) {
         requeue = true;  // preempted: resume this frame next time
+        save_operands();
         return n;
       }
       // One bounds check per instruction; operand words read unchecked.
@@ -895,36 +948,31 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
       const std::uint32_t b = arity >= 2 ? cp[2] : 0;
       const std::uint32_t c = arity >= 3 ? cp[3] : 0;
       const std::uint32_t d = arity >= 4 ? cp[4] : 0;
-      if (trace_) {
-        std::string line = std::to_string(f.seg) + "@" +
-                           std::to_string(f.pc) + ": " + op_name(op);
-        for (int k = 0; k < arity; ++k) line += " " + std::to_string(cp[1 + k]);
-        trace_->push_back(std::move(line));
-      }
       f.pc += 1 + static_cast<std::uint32_t>(arity);
       ++n;
 
       switch (op) {
         case Op::kHalt:
+          st.clear();
           return n;
         case Op::kPushInt: {
           const std::uint64_t lo = a, hi = b;
-          f.stack.push_back(Value::make_int(
+          st.push_back(Value::make_int(
               static_cast<std::int64_t>(lo | (hi << 32))));
           break;
         }
         case Op::kPushFloat:
-          f.stack.push_back(Value::make_float(ls->seg->floats.at(a)));
+          st.push_back(Value::make_float(ls->seg->floats.at(a)));
           break;
         case Op::kPushStr:
-          f.stack.push_back(Value::make_str(ls->string_map.at(a)));
+          st.push_back(Value::make_str(ls->string_map.at(a)));
           break;
         case Op::kPushBool:
-          f.stack.push_back(Value::make_bool(a != 0));
+          st.push_back(Value::make_bool(a != 0));
           break;
         case Op::kLoad:
           if (a >= f.locals.size()) throw VmError{"load of unset local"};
-          f.stack.push_back(f.locals[a]);
+          st.push_back(f.locals[a]);
           break;
         case Op::kStore:
           store(a, pop());
@@ -943,35 +991,35 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
           if (l.tag == Value::Tag::kInt && r.tag == Value::Tag::kInt) {
             const std::int64_t x = l.i, y = r.i;
             switch (op) {
-              case Op::kAdd: f.stack.push_back(Value::make_int(x + y)); break;
-              case Op::kSub: f.stack.push_back(Value::make_int(x - y)); break;
-              case Op::kMul: f.stack.push_back(Value::make_int(x * y)); break;
+              case Op::kAdd: st.push_back(Value::make_int(x + y)); break;
+              case Op::kSub: st.push_back(Value::make_int(x - y)); break;
+              case Op::kMul: st.push_back(Value::make_int(x * y)); break;
               case Op::kDiv:
                 if (y == 0) throw VmError{"integer division by zero"};
-                f.stack.push_back(Value::make_int(x / y));
+                st.push_back(Value::make_int(x / y));
                 break;
               case Op::kMod:
                 if (y == 0) throw VmError{"integer modulo by zero"};
-                f.stack.push_back(Value::make_int(x % y));
+                st.push_back(Value::make_int(x % y));
                 break;
-              case Op::kLt: f.stack.push_back(Value::make_bool(x < y)); break;
-              case Op::kLe: f.stack.push_back(Value::make_bool(x <= y)); break;
-              case Op::kGt: f.stack.push_back(Value::make_bool(x > y)); break;
-              case Op::kGe: f.stack.push_back(Value::make_bool(x >= y)); break;
+              case Op::kLt: st.push_back(Value::make_bool(x < y)); break;
+              case Op::kLe: st.push_back(Value::make_bool(x <= y)); break;
+              case Op::kGt: st.push_back(Value::make_bool(x > y)); break;
+              case Op::kGe: st.push_back(Value::make_bool(x >= y)); break;
               default: break;
             }
           } else if (is_num(l) && is_num(r)) {
             const double x = as_f(l), y = as_f(r);
             switch (op) {
-              case Op::kAdd: f.stack.push_back(Value::make_float(x + y)); break;
-              case Op::kSub: f.stack.push_back(Value::make_float(x - y)); break;
-              case Op::kMul: f.stack.push_back(Value::make_float(x * y)); break;
-              case Op::kDiv: f.stack.push_back(Value::make_float(x / y)); break;
+              case Op::kAdd: st.push_back(Value::make_float(x + y)); break;
+              case Op::kSub: st.push_back(Value::make_float(x - y)); break;
+              case Op::kMul: st.push_back(Value::make_float(x * y)); break;
+              case Op::kDiv: st.push_back(Value::make_float(x / y)); break;
               case Op::kMod: throw VmError{"modulo on floats"};
-              case Op::kLt: f.stack.push_back(Value::make_bool(x < y)); break;
-              case Op::kLe: f.stack.push_back(Value::make_bool(x <= y)); break;
-              case Op::kGt: f.stack.push_back(Value::make_bool(x > y)); break;
-              case Op::kGe: f.stack.push_back(Value::make_bool(x >= y)); break;
+              case Op::kLt: st.push_back(Value::make_bool(x < y)); break;
+              case Op::kLe: st.push_back(Value::make_bool(x <= y)); break;
+              case Op::kGt: st.push_back(Value::make_bool(x > y)); break;
+              case Op::kGe: st.push_back(Value::make_bool(x >= y)); break;
               default: break;
             }
           } else {
@@ -1001,7 +1049,7 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
           } else if (is_num(l) && is_num(r)) {
             eq = as_f(l) == as_f(r);
           }
-          f.stack.push_back(Value::make_bool(op == Op::kEq ? eq : !eq));
+          st.push_back(Value::make_bool(op == Op::kEq ? eq : !eq));
           break;
         }
         case Op::kAndB:
@@ -1009,24 +1057,24 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
           Value r = pop(), l = pop();
           if (l.tag != Value::Tag::kBool || r.tag != Value::Tag::kBool)
             throw VmError{"non-boolean operands for logical operator"};
-          f.stack.push_back(Value::make_bool(op == Op::kAndB ? (l.b && r.b)
-                                                             : (l.b || r.b)));
+          st.push_back(Value::make_bool(op == Op::kAndB ? (l.b && r.b)
+                                                        : (l.b || r.b)));
           break;
         }
         case Op::kConcat: {
           Value r = pop(), l = pop();
           if (l.tag != Value::Tag::kStr || r.tag != Value::Tag::kStr)
             throw VmError{"non-string operands for ++"};
-          f.stack.push_back(Value::make_str(
+          st.push_back(Value::make_str(
               strings_.intern(strings_.name(l.idx) + strings_.name(r.idx))));
           break;
         }
         case Op::kNeg: {
           Value v = pop();
           if (v.tag == Value::Tag::kInt)
-            f.stack.push_back(Value::make_int(-v.i));
+            st.push_back(Value::make_int(-v.i));
           else if (v.tag == Value::Tag::kFloat)
-            f.stack.push_back(Value::make_float(-v.f));
+            st.push_back(Value::make_float(-v.f));
           else
             throw VmError{"non-numeric operand for negation"};
           break;
@@ -1035,7 +1083,7 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
           Value v = pop();
           if (v.tag != Value::Tag::kBool)
             throw VmError{"non-boolean operand for !"};
-          f.stack.push_back(Value::make_bool(!v.b));
+          st.push_back(Value::make_bool(!v.b));
           break;
         }
 
@@ -1062,69 +1110,86 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
         }
 
         case Op::kTrMsg: {
-          Value target = pop();
-          std::vector<Value> args = pop_n(b);
+          const Value target = pop();
+          const auto args = top(b);
           if (target.tag == Value::Tag::kChan) {
-            channel_send(target.idx, ls->label_map.at(a), std::move(args));
+            const std::uint32_t label = ls->label_map.at(a);
+            if (!meet_object(target.idx, label, args)) {
+              heap_[target.idx].msgs.push_back(
+                  PendingMsg{label, values(args)});
+              ++pending_msgs_;
+            }
           } else if (target.tag == Value::Tag::kNetRef) {
             if (!backend_) throw VmError{"remote message without a backend"};
             backend_->ship_message(*this, netrefs_.at(target.idx),
-                                   ls->seg->labels.at(a), std::move(args));
+                                   ls->seg->labels.at(a),
+                                   {args.begin(), args.end()});
             refresh();
           } else {
             throw VmError{std::string("message target is a ") +
                           tag_name(target.tag)};
           }
+          drop(b);
           break;
         }
         case Op::kTrObj: {
-          Value target = pop();
-          std::vector<Value> env = pop_n(b);
+          const Value target = pop();
+          const auto env = top(b);
           const std::uint32_t seg_slot = ls->dep_map.at(a);
           if (target.tag == Value::Tag::kChan) {
-            channel_recv(target.idx, ObjClosure{seg_slot, std::move(env)});
+            if (!meet_message(target.idx, seg_slot, env)) {
+              heap_[target.idx].objs.push_back(
+                  ObjClosure{seg_slot, values(env)});
+              ++pending_objs_;
+            }
           } else if (target.tag == Value::Tag::kNetRef) {
             if (!backend_) throw VmError{"remote object without a backend"};
             backend_->ship_object(*this, netrefs_.at(target.idx), seg_slot,
-                                  std::move(env));
+                                  {env.begin(), env.end()});
             refresh();
           } else {
             throw VmError{std::string("object location is a ") +
                           tag_name(target.tag)};
           }
+          drop(b);
           break;
         }
         case Op::kInstOf: {
-          Value cls = pop();
-          std::vector<Value> args = pop_n(a);
+          const Value cls = pop();
+          const auto args = top(a);
           if (cls.tag == Value::Tag::kClass) {
-            instantiate_class(cls, std::move(args));
+            instantiate_class(cls, args);
           } else if (cls.tag == Value::Tag::kNetRef) {
             if (!backend_)
               throw VmError{"remote instantiation without a backend"};
             backend_->fetch_instantiate(*this, netrefs_.at(cls.idx),
-                                        std::move(args));
+                                        {args.begin(), args.end()});
             refresh();
           } else {
             throw VmError{std::string("instantiation of a ") +
                           tag_name(cls.tag)};
           }
+          drop(a);
           break;
         }
         case Op::kFork: {
+          const auto captures = top(b);
           Frame g;
           g.seg = f.seg;
           g.pc = a;
           g.block = f.block;
-          g.locals = pop_n(b);
+          g.locals = values(captures);
+          drop(b);
           ++stats_.forks;
           spawn_frame(std::move(g));
           break;
         }
         case Op::kMkBlock: {
           const std::uint32_t seg_slot = ls->dep_map.at(a);
-          std::vector<Value> env = pop_n(b);
-          const std::uint32_t blk = make_block(seg_slot, std::move(env));
+          const auto env = top(b);
+          const std::uint32_t blk =
+              make_block(seg_slot, {env.begin(), env.end()});
+          drop(b);
           const Segment& bseg = *linked_.at(seg_slot).seg;
           if (bseg.code.at(0) != c) throw VmError{"class count mismatch"};
           for (std::uint32_t k = 0; k < c; ++k)
@@ -1134,16 +1199,17 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
         case Op::kLoadSibling: {
           if (f.block == Frame::kNoBlock)
             throw VmError{"sibling class reference outside a def block"};
-          f.stack.push_back(make_class_value(f.block, a));
+          st.push_back(make_class_value(f.block, a));
           break;
         }
         case Op::kPrint: {
-          std::vector<Value> args = pop_n(a);
+          const auto args = top(a);
           std::string line;
           for (std::size_t i = 0; i < args.size(); ++i) {
             if (i) line += ' ';
             line += display(args[i]);
           }
+          drop(a);
           output_.push_back(std::move(line));
           ++stats_.prints;
           break;
@@ -1172,6 +1238,7 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
           const std::string& site = ls->seg->strings.at(b);
           const std::string& nm = ls->seg->strings.at(c);
           const std::uint64_t token = next_token_++;
+          save_operands();
           parked_[token] = ParkedFrame{std::move(f), a};
           // NOTE: `f` is moved from; we must not touch it again. The
           // backend may resume synchronously (re-entrantly) — that is
@@ -1185,12 +1252,14 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
       }
     }
   } catch (const VmError& e) {
+    st.clear();
     error(e.what);
     return n;
   } catch (const std::exception& e) {
     // DecodeError from linking, out_of_range from a hostile segment that
     // slipped past verification, bad_alloc-adjacent failures: the frame
     // dies, the machine survives.
+    st.clear();
     error(e.what());
     return n;
   }

@@ -2,8 +2,8 @@
 //
 // Architecture per the paper (section 5, fig. 3): a program area (linked
 // code segments), a heap of channels holding pending messages/objects, a
-// run-queue of small threads (frames), a per-frame operand stack for
-// builtin expressions, and an export table mapping local heap references
+// run-queue of small threads (frames), an operand stack for builtin
+// expressions, and an export table mapping local heap references
 // to hardware-independent network references. Remote interaction
 // (trmsg/trobj on network references, instof on remote classes,
 // export/import) is delegated to a RemoteBackend implemented by the
@@ -12,10 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,11 +72,56 @@ struct PendingMsg {
   std::vector<Value> args;
 };
 
+/// FIFO queue kept in one vector plus a head index. An empty queue owns
+/// no memory, a drained one keeps its capacity (so a reused channel slot
+/// or the run queue allocates nothing in steady state), and push_front —
+/// putting back an object whose method did not match — refills the slot
+/// just popped. The consumed prefix is compacted away once it is at
+/// least half the vector, so a queue that never drains stays bounded.
+template <class T>
+class SlotQueue {
+ public:
+  bool empty() const { return head_ == items_.size(); }
+  std::size_t size() const { return items_.size() - head_; }
+  const T* begin() const { return items_.data() + head_; }
+  const T* end() const { return items_.data() + items_.size(); }
+
+  void push_back(T v) { items_.push_back(std::move(v)); }
+  void push_front(T v) {
+    if (head_ > 0)
+      items_[--head_] = std::move(v);
+    else
+      items_.insert(items_.begin(), std::move(v));
+  }
+  /// Precondition: !empty().
+  T pop_front() {
+    T v = std::move(items_[head_++]);
+    if (head_ == items_.size()) {
+      clear();
+    } else if (head_ >= kCompactAt && 2 * head_ >= items_.size()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    return v;
+  }
+  /// Drops every entry and keeps the capacity.
+  void clear() {
+    items_.clear();
+    head_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kCompactAt = 32;
+  std::vector<T> items_;
+  std::size_t head_ = 0;
+};
+
 /// A heap channel (the paper's "name"): queues of messages and objects
-/// waiting for their counterpart.
+/// waiting for their counterpart. At most one of the two is non-empty.
 struct Channel {
-  std::deque<PendingMsg> msgs;
-  std::deque<ObjClosure> objs;
+  SlotQueue<PendingMsg> msgs;
+  SlotQueue<ObjClosure> objs;
 };
 
 /// A definition block instance: the runtime form of `def D in P`. Shared
@@ -96,13 +141,17 @@ struct ClassEntry {
 /// A runnable thread: a small byte-code block with its bindings. Threads
 /// are "a few tens of byte-code instructions" (paper, section 1), so the
 /// scheduler runs each to completion and context switches are cheap.
+/// While a frame executes, its operands live on the machine's one
+/// operand stack; `stack` holds them only while the frame is out of the
+/// interpreter mid-expression (preempted at the slice budget, or parked
+/// on an import), and is empty otherwise.
 struct Frame {
   std::uint32_t seg = 0;
   std::uint32_t pc = 0;
   std::uint32_t block = kNoBlock;  // enclosing def block (for kLoadSibling)
   std::uint64_t enq_ns = 0;  // run-queue entry time (profiling only; 0 = off)
   std::vector<Value> locals;
-  std::vector<Value> stack;
+  std::vector<Value> stack;  // saved operands (see above)
 
   static constexpr std::uint32_t kNoBlock = 0xffffffffu;
 };
@@ -174,8 +223,9 @@ class Machine {
                     std::vector<Value> args);
   void channel_recv(std::uint32_t chan, ObjClosure obj);
 
-  /// Instantiate a (local) class value with the given arguments.
-  void instantiate_class(Value cls, std::vector<Value> args);
+  /// Rule INST: instantiate a (local) class value with the given
+  /// arguments.
+  void instantiate_class(Value cls, std::span<const Value> args);
 
   std::uint32_t make_block(std::uint32_t seg_slot, std::vector<Value> env);
   Value make_class_value(std::uint32_t block, std::uint32_t cls);
@@ -412,11 +462,6 @@ class Machine {
   const Stats& stats() const { return stats_; }
   void clear_output() { output_.clear(); }
 
-  /// Instruction tracing (debugging aid): when a sink is set, every
-  /// executed instruction appends one "seg@pc: op a b" line. Null
-  /// disables tracing (the default; zero overhead on the fast path).
-  void set_trace(std::vector<std::string>* sink) { trace_ = sink; }
-
   /// Event tracing: when a ring is attached (the owning Site's), COMM
   /// and INST reductions and run-slice begin/end are recorded into it.
   /// Null (the default) costs one predictable branch per reduction.
@@ -507,7 +552,26 @@ class Machine {
   /// Returns instructions consumed; sets `requeue` if the frame must be
   /// put back (budget exhaustion).
   std::uint64_t exec(Frame& f, std::uint64_t budget, bool& requeue);
-  void reduce(std::uint32_t chan, ObjClosure obj, PendingMsg msg);
+  /// Rule COMM: spawns the method of object segment `seg` that `label`
+  /// selects, with locals env ++ args. On a missing method or an arity
+  /// mismatch the object goes back to the head of `chan`'s queue.
+  void reduce(std::uint32_t chan, std::uint32_t seg,
+              std::span<const Value> env, std::uint32_t label,
+              std::span<const Value> args);
+  /// The message side of COMM: reduces against the first object waiting
+  /// at `chan`; false (nothing done) when no object waits.
+  bool meet_object(std::uint32_t chan, std::uint32_t label,
+                   std::span<const Value> args);
+  /// The object side of COMM: reduces against the first message waiting
+  /// at `chan`; false (nothing done) when no message waits.
+  bool meet_message(std::uint32_t chan, std::uint32_t seg,
+                    std::span<const Value> env);
+  /// A value vector for a new frame's locals or a queued entry, holding
+  /// a copy of `a` ++ `b`; reuses a recycled vector when one is spare.
+  std::vector<Value> values(std::span<const Value> a,
+                            std::span<const Value> b = {});
+  /// Keeps a dead frame's locals or a consumed entry's vector for reuse.
+  void recycle(std::vector<Value>&& v);
   void error(const std::string& what) { errors_.push_back(name_ + ": " + what); }
 
   std::string name_;
@@ -522,7 +586,14 @@ class Machine {
   std::map<std::string, std::uint32_t> globals_;  // free-name channels
   std::vector<Block> blocks_;
   std::vector<ClassEntry> classes_;
-  std::deque<Frame> queue_;
+  SlotQueue<Frame> queue_;
+  // The operand stack of the frame inside exec(). Empty between frames
+  // (a frame leaving mid-expression takes its operands along), so gc()
+  // — which runs only between slices — finds every operand in a frame.
+  std::vector<Value> stack_;
+  // Recycled value vectors (see values()/recycle()): bounded in count
+  // and per-vector capacity, so the pool holds at most 64 KiB.
+  std::vector<std::vector<Value>> spare_;
   std::map<std::uint64_t, ParkedFrame> parked_;
   std::uint64_t next_token_ = 1;
 
@@ -563,7 +634,6 @@ class Machine {
 
   std::vector<std::string> output_;
   std::vector<std::string> errors_;
-  std::vector<std::string>* trace_ = nullptr;
   obs::TraceRing* ring_ = nullptr;
   obs::Profiler prof_;
   std::uint64_t prof_countdown_ = 0;  // 0 = profiling off (see exec())

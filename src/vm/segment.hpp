@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,45 +32,90 @@ struct SegmentGuid {
   auto operator<=>(const SegmentGuid&) const = default;
 };
 
-/// Opcodes of the extended TyCO virtual machine. One 32-bit word each,
-/// followed by the listed operand words. Jump targets and code offsets
-/// are segment-relative (position independence). Constant/label/dep
-/// operands index the segment's own tables, mapped to site-global ids at
-/// link time.
+/// The opcode table of the extended TyCO virtual machine: one row per
+/// opcode, V(enumerator, mnemonic, operand words). Every opcode is one
+/// 32-bit word followed by its operand words. Jump targets and code
+/// offsets are segment-relative (position independence). Constant/label/
+/// dep operands index the segment's own tables, mapped to site-global ids
+/// at link time. `Op`, `op_name`, `op_arity` and `kOpCount` are generated
+/// from this list, so adding an opcode touches this table (and the
+/// interpreter's switch) only.
+#define DITYCO_OPCODES(V)                                                   \
+  V(kHalt, "halt", 0)          /* end of thread */                         \
+  V(kPushInt, "pushi", 2)      /* [lo, hi] push int64 immediate */         \
+  V(kPushFloat, "pushf", 1)    /* [fidx] push float constant */            \
+  V(kPushStr, "pushs", 1)      /* [sidx] push string constant */           \
+  V(kPushBool, "pushb", 1)     /* [0|1] */                                 \
+  V(kLoad, "load", 1)          /* [slot] push locals[slot] */              \
+  V(kStore, "store", 1)        /* [slot] locals[slot] = pop */             \
+  /* Builtin expression operators (on the operand stack). */              \
+  V(kAdd, "add", 0)                                                         \
+  V(kSub, "sub", 0)                                                         \
+  V(kMul, "mul", 0)                                                         \
+  V(kDiv, "div", 0)                                                         \
+  V(kMod, "mod", 0)                                                         \
+  V(kLt, "lt", 0)                                                           \
+  V(kLe, "le", 0)                                                           \
+  V(kGt, "gt", 0)                                                           \
+  V(kGe, "ge", 0)                                                           \
+  V(kEq, "eq", 0)                                                           \
+  V(kNe, "ne", 0)                                                           \
+  V(kAndB, "and", 0)                                                        \
+  V(kOrB, "or", 0)                                                          \
+  V(kConcat, "concat", 0)                                                   \
+  V(kNeg, "neg", 0)                                                         \
+  V(kNot, "not", 0)                                                         \
+  V(kJmp, "jmp", 1)            /* [target] */                              \
+  V(kJmpIfFalse, "jmpf", 1)    /* [target] pops a bool */                  \
+  V(kNewChan, "newc", 1)       /* [slot] new channel into locals[slot] */  \
+  /* [slot, name_sidx] site-wide named channel (free names are     */     \
+  /* implicitly located at the site)                               */     \
+  V(kGlobal, "global", 2)                                                   \
+  V(kTrMsg, "trmsg", 2)        /* [labelidx, nargs] pop target, args */    \
+  V(kTrObj, "trobj", 2)        /* [depidx, nfree] pop target, captures */  \
+  V(kInstOf, "instof", 1)      /* [nargs] pop class value, then args */    \
+  V(kFork, "fork", 2)          /* [target, nfree] spawn with captures */   \
+  V(kMkBlock, "mkblock", 4)    /* [depidx, nfree, nclasses, firstdst] */   \
+  V(kLoadSibling, "loadsib", 1) /* [classidx] sibling class of block */    \
+  V(kPrint, "print", 1)        /* [nargs] */                               \
+  V(kExportName, "exportn", 2) /* [slot, name_sidx] */                     \
+  V(kExportClass, "exportc", 2) /* [slot, name_sidx] */                    \
+  V(kImportName, "importn", 3) /* [dst, site, name] parks the frame */     \
+  V(kImportClass, "importc", 3) /* [dst, site, name] parks the frame */
+
 enum class Op : std::uint32_t {
-  kHalt = 0,       // []               end of thread
-  kPushInt,        // [lo, hi]         push int64 immediate
-  kPushFloat,      // [fidx]           push float constant
-  kPushStr,        // [sidx]           push string constant
-  kPushBool,       // [0|1]
-  kLoad,           // [slot]           push locals[slot]
-  kStore,          // [slot]           locals[slot] = pop
-  // Builtin expression operators (operate on the frame's operand stack).
-  kAdd, kSub, kMul, kDiv, kMod,        // []
-  kLt, kLe, kGt, kGe, kEq, kNe,        // []
-  kAndB, kOrB, kConcat,                // []
-  kNeg, kNot,                          // []
-  kJmp,            // [target]
-  kJmpIfFalse,     // [target]         pops a bool
-  kNewChan,        // [slot]           allocate channel into locals[slot]
-  kGlobal,         // [slot, name_sidx] site-wide named channel (free names
-                   //                   are implicitly located at the site)
-  kTrMsg,          // [labelidx, nargs]  pop target, then nargs args
-  kTrObj,          // [depidx, nfree]    pop target, then nfree captures
-  kInstOf,         // [nargs]            pop class value, then nargs args
-  kFork,           // [target, nfree]    spawn frame at target with captures
-  kMkBlock,        // [depidx, nfree, nclasses, firstdst]
-  kLoadSibling,    // [classidx]       push sibling class of current block
-  kPrint,          // [nargs]
-  kExportName,     // [slot, name_sidx]
-  kExportClass,    // [slot, name_sidx]
-  kImportName,     // [dst, site_sidx, name_sidx]   parks the frame
-  kImportClass,    // [dst, site_sidx, name_sidx]   parks the frame
+#define DITYCO_OP_ENUM(id, mnemonic, arity) id,
+  DITYCO_OPCODES(DITYCO_OP_ENUM)
+#undef DITYCO_OP_ENUM
 };
 
-/// Number of operand words following each opcode.
-int op_arity(Op op);
-const char* op_name(Op op);
+namespace detail {
+inline constexpr std::uint8_t kOpArity[] = {
+#define DITYCO_OP_ARITY(id, mnemonic, arity) arity,
+    DITYCO_OPCODES(DITYCO_OP_ARITY)
+#undef DITYCO_OP_ARITY
+};
+inline constexpr const char* kOpName[] = {
+#define DITYCO_OP_NAME(id, mnemonic, arity) mnemonic,
+    DITYCO_OPCODES(DITYCO_OP_NAME)
+#undef DITYCO_OP_NAME
+};
+}  // namespace detail
+
+/// Number of opcodes; raw words >= kOpCount are not instructions.
+inline constexpr auto kOpCount =
+    static_cast<std::uint32_t>(std::size(detail::kOpArity));
+
+/// Number of operand words following each opcode (0 for a raw word that
+/// is no opcode).
+inline int op_arity(Op op) {
+  const auto i = static_cast<std::uint32_t>(op);
+  return i < kOpCount ? detail::kOpArity[i] : 0;
+}
+inline const char* op_name(Op op) {
+  const auto i = static_cast<std::uint32_t>(op);
+  return i < kOpCount ? detail::kOpName[i] : "?";
+}
 
 /// A position-independent code block.
 ///

@@ -22,7 +22,7 @@ struct Check {
     std::size_t i = start;
     while (i < seg.code.size()) {
       const std::uint32_t raw = seg.code[i];
-      if (raw > static_cast<std::uint32_t>(Op::kImportClass)) {
+      if (raw >= kOpCount) {
         fail(i, "unknown opcode " + std::to_string(raw));
         return {};
       }
@@ -188,7 +188,7 @@ std::vector<SegmentRole> classify_roles(const Program& p) {
       const std::size_t start = code_start(seg, roles[s]);
       for (std::size_t i = start; i < seg.code.size();) {
         const std::uint32_t raw = seg.code[i];
-        if (raw > static_cast<std::uint32_t>(Op::kImportClass)) break;
+        if (raw >= kOpCount) break;
         const Op op = static_cast<Op>(raw);
         if ((op == Op::kTrObj || op == Op::kMkBlock) &&
             i + 1 < seg.code.size()) {

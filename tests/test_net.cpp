@@ -228,6 +228,25 @@ TEST(Wire, TruncatedCreditFieldIsRejected) {
   EXPECT_THROW(unmarshal_value(peer, r, /*gc=*/true), DecodeError);
 }
 
+TEST(Wire, ForgedCountsAreRejectedBeforeAllocating) {
+  // A count larger than the bytes that follow it is refused as soon as
+  // it is read, not after reserving room for it (16 GiB of code words,
+  // 64 GiB of values).
+  Writer seg;
+  for (int k = 0; k < 3; ++k) seg.u32(0);  // guid
+  seg.u32(0xffffffffu);                    // code length
+  seg.u32(0);
+  Reader rs(seg.data());
+  EXPECT_THROW(vm::Segment::deserialize(rs), DecodeError);
+
+  Writer vals;
+  vals.u32(0xffffffffu);  // value count
+  vals.u8(0);
+  vm::Machine m("m", 0, 0);
+  Reader rv(vals.data());
+  EXPECT_THROW(unmarshal_values(m, rv, /*gc=*/false), DecodeError);
+}
+
 TEST(Wire, ReleaseFrameRoundTrip) {
   const vm::NetRef ref{vm::NetRef::Kind::kChan, /*node=*/9, /*site=*/2,
                        /*heap_id=*/4242};

@@ -391,6 +391,80 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExprProperty,
                          ::testing::Range<std::uint64_t>(1, 65));
 
 // ---------------------------------------------------------------------
+// Preemption at every boundary
+// ---------------------------------------------------------------------
+//
+// A frame preempted at the slice budget leaves the interpreter with its
+// operands and resumes with them. Slices of 1, 2 and 3 instructions put
+// a boundary after every instruction of every frame; the output must not
+// depend on where the boundaries fall.
+
+constexpr std::uint64_t kSlices[] = {1, 2, 3, 7, 256};
+
+/// Output of `sites` run to quiescence on the sequential driver with the
+/// given slice, one node per site.
+std::vector<std::string> run_sliced(
+    const std::vector<std::pair<std::string, std::string>>& sites,
+    std::uint64_t slice) {
+  core::Network::Config cfg;
+  cfg.slice = slice;
+  core::Network net(cfg);
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    net.add_node();
+    net.add_site(i, sites[i].first);
+  }
+  for (const auto& [site, prog] : sites) net.submit_source(site, prog);
+  const auto res = net.run();
+  EXPECT_TRUE(res.quiescent) << "slice " << slice;
+  EXPECT_TRUE(net.all_errors().empty()) << net.all_errors()[0];
+  std::vector<std::string> all;
+  for (const auto& [site, _] : sites)
+    for (const auto& line : net.output(site)) all.push_back(line);
+  return sorted(all);
+}
+
+std::vector<std::string> reducer_output(const std::string& src) {
+  calc::Reducer red;
+  red.add_program("main", comp::parse_program(src));
+  const auto res = red.run();
+  EXPECT_TRUE(res.errors.empty()) << res.errors[0] << "\n" << src;
+  return sorted(red.output("main"));
+}
+
+class SliceProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SliceProperty, PipelineOutputIndependentOfSlice) {
+  const Pipeline p = gen_pipeline(GetParam());
+  const auto expected = reducer_output(p.single_site);
+  ASSERT_EQ(expected.size(), 1u) << p.single_site;
+  for (const std::uint64_t slice : kSlices) {
+    EXPECT_EQ(run_sliced({{"main", p.single_site}}, slice), expected)
+        << "single site, slice " << slice << "\n" << p.single_site;
+    EXPECT_EQ(run_sliced(p.sites, slice), expected)
+        << "distributed, slice " << slice;
+  }
+}
+
+TEST_P(SliceProperty, DeepOperandStacksSurvivePreemption) {
+  // Eight deep expressions in one print: while the last is evaluated the
+  // seven results before it, and its own partial results, sit on the
+  // operand stack.
+  Rng rng(GetParam() * 7919 + 3);
+  std::string args;
+  for (int k = 0; k < 8; ++k)
+    args += (k ? ", " : "") + gen_int_expr(rng, "w", 6);
+  const std::string src = "new c (c![" + std::to_string(rng.range(-9, 9)) +
+                          "] | c?(w) = print[" + args + "])";
+  const auto expected = reducer_output(src);
+  for (const std::uint64_t slice : kSlices)
+    EXPECT_EQ(run_sliced({{"main", src}}, slice), expected)
+        << "slice " << slice << "\n" << src;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SliceProperty,
+                         ::testing::Range<std::uint64_t>(1, 33));
+
+// ---------------------------------------------------------------------
 // Wire-path coalescing (net/tcp.hpp gather_frames / consume_written)
 // ---------------------------------------------------------------------
 //

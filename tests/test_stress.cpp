@@ -1,11 +1,12 @@
 // Stress and robustness tests: heavy cross-site traffic under the
 // threaded driver, deep recursion, wide fan-outs, long pipelines, VM
-// tracing, and API misuse.
+// profiling, and API misuse.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <map>
 
 #include "compiler/codegen.hpp"
 #include "core/network.hpp"
@@ -312,18 +313,21 @@ TEST(Stress, LongDistributedPipeline) {
             std::vector<std::string>{"end " + std::to_string(n - 1)});
 }
 
-TEST(Stress, TraceCapturesInstructions) {
+TEST(Stress, ProfilerCapturesInstructions) {
   vm::Machine m("traced");
-  std::vector<std::string> trace;
-  m.set_trace(&trace);
+  m.enable_profiling(1);  // one sample per executed instruction
   // Compile unoptimised so the expression survives constant folding.
   m.spawn_program(comp::compile_source("print[1 + 2]", /*optimize=*/false));
   m.run(1000);
-  ASSERT_FALSE(trace.empty());
   // pushi, pushi, add, print, halt
-  EXPECT_EQ(trace.size(), 5u);
-  EXPECT_NE(trace[2].find("add"), std::string::npos);
-  EXPECT_NE(trace[3].find("print"), std::string::npos);
+  EXPECT_EQ(m.stats().instructions, 5u);
+  EXPECT_EQ(m.profiler().total(), 5u);
+  std::map<std::string, std::uint64_t> by_op;
+  for (const auto& s : m.profiler().snapshot())
+    by_op[vm::op_name(static_cast<vm::Op>(s.op))] += s.count;
+  EXPECT_EQ(by_op, (std::map<std::string, std::uint64_t>{
+                       {"pushi", 2}, {"add", 1}, {"print", 1}, {"halt", 1}}));
+  EXPECT_EQ(m.output(), std::vector<std::string>{"3"});
 }
 
 TEST(Stress, ApiMisuseThrows) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "calculus/reducer.hpp"
+#include "compiler/assembly.hpp"
 #include "compiler/codegen.hpp"
 #include "compiler/parser.hpp"
 #include "vm/machine.hpp"
@@ -356,6 +357,230 @@ TEST(VmBackend, ShipMessageInvokedForNetRef) {
   m2.run(1000);
   EXPECT_EQ(be.ships, 1);
   EXPECT_TRUE(m2.errors().empty());
+}
+
+// ---- channel queues ------------------------------------------------------
+
+/// An object segment (program slot 1) whose one method go(v) prints
+/// [tag, v], `tag` being the object's one captured value.
+constexpr const char* kTaggedObject =
+    ".segment 0 root\n"
+    ".code\n"
+    "  halt\n"
+    ".end\n"
+    ".segment 1 object\n"
+    ".labels go\n"
+    ".table (0 1 4)\n"
+    ".code\n"
+    "  4: load 0\n"
+    "  load 1\n"
+    "  print 2\n"
+    "  halt\n"
+    ".end\n";
+
+/// One machine, one channel, and tagged objects to put on it.
+struct QueueRig {
+  Machine m{"queues"};
+  std::uint32_t obj_seg = 0;
+  std::uint32_t go = 0;
+  std::uint32_t chan = 0;
+
+  QueueRig() {
+    obj_seg = m.load_program(comp::from_assembly(kTaggedObject)) + 1;
+    go = m.intern_label("go");
+    chan = m.new_channel();
+  }
+  void send(std::int64_t v) { m.channel_send(chan, go, {Value::make_int(v)}); }
+  void recv(std::int64_t tag) {
+    m.channel_recv(chan, ObjClosure{obj_seg, {Value::make_int(tag)}});
+  }
+  std::vector<std::string> drain() {
+    m.run(1'000'000);
+    return m.output();
+  }
+};
+
+TEST(ChannelQueue, PendingMessagesServedInFifoOrder) {
+  QueueRig q;
+  for (int v = 1; v <= 5; ++v) q.send(v);
+  EXPECT_EQ(q.m.pending_messages(), 5u);
+  EXPECT_EQ(q.m.pending_objects(), 0u);
+  for (int t = 1; t <= 5; ++t) {
+    q.recv(10 * t);
+    EXPECT_EQ(q.m.pending_messages(), static_cast<std::uint64_t>(5 - t));
+  }
+  EXPECT_EQ(q.drain(), (std::vector<std::string>{"10 1", "20 2", "30 3",
+                                                 "40 4", "50 5"}));
+  EXPECT_EQ(q.m.pending_messages(), 0u);
+  EXPECT_EQ(q.m.pending_objects(), 0u);
+  EXPECT_TRUE(q.m.errors().empty());
+}
+
+TEST(ChannelQueue, PendingObjectsServedInFifoOrder) {
+  QueueRig q;
+  for (int t = 1; t <= 5; ++t) q.recv(10 * t);
+  EXPECT_EQ(q.m.pending_objects(), 5u);
+  for (int v = 1; v <= 5; ++v) {
+    q.send(v);
+    EXPECT_EQ(q.m.pending_objects(), static_cast<std::uint64_t>(5 - v));
+  }
+  EXPECT_EQ(q.drain(), (std::vector<std::string>{"10 1", "20 2", "30 3",
+                                                 "40 4", "50 5"}));
+  EXPECT_EQ(q.m.pending_messages(), 0u);
+}
+
+TEST(ChannelQueue, LongQueueKeepsOrderThroughCompaction) {
+  // 40 objects, 35 consumed, 10 more queued behind the 5 left, then all
+  // consumed: the consumed prefix is compacted away on the way.
+  QueueRig q;
+  for (int t = 0; t < 40; ++t) q.recv(t);
+  for (int v = 0; v < 35; ++v) q.send(v);
+  EXPECT_EQ(q.m.pending_objects(), 5u);
+  for (int t = 40; t < 50; ++t) q.recv(t);
+  EXPECT_EQ(q.m.pending_objects(), 15u);
+  for (int v = 35; v < 50; ++v) q.send(v);
+  EXPECT_EQ(q.m.pending_objects(), 0u);
+  std::vector<std::string> want;
+  for (int i = 0; i < 50; ++i)
+    want.push_back(std::to_string(i) + " " + std::to_string(i));
+  EXPECT_EQ(q.drain(), want);
+}
+
+TEST(ChannelQueue, MismatchPutsTheObjectBackAtTheHead) {
+  QueueRig q;
+  q.recv(10);
+  q.recv(20);
+  q.recv(30);
+  // Arity mismatch: go/1 receives two arguments.
+  q.m.channel_send(q.chan, q.go, {Value::make_int(1), Value::make_int(2)});
+  ASSERT_EQ(q.m.errors().size(), 1u);
+  EXPECT_NE(q.m.errors()[0].find("arity"), std::string::npos);
+  EXPECT_EQ(q.m.pending_objects(), 3u);
+  q.send(5);  // still served by the first object
+  EXPECT_EQ(q.m.pending_objects(), 2u);
+  // Method not understood.
+  q.m.channel_send(q.chan, q.m.intern_label("nosuch"), {Value::make_int(1)});
+  ASSERT_EQ(q.m.errors().size(), 2u);
+  EXPECT_NE(q.m.errors()[1].find("nosuch"), std::string::npos);
+  EXPECT_EQ(q.m.pending_objects(), 2u);
+  EXPECT_EQ(q.m.pending_messages(), 0u);
+  q.send(6);  // the second object is still first in line
+  q.send(7);
+  EXPECT_EQ(q.drain(), (std::vector<std::string>{"10 5", "20 6", "30 7"}));
+  EXPECT_EQ(q.m.pending_objects(), 0u);
+}
+
+TEST(ChannelQueue, FreedChannelIsReusedWithoutStaleEntries) {
+  QueueRig q;
+  q.send(1);
+  q.send(2);
+  EXPECT_EQ(q.m.pending_messages(), 2u);
+  // Nothing references the channel: the collection frees it and its
+  // queued messages.
+  EXPECT_EQ(q.m.gc().channels_freed, 1u);
+  EXPECT_EQ(q.m.pending_messages(), 0u);
+  ASSERT_EQ(q.m.new_channel(), q.chan) << "the freed slot is reused";
+  q.recv(10);
+  EXPECT_EQ(q.m.pending_objects(), 1u);
+  EXPECT_EQ(q.m.pending_messages(), 0u);
+  EXPECT_TRUE(q.drain().empty()) << "a stale message met the new object";
+
+  // The same the other way round: queued objects die with the channel.
+  EXPECT_EQ(q.m.gc().channels_freed, 1u);
+  EXPECT_EQ(q.m.pending_objects(), 0u);
+  ASSERT_EQ(q.m.new_channel(), q.chan);
+  q.send(3);
+  EXPECT_EQ(q.m.pending_messages(), 1u);
+  EXPECT_EQ(q.m.pending_objects(), 0u);
+  EXPECT_TRUE(q.drain().empty()) << "a stale object met the new message";
+}
+
+// ---- operands of frames outside the interpreter survive gc() -------------
+
+/// Object segment (program slot 1): go(v) prints v + 100.
+constexpr const char* kPlus100Object =
+    ".segment 1 object\n"
+    ".labels go\n"
+    ".table (0 1 4)\n"
+    ".code\n"
+    "  4: load 0\n"
+    "  pushi 100 0\n"
+    "  add\n"
+    "  print 1\n"
+    "  halt\n"
+    ".end\n";
+
+TEST(VmGc, PreemptedFrameKeepsOperandOnlyChannelAlive) {
+  const std::string text = std::string(
+      ".segment 0 root\n"
+      ".labels go\n"
+      ".deps 1\n"
+      ".code\n"
+      "  newc 0\n"
+      "  load 0\n"
+      "  load 0\n"
+      "  newc 0\n"        // slot 0 := d; c is left on the operand stack only
+      "  trobj 0 0\n"     // resumes here: an object at c
+      "  store 1\n"       // slot 1 := c
+      "  newc 2\n"        // must not get c's slot
+      "  load 1\n"
+      "  load 2\n"
+      "  eq\n"
+      "  print 1\n"
+      "  pushi 42 0\n"
+      "  load 1\n"
+      "  trmsg 0 1\n"     // go(42) at c
+      "  halt\n"
+      ".end\n") + kPlus100Object;
+  Machine m("gc");
+  m.spawn_program(comp::from_assembly(text));
+  ASSERT_EQ(m.run(4), 4u);
+  ASSERT_EQ(m.runnable(), 1u) << "preempted, not finished";
+  EXPECT_EQ(m.gc().channels_freed, 0u);
+  EXPECT_EQ(m.live_channels(), 2u);
+  m.run(1000);
+  EXPECT_TRUE(m.errors().empty()) << m.errors()[0];
+  EXPECT_EQ(m.output(), (std::vector<std::string>{"false", "142"}));
+}
+
+TEST(VmGc, ParkedFrameKeepsOperandOnlyChannelAlive) {
+  const std::string text = std::string(
+      ".segment 0 root\n"
+      ".labels go\n"
+      ".strings \"main\" \"p\"\n"
+      ".deps 1\n"
+      ".code\n"
+      "  newc 0\n"
+      "  load 0\n"
+      "  newc 0\n"        // slot 0 := d; c is left on the operand stack only
+      "  importn 1 0 1\n" // parks; slot 1 := the imported value
+      "  store 2\n"       // slot 2 := c
+      "  load 2\n"
+      "  trobj 0 0\n"     // an object at c
+      "  newc 3\n"        // must not get c's slot
+      "  load 2\n"
+      "  load 3\n"
+      "  eq\n"
+      "  print 1\n"
+      "  load 1\n"
+      "  load 2\n"
+      "  trmsg 0 1\n"     // go(<imported value>) at c
+      "  halt\n"
+      ".end\n") + kPlus100Object;
+  FakeBackend be;
+  be.synchronous = false;
+  Machine m("gc", 0, 0, &be);
+  m.spawn_program(comp::from_assembly(text));
+  m.run(1000);
+  ASSERT_EQ(m.parked(), 1u);
+  ASSERT_EQ(be.pending.size(), 1u);
+  EXPECT_EQ(m.gc().channels_freed, 0u);
+  EXPECT_EQ(m.live_channels(), 2u);
+  m.resume_import(be.pending[0].first, Value::make_int(5));
+  m.run(1000);
+  EXPECT_TRUE(m.errors().empty()) << m.errors()[0];
+  EXPECT_EQ(m.parked(), 0u);
+  EXPECT_EQ(m.output(), (std::vector<std::string>{"false", "105"}));
 }
 
 // ---- segments -----------------------------------------------------------
