@@ -10,9 +10,9 @@
 // (b) Centralised name-service contention (section 5: "Currently ... the
 //     network name service is centralized ... This will change ... for
 //     reasons of both redundancy and performance."): S sites importing
-//     through the single NS; lookups serialise at the service, so import
-//     completion time grows with S — the quantitative motivation for the
-//     future distributed NS.
+//     through the default single shard on node 0; lookups serialise at
+//     the service, so import completion time grows with S. (c) shards
+//     the directory across the fleet to relieve it.
 #include "bench_util.hpp"
 
 using namespace dityco;
@@ -37,22 +37,18 @@ double one_rpc(const net::LinkModel& link) {
   return chained_rpcs(link, 2) - chained_rpcs(link, 1);
 }
 
-// `ns_shards > 0` turns on the PR 10 sharded directory (rendezvous-hashed
-// slices, one per node; docs/NAMESERVICE.md); `lease_ms > 0` additionally
-// enables the client-side lease cache, and `passes` repeats each site's
-// import sequence so the cache has something to hit on pass two.
+// `ns_shards > 1` spreads the directory over rendezvous-hashed slices,
+// one per node (docs/NAMESERVICE.md); `lease_ms > 0` additionally enables
+// the client-side lease cache, and `passes` repeats each site's import
+// sequence so the cache has something to hit on pass two.
 double import_storm(int sites, int imports_each, MetricsJsonEmitter& mj,
-                    MonitorFlag& mon, ObsFlags& obsf, bool distributed = false,
-                    std::uint32_t ns_shards = 0, std::uint64_t lease_ms = 0,
+                    MonitorFlag& mon, ObsFlags& obsf,
+                    std::uint32_t ns_shards = 1, std::uint64_t lease_ms = 0,
                     int passes = 1, const char* tag = "") {
   auto cfg = sim_config(net::myrinet());
   cfg.ns_service_us = 2.0;
-  cfg.distributed_ns = distributed;
-  if (ns_shards > 0) {
-    cfg.ns_shards = ns_shards;
-    cfg.ns_replicas = 1;
-    cfg.ns_lease_ms = lease_ms;
-  }
+  cfg.ns_shards = ns_shards;
+  cfg.ns_lease_ms = lease_ms;
   core::Network net(cfg);
   net.add_node();
   net.add_site(0, "server");
@@ -75,8 +71,7 @@ double import_storm(int sites, int imports_each, MetricsJsonEmitter& mj,
   obsf.attach(net);
   auto res = net.run();
   const std::string label =
-      (distributed   ? "distributed-ns s="
-       : ns_shards   ? (lease_ms ? "sharded-cached-ns s=" : "sharded-ns s=")
+      (ns_shards > 1 ? (lease_ms ? "sharded-cached-ns s=" : "sharded-ns s=")
                      : "central-ns s=") +
       std::to_string(sites) + tag;
   mj.record(label, net);
@@ -157,23 +152,18 @@ int main(int argc, char** argv) {
       "the ratio against the additive 2-leg model must sit near 1.\n");
 
   header("C6b: name-service contention (8 imports/site)",
-         {"importing sites", "centralised us", "distributed us (extension)"});
+         {"importing sites", "centralised us"});
   const int imports_each = 8;
   for (int s : {1, 2, 4, 8, 16, 32}) {
-    const double central = import_storm(s, imports_each, mj, mon, obsf, false);
-    const double dist = import_storm(s, imports_each, mj, mon, obsf, true);
+    const double central = import_storm(s, imports_each, mj, mon, obsf);
     bj.section("c6_sim_import_storm_central_s" + std::to_string(s),
                "virtual_us", s * imports_each, {central});
-    bj.section("c6_sim_import_storm_distributed_s" + std::to_string(s),
-               "virtual_us", s * imports_each, {dist});
-    row({fmt_int(s), fmt(central), fmt(dist)});
+    row({fmt_int(s), fmt(central)});
   }
   std::printf(
       "\nshape check: centralised total time grows with the number of\n"
-      "importing sites (the single NS serialises lookups) — the paper's\n"
-      "stated reason to distribute the name service. With the replicated\n"
-      "service (this repo's future-work extension) lookups are answered\n"
-      "on-node and the growth disappears.\n");
+      "importing sites (the single shard serialises lookups) — the\n"
+      "paper's stated reason to distribute the name service.\n");
 
   // A storm heavy enough that directory service time dominates the fixed
   // costs sharding adds (remote registration, replica forwards): 32
@@ -189,11 +179,11 @@ int main(int argc, char** argv) {
     // One shard slice per node (server's node included), one follower each
     // — the topology ns_smoke.sh runs, minus the kill.
     const auto shards = static_cast<std::uint32_t>(s) + 1;
-    const double central = import_storm(s, storm_imports, mj, mon, obsf,
-                                        false, 0, 0, 1, " heavy");
+    const double central =
+        import_storm(s, storm_imports, mj, mon, obsf, 1, 0, 1, " heavy");
     const double sharded = import_storm(s, storm_imports, mj, mon, obsf,
-                                        false, shards);
-    const double cached = import_storm(s, storm_imports, mj, mon, obsf, false,
+                                        shards);
+    const double cached = import_storm(s, storm_imports, mj, mon, obsf,
                                        shards, /*lease_ms=*/10000,
                                        /*passes=*/2);
     bj.section("c6_sim_import_storm_central_heavy_s" + std::to_string(s),

@@ -132,8 +132,8 @@ void NameService::handle_export(Reader& r, std::vector<net::Packet>& replies,
   const vm::NetRef ref = read_netref(r);
   const std::string sig = r.str();
   const std::uint64_t credit = gc ? r.u64() : 0;
-  // Broadcast copies at non-origin replicas must not hold the credit:
-  // exactly one holder per minted unit (the origin replica keeps it).
+  // A follower's copy must not hold the credit: exactly one holder per
+  // minted unit (the shard primary keeps it).
   register_id(site, name, ref, sig, replies, keep_credit ? credit : 0);
 }
 

@@ -3,9 +3,12 @@
 // Two tables, exactly as in the paper:
 //   SiteTable: SiteName -> (SiteId, IpAddress)         [here: (node, site)]
 //   IdTable:   SiteName x IdName -> HeapId             [plus kind + type]
-// The service is centralised and reachable only through daemon packets
-// (it is hosted by one node's TyCOd); distribution of the service itself
-// is listed as future work in the paper.
+// The service is reachable only through daemon packets. Every node's
+// TyCOd hosts one instance, a *slice*: the shard map (ns/shard.hpp)
+// decides which slice owns each IdTable key, and every slice's SiteTable
+// lists every site. With one shard (the default) node 0's slice owns
+// every key: the paper's centralised service. More shards are the
+// distribution the paper lists as future work (docs/NAMESERVICE.md).
 //
 // Imports of identifiers that have not been exported yet are *parked*
 // here and answered as soon as the export arrives — this is what makes
@@ -65,8 +68,8 @@ class NameService {
   /// `trace_id` is the causal id carried by the request packet; replies
   /// triggered by this export reuse the *waiter's* lookup id (and its
   /// sampling decision). `gc` is the packet header's credit flag; with
-  /// `keep_credit` false (a broadcast copy at a non-origin replica) the
-  /// carried credit is ignored — the origin replica holds those units.
+  /// `keep_credit` false (a follower's copy of a shard primary's entry)
+  /// the carried credit is ignored — the primary holds those units.
   void handle_export(Reader& r, std::vector<net::Packet>& replies,
                      std::uint64_t trace_id = 0, bool sampled = true,
                      bool gc = false, bool keep_credit = true);
@@ -122,7 +125,7 @@ class NameService {
   std::vector<HandoffRecord> handoff_records() const;
 
   /// Publish this service's counters into `registry` under `ns_*` names,
-  /// labelled {ns="<label>"} (central service vs. per-node replicas).
+  /// labelled {ns="<label>"} (the Network uses "shard<node id>").
   void register_metrics(obs::Registry& registry, const std::string& label);
 
   /// Consistent copy of both tables with ownership and credit — the

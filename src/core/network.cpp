@@ -20,8 +20,7 @@ namespace dityco::core {
 Network::Network(Config cfg)
     : cfg_(cfg),
       metrics_(std::make_unique<obs::Registry>()),
-      ns_(std::make_unique<NameService>(0)) {
-  ns_->register_metrics(*metrics_, "central");
+      ns_router_(std::make_unique<ns::ShardRouter>(1, cfg.ns_replicas)) {
   // Audit-plane counters live in LiveStatus (heap, survives moves); the
   // cells are atomic so the collector is live-safe.
   LiveStatus* ls = live_.get();
@@ -41,12 +40,24 @@ Network::~Network() {
 Node& Network::add_node() {
   if (transport_)
     throw std::logic_error("cannot add nodes after the network started");
-  std::uint32_t id = static_cast<std::uint32_t>(nodes_.size());
+  const auto count = static_cast<std::uint32_t>(nodes_.size());
   // A multiprocess TCP network hosts one node whose id is the
-  // process-global node id, not a local ordinal.
-  if (cfg_.transport == TransportKind::kTcp && cfg_.tcp.multiprocess)
-    id += cfg_.tcp.self;
-  nodes_.push_back(std::make_unique<Node>(id, *ns_, metrics_.get()));
+  // process-global node id, not a local ordinal, and takes the
+  // fleet-wide shard count so every process computes the same map.
+  // In-process, the map is clamped to the nodes that exist.
+  const bool one_of_fleet =
+      cfg_.transport == TransportKind::kTcp && cfg_.tcp.multiprocess;
+  const std::uint32_t id = one_of_fleet ? count + cfg_.tcp.self : count;
+  ns_router_->grow(one_of_fleet ? cfg_.ns_shards
+                                : std::min(cfg_.ns_shards, count + 1));
+  nodes_.push_back(std::make_unique<Node>(
+      id, *ns_router_, cfg_.ns_lease_ms * 1'000'000ull, metrics_.get()));
+  NameService& slice = nodes_.back()->name_service();
+  // Every slice knows every site's location in advance (paper §5);
+  // which slice answers a given lookup is the router's business.
+  for (const auto& n : nodes_)
+    for (const auto& site : n->sites())
+      slice.register_site(site->name(), n->id(), site->site_id());
   if (trace_capacity_ > 0)
     nodes_.back()->enable_tracing(trace_capacity_, sample_every_,
                                   sample_seed_);
@@ -552,58 +563,43 @@ std::string Network::names_json() const {
              ",\"stale\":true}";
     }
   };
-  // The central service is only authoritative where its home node is
-  // hosted; other processes of a multiprocess fleet never route its
-  // packets and would report an empty shell.
-  if (ns_sharded_) {
-    // One scope per hosted shard slice: primaries carry credit
-    // (gc=true), follower copies are weak — the fleet audit joins only
-    // the credit-bearing rows, so slices federate without double count.
-    for (const auto& n : nodes_)
+  // One scope per hosted shard slice: primaries carry credit (gc=true),
+  // follower copies are weak — the fleet audit joins only the
+  // credit-bearing rows, so slices federate without double count. Nodes
+  // outside the shard map serve no keys and are left out.
+  const std::uint32_t shards = ns_router_->shards();
+  for (const auto& n : nodes_)
+    if (n->id() < shards)
       emit(n->name_service(), "shard" + std::to_string(n->id()));
-  } else if (!ns_distributed_) {
-    for (const auto& n : nodes_)
-      if (n->id() == ns_->home_node()) {
-        emit(*ns_, "central");
-        break;
-      }
-  } else {
-    for (const auto& n : nodes_)
-      emit(n->name_service(), "node" + std::to_string(n->id()));
-  }
   out += "]";
-  if (ns_sharded_ && ns_router_) {
-    out += ",\"sharding\":{\"shards\":" + std::to_string(ns_router_->shards()) +
-           ",\"replicas\":" + std::to_string(ns_router_->replicas()) +
-           ",\"epoch\":" + std::to_string(ns_router_->epoch()) +
-           ",\"generation\":" + std::to_string(ns_router_->generation()) +
-           ",\"dead\":[";
-    bool fd = true;
-    for (std::uint32_t d : ns_router_->dead()) {
-      if (!fd) out += ",";
-      fd = false;
-      out += std::to_string(d);
-    }
-    out += "]}";
-    out += ",\"caches\":[";
-    bool fc = true;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      const ns::LeaseCache* c = i < ns_caches_.size() ? ns_caches_[i].get()
-                                                      : nullptr;
-      if (c == nullptr) continue;
-      if (!fc) out += ",";
-      fc = false;
-      out += "{\"node\":" + std::to_string(nodes_[i]->id()) +
-             ",\"entries\":" + std::to_string(c->size()) +
-             ",\"hits\":" + std::to_string(c->hits()) +
-             ",\"misses\":" + std::to_string(c->misses()) +
-             ",\"invalidations\":" + std::to_string(c->invalidations()) +
-             ",\"stale_served\":" + std::to_string(c->stale_served()) +
-             ",\"evictions\":" + std::to_string(c->evictions()) + "}";
-    }
-    out += "]";
+  out += ",\"sharding\":{\"shards\":" + std::to_string(shards) +
+         ",\"replicas\":" + std::to_string(ns_router_->replicas()) +
+         ",\"epoch\":" + std::to_string(ns_router_->epoch()) +
+         ",\"generation\":" + std::to_string(ns_router_->generation()) +
+         ",\"dead\":[";
+  bool fd = true;
+  for (std::uint32_t d : ns_router_->dead()) {
+    if (!fd) out += ",";
+    fd = false;
+    out += std::to_string(d);
   }
-  out += "}";
+  out += "]}";
+  out += ",\"caches\":[";
+  bool fc = true;
+  for (const auto& n : nodes_) {
+    const ns::LeaseCache* c = n->lease_cache();
+    if (c == nullptr) continue;
+    if (!fc) out += ",";
+    fc = false;
+    out += "{\"node\":" + std::to_string(n->id()) +
+           ",\"entries\":" + std::to_string(c->size()) +
+           ",\"hits\":" + std::to_string(c->hits()) +
+           ",\"misses\":" + std::to_string(c->misses()) +
+           ",\"invalidations\":" + std::to_string(c->invalidations()) +
+           ",\"stale_served\":" + std::to_string(c->stale_served()) +
+           ",\"evictions\":" + std::to_string(c->evictions()) + "}";
+  }
+  out += "]}";
   return out;
 }
 
@@ -836,7 +832,11 @@ std::string Network::trace_json() const {
 Site& Network::add_site(std::size_t node_idx, const std::string& name) {
   if (find_site(name))
     throw std::logic_error("duplicate site name " + name);
-  Site& s = nodes_.at(node_idx)->add_site(name);
+  Node& home = *nodes_.at(node_idx);
+  Site& s = home.add_site(name);
+  for (const auto& n : nodes_)
+    if (n.get() != &home)
+      n->name_service().register_site(name, home.id(), s.site_id());
   if (cfg_.gc) s.set_gc_enabled(true);
   if (monitor_) s.set_gc_publishing(true);
   return s;
@@ -1023,7 +1023,6 @@ std::vector<std::string> Network::all_errors() const {
 }
 
 bool Network::anything_parked() const {
-  if (ns_->parked() > 0) return true;
   for (const auto& n : nodes_) {
     if (n->name_service().parked() > 0) return true;
     for (const auto& s : n->sites())
@@ -1051,50 +1050,6 @@ Network::Result Network::finish(Result r) const {
 }
 
 Network::Result Network::run() {
-  if (cfg_.ns_shards > 0 && !cfg_.distributed_ns && !ns_sharded_) {
-    ns_sharded_ = true;
-    // In-process runs clamp the shard count to the nodes that exist; a
-    // multiprocess daemon hosts one node of a larger fleet and must use
-    // the fleet-wide count so every process computes the same map.
-    std::uint32_t shards = cfg_.ns_shards;
-    if (!(cfg_.transport == TransportKind::kTcp && cfg_.tcp.multiprocess))
-      shards = std::min<std::uint32_t>(
-          shards, static_cast<std::uint32_t>(nodes_.size()));
-    ns_router_ = std::make_unique<ns::ShardRouter>(shards, cfg_.ns_replicas);
-    const std::uint64_t lease_ns = cfg_.ns_lease_ms * 1'000'000ull;
-    for (auto& node : nodes_) {
-      ns::LeaseCache* cache = nullptr;
-      if (lease_ns > 0) {
-        ns_caches_.push_back(std::make_unique<ns::LeaseCache>(lease_ns));
-        cache = ns_caches_.back().get();
-        cache->register_metrics(*metrics_,
-                                "node" + std::to_string(node->id()));
-      } else {
-        ns_caches_.push_back(nullptr);
-      }
-      node->enable_sharded_ns(ns_router_.get(), cache, lease_ns > 0);
-      node->name_service().register_metrics(
-          *metrics_, "shard" + std::to_string(node->id()));
-      // Every slice knows every site's location in advance (paper §5);
-      // which slice answers a given lookup is the router's business.
-      for (auto& other : nodes_)
-        for (auto& s : other->sites())
-          node->name_service().register_site(s->name(), other->id(),
-                                             s->site_id());
-    }
-  }
-  if (cfg_.distributed_ns && !ns_distributed_) {
-    ns_distributed_ = true;
-    for (auto& node : nodes_) {
-      node->enable_local_ns(static_cast<std::uint32_t>(nodes_.size()));
-      node->name_service().register_metrics(
-          *metrics_, "node" + std::to_string(node->id()));
-      for (auto& other : nodes_)
-        for (auto& s : other->sites())
-          node->name_service().register_site(s->name(), other->id(),
-                                             s->site_id());
-    }
-  }
   {
     // Blocks until any in-progress at-rest (full) scrape finishes, so
     // executors never start under a non-live-safe snapshot.
@@ -1281,13 +1236,11 @@ void Network::drive_threads(net::Transport& t, net::WorkCount& work,
       ::prctl(PR_SET_TIMERSLACK, 1000, 0, 0, 0);
       net::Doorbell& bell = node->doorbell();
       std::uint32_t idle_streak = 0;
-      // Sharded NS over a real wire: death advisories gossiped on
-      // kPeers frames move shard ownership here (generation-gated so a
-      // quiet fleet costs one atomic load per pump; the transport rings
-      // the bell when the set changes).
-      net::TcpTransport* tcp =
-          node->ns_router() != nullptr ? dynamic_cast<net::TcpTransport*>(&t)
-                                       : nullptr;
+      // Over a real wire: death advisories gossiped on kPeers frames
+      // move shard ownership here (generation-gated so a quiet fleet
+      // costs one atomic load per pump; the transport rings the bell
+      // when the set changes).
+      net::TcpTransport* tcp = dynamic_cast<net::TcpTransport*>(&t);
       std::uint64_t adv_gen = 0;
       for (;;) {
         const std::uint32_t ticket = bell.ticket();
@@ -1306,11 +1259,9 @@ void Network::drive_threads(net::Transport& t, net::WorkCount& work,
           idle_streak = 0;
           continue;
         }
-        // The daemon is the NS owner thread: publish its tables for
-        // concurrent /names scrapes (cheap — gated on a dirty count).
-        // Only the home node's daemon may touch a service's state.
-        NameService& dns = node->name_service();
-        if (dns.home_node() == node->id()) dns.publish_snapshot();
+        // The daemon owns its node's directory slice: publish its tables
+        // for concurrent /names scrapes (cheap — gated on a dirty count).
+        node->name_service().publish_snapshot();
         if (++idle_streak < kYieldsBeforePark)
           std::this_thread::yield();
         else
@@ -1422,14 +1373,10 @@ Network::GcReport Network::collect_garbage(int max_rounds) {
       rep.exports_live += s->machine().live_exports();
       rep.netrefs_live += s->machine().live_netrefs();
     }
-  if (ns_distributed_ || ns_sharded_) {
-    // Sharded: primaries and their follower copies both count — a
-    // leak-free run drains every slice to zero (the final unregister is
-    // forwarded from primary to replica like any other mutation).
-    for (const auto& n : nodes_) rep.ns_ids += n->name_service().id_count();
-  } else {
-    rep.ns_ids = ns_->id_count();
-  }
+  // Primaries and their follower copies both count — a leak-free run
+  // drains every slice to zero (the final unregister is forwarded from
+  // primary to replica like any other mutation).
+  for (const auto& n : nodes_) rep.ns_ids += n->name_service().id_count();
   return rep;
 }
 
@@ -1459,10 +1406,10 @@ Network::Result Network::run_sim() {
         return i;
     throw std::logic_error("unknown site in packet");
   };
-  // Each name-service host is one server: its requests serialise. The
-  // centralised service routes everything to one node (one hot clock);
-  // distributed replicas and shard slices each get their own, which is
-  // exactly the contention relief the C6 experiment measures.
+  // Each directory slice is one server: its requests serialise. One
+  // shard routes everything to node 0 (one hot clock); more shards
+  // spread the keys over more clocks, which is exactly the contention
+  // relief the C6 experiment measures.
   std::vector<double> ns_clock(nodes_.size(), 0.0);
   auto ns_clock_of = [&](std::uint32_t node_id) -> double& {
     for (std::size_t i = 0; i < nodes_.size(); ++i)

@@ -69,24 +69,22 @@ class Network {
     std::uint64_t max_instructions = 100'000'000;
     /// Wall-clock cap for the threaded driver (ms).
     std::uint64_t timeout_ms = 10'000;
-    /// Simulated service time per name-service request (µs). The NS is a
-    /// single centralised server (paper, section 5), so its requests
-    /// queue: this is what the C6 contention experiment measures.
+    /// Simulated service time per name-service request (µs). Each node
+    /// serves its directory slice as one server, so requests to a slice
+    /// queue: with the default single shard every lookup serialises at
+    /// node 0, which is what the C6 contention experiment measures.
     double ns_service_us = 0.5;
-    /// Replicate the name service onto every node (the paper's
-    /// future-work item): lookups are answered by the local replica and
-    /// exports are broadcast, removing the central bottleneck.
-    bool distributed_ns = false;
-    /// Shard the name service across the fleet (src/ns): each directory
-    /// key lives on the node rendezvous-hashing assigns it, with one
-    /// follower copy for failover. 0 = off (central, or distributed_ns
-    /// when that is set). In-process runs clamp this to the node count;
-    /// a multiprocess daemon passes the fleet size.
-    std::uint32_t ns_shards = 0;
+    /// Directory shards (src/ns): each key lives on the node that
+    /// rendezvous hashing over nodes 0..ns_shards-1 assigns it, with
+    /// `ns_replicas` follower copies for failover. The default, one
+    /// shard, is the paper's centralised service on node 0 (0 counts as
+    /// 1). In-process networks clamp this to the node count; a
+    /// multiprocess daemon passes the fleet size.
+    std::uint32_t ns_shards = 1;
     /// Follower copies per shard entry (0 disables replication).
     std::uint32_t ns_replicas = 1;
     /// Lease TTL for client-side caching of positive lookups, in
-    /// milliseconds; 0 disables the cache. Sharded mode only.
+    /// milliseconds; 0 disables the cache.
     std::uint64_t ns_lease_ms = 0;
     /// Run Damas-Milner inference on every submitted program; attach the
     /// inferred export signatures and import requirements to the site so
@@ -156,12 +154,14 @@ class Network {
   GcReport collect_garbage(int max_rounds = 8);
 
   const std::vector<std::string>& output(const std::string& site_name);
-  NameService& name_service() { return *ns_; }
-  /// Sharded-NS state (null / empty until run() with cfg.ns_shards > 0).
+  /// The first node's directory slice: with the default single shard,
+  /// the whole name service.
+  NameService& name_service() { return nodes_.at(0)->name_service(); }
+  /// The shard map every node and site routes directory requests by.
   ns::ShardRouter* ns_router() { return ns_router_.get(); }
   /// Node `node_idx`'s lease cache; null when caching is off.
   ns::LeaseCache* lease_cache(std::size_t node_idx) {
-    return node_idx < ns_caches_.size() ? ns_caches_[node_idx].get() : nullptr;
+    return node_idx < nodes_.size() ? nodes_[node_idx]->lease_cache() : nullptr;
   }
   net::Transport& transport();
   /// The transport as a TcpTransport (TransportKind::kTcp, multiprocess
@@ -175,8 +175,8 @@ class Network {
 
   // -- observability --
 
-  /// The network's metrics registry. Every site, VM and name service
-  /// (central and replicas) registers here; snapshot()/expose_text()/
+  /// The network's metrics registry. Every site, VM and directory
+  /// slice registers here; snapshot()/expose_text()/
   /// expose_json() give the unified view.
   obs::Registry& metrics() { return *metrics_; }
   const obs::Registry& metrics() const { return *metrics_; }
@@ -273,10 +273,10 @@ class Network {
   /// only while the monitor is started.
   std::string gc_json() const;
 
-  /// The /names payload: the name service's Site/Id tables with
-  /// ownership, held credit and its REL ledger — the central service
-  /// when this process hosts its home node, plus every per-node replica
-  /// in distributed-NS mode. Same at-rest/published discipline as /gc.
+  /// The /names payload: every hosted directory slice's Site/Id tables
+  /// with ownership, held credit and its REL ledger (one "shard<N>"
+  /// scope per node), the shard map and the lease caches. Same
+  /// at-rest/published discipline as /gc.
   std::string names_json() const;
 
   /// Run the GC credit audit (obs/fleet.hpp) over this process's own
@@ -364,16 +364,12 @@ class Network {
   std::unique_ptr<obs::FlightRecorder> flight_;
   // Same lifetime discipline as flight_: sites hold raw pointers.
   std::unique_ptr<obs::SloPlane> slo_;
-  // Heap-allocated so that Nodes' pointers into it survive moves.
-  std::unique_ptr<NameService> ns_;
-  // Sharded NS (cfg.ns_shards): one shared map, one cache per node.
+  // The name service's shard map (heap-allocated so that nodes' and
+  // sites' pointers survive moves).
   std::unique_ptr<ns::ShardRouter> ns_router_;
-  std::vector<std::unique_ptr<ns::LeaseCache>> ns_caches_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unique_ptr<net::Transport> transport_;
   std::uint64_t instructions_run_ = 0;
-  bool ns_distributed_ = false;
-  bool ns_sharded_ = false;
   std::size_t trace_capacity_ = 0;
   std::uint64_t sample_every_ = 1, sample_seed_ = 0;
   std::uint64_t prof_period_ = 0;  // 0 = profiling off

@@ -23,40 +23,27 @@ bool packet_is_ns(const net::Packet& p) {
          t == MsgType::kNsUnregister || t == MsgType::kNsInvalidate;
 }
 
-void Node::enable_local_ns(std::uint32_t n_nodes) {
-  replica_ = std::make_unique<NameService>(id_);
-  // The replica inherits this node's site registrations lazily: sites are
-  // re-registered by the Network when it distributes the service.
-  ns_ = replica_.get();
-  broadcast_nodes_ = n_nodes;
-  for (auto& s : sites_) s->set_ns_node(id_);
-}
-
-void Node::enable_sharded_ns(ns::ShardRouter* router, ns::LeaseCache* cache,
-                             bool lease_tracking) {
-  replica_ = std::make_unique<NameService>(id_);
-  ns_ = replica_.get();
-  router_ = router;
-  ns_cache_ = cache;
-  ns_->set_lease_tracking(lease_tracking);
-  for (auto& s : sites_) {
-    s->set_ns_node(id_);  // fallback only; per-key routing via the router
-    s->set_ns_router(router);
-    s->set_lease_cache(cache);
+Node::Node(std::uint32_t id, ns::ShardRouter& router, std::uint64_t lease_ns,
+           obs::Registry* metrics)
+    : id_(id), ns_(id), metrics_(metrics), router_(&router) {
+  if (lease_ns > 0) ns_cache_ = std::make_unique<ns::LeaseCache>(lease_ns);
+  ns_.set_lease_tracking(lease_ns > 0);
+  if (metrics_ != nullptr) {
+    ns_.register_metrics(*metrics_, "shard" + std::to_string(id_));
+    if (ns_cache_)
+      ns_cache_->register_metrics(*metrics_, "node" + std::to_string(id_));
   }
 }
+
+Node::~Node() = default;
 
 Site& Node::add_site(const std::string& name) {
   const auto site_id = static_cast<std::uint32_t>(sites_.size());
   sites_.push_back(
-      std::make_unique<Site>(name, id_, site_id, ns_->home_node()));
-  ns_->register_site(name, id_, site_id);
+      std::make_unique<Site>(name, id_, site_id, *router_, ns_cache_.get()));
+  ns_.register_site(name, id_, site_id);
   Site& s = *sites_.back();
   s.set_outbox_bell(&bell_);
-  if (router_ != nullptr) {
-    s.set_ns_router(router_);
-    s.set_lease_cache(ns_cache_);
-  }
   if (metrics_) s.register_metrics(*metrics_);
   if (trace_capacity_ > 0) {
     s.enable_tracing(trace_capacity_);
@@ -127,8 +114,6 @@ void Node::route(net::Packet p, net::Transport& t, double now_us) {
     if (work_ != nullptr) work_->release();
   };
   if (packet_is_ns(p)) {
-    // This node hosts a name service (the central one, a replica when the
-    // service is distributed, or a shard slice when it is sharded).
     Reader r(p.bytes);
     const PacketHeader h = read_header(r);
     if (h.type == MsgType::kNsInvalidate) {
@@ -139,85 +124,68 @@ void Node::route(net::Packet p, net::Transport& t, double now_us) {
       consume();
       return;
     }
-    // Sharded mode: the key's rendezvous owners decide this packet's
-    // fate. Every NS frame leads with the key (site str, name str), so a
-    // second reader peeks it without disturbing `r`.
-    bool keep_credit = broadcast_nodes_ == 0 || p.src_node == id_;
-    if (router_ != nullptr) {
-      Reader peek(p.bytes);
-      read_header(peek);
-      const std::string ksite = peek.str();
-      const std::string kname = peek.str();
-      const auto owners = router_->owners_of(ksite, kname);
-      if (h.type == MsgType::kNsLookup) {
-        if (owners.primary != id_ && owners.primary != ns::ShardRouter::kNoNode) {
-          // Not ours: forward to the owning shard. The reply goes
-          // straight to the requester carried in the payload.
-          net::Packet fwd;
-          fwd.src_node = id_;
-          fwd.dst_node = owners.primary;
-          fwd.bytes = std::move(p.bytes);
-          t.send(std::move(fwd), now_us);
-          return;
-        }
-      } else {
-        const bool primary_here = owners.primary == id_;
-        const bool replica_here = owners.replica == id_;
-        if (!primary_here && !replica_here) {
-          // Stale client map or in-flight handoff: bounce to the
-          // current primary, which re-replicates as needed.
-          net::Packet fwd;
-          fwd.src_node = id_;
-          fwd.dst_node = owners.primary;
-          fwd.bytes = std::move(p.bytes);
-          if (owners.primary != ns::ShardRouter::kNoNode)
-            t.send(std::move(fwd), now_us);
-          else
-            consume();
-          return;
-        }
-        if (primary_here && owners.replica != ns::ShardRouter::kNoNode &&
-            owners.replica != id_ && !router_->is_dead(owners.replica)) {
-          // Primary replicates byte-identically to its follower; the
-          // follower classifies itself as replica and keeps no credit.
-          net::Packet copy;
-          copy.src_node = id_;
-          copy.dst_node = owners.replica;
-          copy.bytes = p.bytes;
-          emit(std::move(copy), t, now_us);
-        }
-        // Exactly one credit holder per minted unit: the primary.
-        keep_credit = primary_here;
+    // The key's rendezvous owners decide this packet's fate. Every NS
+    // frame leads with the key (site str, name str), so a second reader
+    // peeks it without disturbing `r`.
+    Reader peek(p.bytes);
+    read_header(peek);
+    const std::string ksite = peek.str();
+    const std::string kname = peek.str();
+    const auto owners = router_->owners_of(ksite, kname);
+    bool keep_credit = true;
+    if (h.type == MsgType::kNsLookup) {
+      if (owners.primary != id_ && owners.primary != ns::ShardRouter::kNoNode) {
+        // Not ours: forward to the owning shard. The reply goes
+        // straight to the requester carried in the payload.
+        net::Packet fwd;
+        fwd.src_node = id_;
+        fwd.dst_node = owners.primary;
+        fwd.bytes = std::move(p.bytes);
+        t.send(std::move(fwd), now_us);
+        return;
       }
+    } else {
+      const bool primary_here = owners.primary == id_;
+      const bool replica_here = owners.replica == id_;
+      if (!primary_here && !replica_here) {
+        // Stale client map or in-flight handoff: bounce to the
+        // current primary, which re-replicates as needed.
+        net::Packet fwd;
+        fwd.src_node = id_;
+        fwd.dst_node = owners.primary;
+        fwd.bytes = std::move(p.bytes);
+        if (owners.primary != ns::ShardRouter::kNoNode)
+          t.send(std::move(fwd), now_us);
+        else
+          consume();
+        return;
+      }
+      if (primary_here && owners.replica != ns::ShardRouter::kNoNode &&
+          owners.replica != id_ && !router_->is_dead(owners.replica)) {
+        // Primary replicates byte-identically to its follower; the
+        // follower classifies itself as replica and keeps no credit.
+        net::Packet copy;
+        copy.src_node = id_;
+        copy.dst_node = owners.replica;
+        copy.bytes = p.bytes;
+        emit(std::move(copy), t, now_us);
+      }
+      // Exactly one credit holder per minted unit: the primary.
+      keep_credit = primary_here;
     }
     std::vector<net::Packet> replies;
     if (h.type == MsgType::kNsExport || h.type == MsgType::kNsUnregister) {
       if (ring_.should_record(h.sampled))
         ring_.record(obs::EventType::kNsExport, h.trace_id, p.bytes.size());
-      // Replicated mode: exports (and unregisters) originating here
-      // propagate to every other replica (which releases their parked
-      // lookups / drops their copies of the binding).
-      if (broadcast_nodes_ > 0 && p.src_node == id_) {
-        for (std::uint32_t n = 0; n < broadcast_nodes_; ++n) {
-          if (n == id_) continue;
-          net::Packet copy;
-          copy.src_node = id_;
-          copy.dst_node = n;
-          copy.bytes = p.bytes;
-          emit(std::move(copy), t, now_us);
-        }
-      }
       if (h.type == MsgType::kNsExport)
-        // Only the origin replica / shard primary keeps the GC credit
-        // the export carries: one holder per minted unit.
-        ns_->handle_export(r, replies, h.trace_id, h.sampled, h.gc,
-                           keep_credit);
+        ns_.handle_export(r, replies, h.trace_id, h.sampled, h.gc,
+                          keep_credit);
       else
-        ns_->handle_unregister(r, replies);
+        ns_.handle_unregister(r, replies);
     } else {
       if (ring_.should_record(h.sampled))
         ring_.record(obs::EventType::kNsLookup, h.trace_id, p.bytes.size());
-      ns_->handle_lookup(r, replies, h.trace_id, h.sampled);
+      ns_.handle_lookup(r, replies, h.trace_id, h.sampled);
     }
     for (auto& rep : replies) emit(std::move(rep), t, now_us);
     consume();
@@ -226,15 +194,11 @@ void Node::route(net::Packet p, net::Transport& t, double now_us) {
   if (packet_type(p.bytes) == MsgType::kPeerDown) {
     // A synthetic death notice injected by the transport's failure
     // detector: every site on this node writes off the dead holder's
-    // export credit, and the name service (central or replica) drops
-    // the dead node's registrations so lookups stop resolving to it.
+    // export credit, and this node's directory slice drops the dead
+    // node's registrations so lookups stop resolving to it.
     Reader r(p.bytes);
     read_header(r);
-    const std::uint32_t dead = read_peer_down(r);
-    if (router_ != nullptr)
-      ns_handle_dead(dead, t, now_us);
-    else if (ns_->home_node() == id_)
-      ns_->evict_node(dead);
+    ns_handle_dead(read_peer_down(r), t, now_us);
     for (auto& s : sites_) {
       if (work_ != nullptr) work_->take();
       s->push_incoming(p.bytes, p.src_node);
@@ -254,7 +218,7 @@ void Node::ns_handle_dead(std::uint32_t dead, net::Transport& t,
   // lease invalidations for them.
   router_->note_dead(dead);
   std::vector<net::Packet> out;
-  ns_->evict_node(dead, &out);
+  ns_.evict_node(dead, &out);
   // Handoff: bindings we held as a follower of the dead primary are
   // promoted implicitly — the map already points at us — and everything
   // we now serve as primary gets re-replicated to its new follower.
@@ -268,7 +232,7 @@ void Node::ns_reshard(net::Transport& t, double now_us) {
   // travels on the repair path — a promoted follower serves bindings
   // weakly and the original exporter's write-off of the dead primary
   // squares the ledger (DESIGN.md, GC invariants).
-  for (const auto& rec : ns_->handoff_records()) {
+  for (const auto& rec : ns_.handoff_records()) {
     const auto owners = router_->owners_of(rec.site, rec.name);
     if (owners.primary != id_) continue;
     const std::uint32_t rep = owners.replica;
@@ -285,7 +249,6 @@ void Node::ns_reshard(net::Transport& t, double now_us) {
 
 void Node::ns_merge_dead(const std::vector<std::uint32_t>& dead,
                          net::Transport& t, double now_us) {
-  if (router_ == nullptr) return;
   std::vector<std::uint32_t> others;
   for (std::uint32_t d : dead)
     if (d != id_) others.push_back(d);
@@ -299,7 +262,7 @@ std::size_t Node::pump_site_outgoing(net::Transport& t, std::size_t site_idx,
   net::Packet p;
   while (sites_.at(site_idx)->pop_outgoing(p)) {
     ++moved;
-    if (p.dst_node == id_ && (!packet_is_ns(p) || ns_->home_node() == id_)) {
+    if (p.dst_node == id_) {
       if (!packet_is_ns(p)) ++local_deliveries_;
       route(std::move(p), t, now_us);  // shared-memory fast path
     } else {

@@ -1,6 +1,7 @@
 // A DiTyCO node (paper, section 5, fig. 4): a pool of sites plus the
-// communication daemon TyCOd. One Node corresponds to one IP node of the
-// cluster. The daemon logic is exposed as pump functions so that the
+// communication daemon TyCOd, which also serves this node's slice of the
+// name service. One Node corresponds to one IP node of the cluster.
+// The daemon logic is exposed as pump functions so that the
 // three drivers (sequential, threaded, simulated) can execute it on their
 // own schedule; in the threaded driver a dedicated daemon thread runs
 // them, exactly as in the paper.
@@ -32,35 +33,30 @@ bool packet_is_ns(const net::Packet& p);
 
 class Node {
  public:
-  Node(std::uint32_t id, NameService& ns, obs::Registry* metrics = nullptr)
-      : id_(id), ns_(&ns), metrics_(metrics) {}
+  /// `router` is the fleet's shard map (it outlives the node); this node
+  /// hosts the directory slice the map assigns it, plus weak follower
+  /// copies of its neighbour's slice. `lease_ns` > 0 gives the node a
+  /// lease cache with that TTL and makes the hosted slice record lease
+  /// holders so rebinds push kNsInvalidate frames. With `metrics`, the
+  /// slice registers as {ns="shard<id>"} and the cache as "node<id>".
+  Node(std::uint32_t id, ns::ShardRouter& router, std::uint64_t lease_ns = 0,
+       obs::Registry* metrics = nullptr);
+  ~Node();
 
   std::uint32_t id() const { return id_; }
 
-  /// Switch this node to a local name-service replica (the distributed
-  /// name service the paper lists as future work): lookups are answered
-  /// on-node and exports are broadcast to every other node's replica.
-  void enable_local_ns(std::uint32_t n_nodes);
-
-  /// Decentralise the directory (src/ns): this node hosts a local
-  /// NameService instance holding only the shard slice the rendezvous
-  /// `router` assigns it (plus weak follower copies of its neighbour's
-  /// slice). Sites route per-key via the router; `cache`, when non-null,
-  /// is this node's lease cache and `lease_tracking` makes the hosted
-  /// slice record lease holders so rebinds push kNsInvalidate frames.
-  void enable_sharded_ns(ns::ShardRouter* router, ns::LeaseCache* cache,
-                         bool lease_tracking);
-  ns::ShardRouter* ns_router() { return router_; }
-  ns::LeaseCache* lease_cache() { return ns_cache_; }
-  /// Fold gossiped death advisories into the shard map (sharded NS over
-  /// TCP; called by the daemon thread when the transport's advisory set
+  /// This node's lease cache; null when caching is off.
+  ns::LeaseCache* lease_cache() { return ns_cache_.get(); }
+  /// Fold gossiped death advisories into the shard map (over TCP;
+  /// called by the daemon thread when the transport's advisory set
   /// changes). Moves shard ownership and re-replicates our slice, but
   /// never evicts bindings or writes off credit — those wait for the
   /// local detector's own kPeerDown verdict.
   void ns_merge_dead(const std::vector<std::uint32_t>& dead,
                      net::Transport& t, double now_us);
-  NameService& name_service() { return *ns_; }
-  const NameService& name_service() const { return *ns_; }
+  /// This node's directory slice.
+  NameService& name_service() { return ns_; }
+  const NameService& name_service() const { return ns_; }
 
   Site& add_site(const std::string& name);
   std::vector<std::unique_ptr<Site>>& sites() { return sites_; }
@@ -121,7 +117,7 @@ class Node {
   void enable_profiling(std::uint64_t period);
 
  private:
-  /// Sharded failover: confirm `dead` in the shard map, evict its
+  /// Failover: confirm `dead` in the shard map, evict its
   /// bindings from the local slice (pushing lease invalidations), and
   /// re-replicate every binding this node now owns as primary to its
   /// new follower.
@@ -135,12 +131,11 @@ class Node {
 
   std::uint64_t local_deliveries_ = 0;
   std::uint32_t id_;
-  NameService* ns_;
+  NameService ns_;
   obs::Registry* metrics_ = nullptr;
-  std::unique_ptr<NameService> replica_;  // set by enable_local/sharded_ns
-  std::uint32_t broadcast_nodes_ = 0;     // >0 when replicated
-  ns::ShardRouter* router_ = nullptr;     // set by enable_sharded_ns
-  ns::LeaseCache* ns_cache_ = nullptr;    // this node's lease cache
+  ns::ShardRouter* router_;
+  // Declared before sites_: sites hold raw pointers to it.
+  std::unique_ptr<ns::LeaseCache> ns_cache_;
   std::vector<std::unique_ptr<Site>> sites_;
   std::size_t trace_capacity_ = 0;  // 0 = tracing off for new sites
   std::uint64_t sample_every_ = 1, sample_seed_ = 0;

@@ -52,11 +52,12 @@ class Site::Backend : public vm::RemoteBackend {
 };
 
 Site::Site(std::string name, std::uint32_t node_id, std::uint32_t site_id,
-           std::uint32_t ns_node)
+           const ns::ShardRouter& router, ns::LeaseCache* cache)
     : name_(std::move(name)),
       node_id_(node_id),
       site_id_(site_id),
-      ns_node_(ns_node),
+      ns_router_(router),
+      lease_cache_(cache),
       backend_(std::make_unique<Backend>(*this)),
       machine_(name_, node_id, site_id, backend_.get()) {}
 
@@ -104,6 +105,7 @@ void Site::register_metrics(obs::Registry& registry) {
     c.counter("site_gc_credit_written_off" + l,
               machine_.gc_stats().credit_written_off);
     c.counter("site_peers_down" + l, mobility_.peers_down);
+    c.counter("site_ns_dropped" + l, mobility_.ns_dropped);
     c.histogram("site_packet_bytes" + l, packet_bytes_.snapshot());
     c.histogram("site_fetch_rtt_us" + l, fetch_rtt_us_.snapshot());
   });
@@ -193,6 +195,13 @@ void Site::sync_busy() {
 
 void Site::send_packet(std::uint32_t dst_node,
                        std::vector<std::uint8_t> bytes) {
+  if (dst_node == ns::ShardRouter::kNoNode) {
+    // A name-service frame whose key has no live owner (every shard
+    // node confirmed dead): nothing can serve it, so it is dropped
+    // before it takes a work token and the run ends stalled.
+    ++mobility_.ns_dropped;
+    return;
+  }
   net::Packet p;
   p.src_node = node_id_;
   p.dst_node = dst_node;
@@ -375,8 +384,7 @@ void Site::fetch_instantiate(const vm::NetRef& cls,
 
 std::uint32_t Site::ns_target(const std::string& site,
                               const std::string& name) const {
-  return ns_router_ != nullptr ? ns_router_->primary_of(site, name)
-                               : ns_node_;
+  return ns_router_.primary_of(site, name);
 }
 
 void Site::export_id(const std::string& name, const vm::NetRef& ref) {
@@ -390,14 +398,14 @@ void Site::export_id(const std::string& name, const vm::NetRef& ref) {
     // The name service becomes a credit holder for this entry: it hands
     // shares of the minted balance to importers and RELs the remainder
     // when the binding is dropped. The name pin keeps the entry alive
-    // even if every unit of credit drains first. Under sharding the
-    // mint is attributed to the owning primary, so a confirmed-dead
-    // shard's held balance is forgiven by write_off_node.
-    if (ns_router_ != nullptr) machine_.set_credit_peer(target);
+    // even if every unit of credit drains first. The mint is attributed
+    // to the owning shard primary, so a confirmed-dead shard's held
+    // balance is forgiven by write_off_node.
+    machine_.set_credit_peer(target);
     machine_.set_credit_trace(tid.id);
     credit = machine_.mint_export_credit(ref);
     machine_.set_credit_trace(0);
-    if (ns_router_ != nullptr) machine_.set_credit_peer(vm::Machine::kNoPeer);
+    machine_.set_credit_peer(vm::Machine::kNoPeer);
     machine_.pin_name(ref);
     exported_names_.emplace_back(name, ref);
   }

@@ -55,10 +55,16 @@ class Site {
     obs::Counter gc_rel_received;   // REL frames applied as owner
     obs::Counter gc_rel_dead;       // RELs discarded (owner confirmed dead)
     obs::Counter peers_down;        // PEER-DOWN notices processed
+    obs::Counter ns_dropped;        // NS frames whose key had no live
+                                    // shard owner (dropped unsent)
   };
 
+  /// Name-service requests go to the owning shard primary in `router`;
+  /// `cache`, when non-null, is consulted before lookups cross the wire.
+  /// Both outlive the site (the Network owns the router, the node its
+  /// cache).
   Site(std::string name, std::uint32_t node_id, std::uint32_t site_id,
-       std::uint32_t ns_node);
+       const ns::ShardRouter& router, ns::LeaseCache* cache = nullptr);
   ~Site();
 
   Site(const Site&) = delete;
@@ -67,14 +73,6 @@ class Site {
   const std::string& name() const { return name_; }
   std::uint32_t node_id() const { return node_id_; }
   std::uint32_t site_id() const { return site_id_; }
-  /// Repoint this site's name-service requests (distributed NS mode).
-  void set_ns_node(std::uint32_t node) { ns_node_ = node; }
-  /// Sharded NS mode: route each request to the owning shard primary
-  /// instead of ns_node_. The router outlives the site (Network owns it).
-  void set_ns_router(ns::ShardRouter* router) { ns_router_ = router; }
-  /// Lease cache consulted before lookups cross the wire (one per node,
-  /// owned by the Network; outlives the site).
-  void set_lease_cache(ns::LeaseCache* cache) { lease_cache_ = cache; }
   vm::Machine& machine() { return machine_; }
   const vm::Machine& machine() const { return machine_; }
 
@@ -252,14 +250,15 @@ class Site {
   void import_id(const std::string& site, const std::string& name,
                  vm::NetRef::Kind kind, std::uint64_t token);
 
-  /// Owning shard primary for a directory key (ns_node_ when central).
+  /// Owning shard primary for a directory key (ShardRouter::kNoNode
+  /// when every owner is dead).
   std::uint32_t ns_target(const std::string& site,
                           const std::string& name) const;
 
   std::string name_;
-  std::uint32_t node_id_, site_id_, ns_node_;
-  ns::ShardRouter* ns_router_ = nullptr;
-  ns::LeaseCache* lease_cache_ = nullptr;
+  std::uint32_t node_id_, site_id_;
+  const ns::ShardRouter& ns_router_;
+  ns::LeaseCache* lease_cache_;
   // Lookup tokens answered from the lease cache (a synthesized reply
   // must not re-fill the cache — that would renew the lease for free).
   std::set<std::uint64_t> cache_tokens_;

@@ -89,6 +89,16 @@ bool ShardRouter::merge_dead(const std::vector<std::uint32_t>& nodes) {
   return changed;
 }
 
+void ShardRouter::grow(std::uint32_t shards) {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (shards > shards_) shards_ = shards;
+}
+
+std::uint32_t ShardRouter::shards() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return shards_;
+}
+
 bool ShardRouter::is_dead(std::uint32_t node) const {
   std::lock_guard<std::mutex> lk(mu_);
   return dead_.count(node) != 0;

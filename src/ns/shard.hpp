@@ -13,7 +13,8 @@
 // the map is a pure function of the dead set: two nodes with the same
 // dead set compute identical owners, and the set (gossiped as an
 // additive trailing block on kPeers frames) converges monotonically.
-// The epoch is simply the dead-set size.
+// The epoch is simply the dead-set size. With one shard (the default)
+// every key lives on node 0 — the paper's centralised name service.
 //
 // `note_dead` records a *locally confirmed* death (phi-accrual verdict
 // delivered as a kPeerDown frame); `merge_dead` records *advisory*
@@ -59,19 +60,24 @@ class ShardRouter {
   /// a trigger for credit write-off — only for map convergence.
   bool merge_dead(const std::vector<std::uint32_t>& nodes);
 
+  /// Raise the shard count to `shards` (never lowers it). An in-process
+  /// network calls this as it adds nodes, so the map only names nodes
+  /// that exist; it must happen before any directory traffic.
+  void grow(std::uint32_t shards);
+
   bool is_dead(std::uint32_t node) const;
   /// Map epoch: the dead-set size (monotone, view-comparable).
   std::uint32_t epoch() const;
   /// Bumped on every map change; pollers compare to skip rework.
   std::uint64_t generation() const;
-  std::uint32_t shards() const { return shards_; }
+  std::uint32_t shards() const;
   std::uint32_t replicas() const { return replicas_; }
   std::vector<std::uint32_t> dead() const;
 
  private:
   Owners owners_locked(std::uint64_t h) const;
 
-  const std::uint32_t shards_;
+  std::uint32_t shards_;
   const std::uint32_t replicas_;
   mutable std::mutex mu_;
   std::set<std::uint32_t> dead_;

@@ -454,12 +454,12 @@ void Machine::attribute_export_credit(NetRef::Kind kind,
   ExportEntry* e = find_export(kind, heap_id);
   if (!e || amount == 0) return;
   // The share came out of the sender's hand. When the sender carries a
-  // debt slot here (sharded NS: the mint was attributed to the shard
-  // primary), drain it so Σ debt keeps tracking outstanding — without
-  // the drain, writing off a dead primary would forgive credit that
-  // importers still hold (the premature-free direction). An
-  // unattributed sender (the centralized service's pool) has no slot
-  // and the attribution only adds precision to a future write-off.
+  // debt slot here (the name service: the mint was attributed to the
+  // shard primary), drain it so Σ debt keeps tracking outstanding —
+  // without the drain, writing off a dead primary would forgive credit
+  // that importers still hold (the premature-free direction). An
+  // unattributed sender has no slot and the attribution only adds
+  // precision to a future write-off.
   if (credit_peer_ != kNoPeer && credit_peer_ != node)
     pay_debt(e->debt, credit_peer_, amount);
   e->debt[node] += amount;

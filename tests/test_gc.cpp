@@ -204,7 +204,7 @@ TEST(Gc, MetricsExposed) {
   EXPECT_NE(text.find("site_exports_live{site=\"server\"}"), std::string::npos);
   EXPECT_NE(text.find("site_gc_reclaimed_total{site=\"client\"}"),
             std::string::npos);
-  EXPECT_NE(text.find("ns_unregisters{ns=\"central\"}"), std::string::npos);
+  EXPECT_NE(text.find("ns_unregisters{ns=\"shard0\"}"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

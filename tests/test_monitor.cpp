@@ -632,7 +632,7 @@ TEST(Monitor, GcAndNamesEndpointsAnswerAtRest) {
   EXPECT_TRUE(saw_entry) << "the exported service left no ledger: "
                          << gc_body;
 
-  // /names: the central service lists both registered sites and the
+  // /names: the single shard lists both registered sites and the
   // exported id with its retained credit share.
   const std::string names_body = body_of(http_get(port, "/names"));
   fleet::Json names;
@@ -641,7 +641,7 @@ TEST(Monitor, GcAndNamesEndpointsAnswerAtRest) {
   ASSERT_NE(services, nullptr);
   ASSERT_EQ(services->items.size(), 1u) << names_body;
   const fleet::Json& svc = services->items[0];
-  EXPECT_EQ(svc.str_or("scope"), "central");
+  EXPECT_EQ(svc.str_or("scope"), "shard0");
   EXPECT_EQ(svc.find("sites")->items.size(), 2u) << names_body;
   bool saw_id = false;
   for (const fleet::Json& id : svc.find("ids")->items)

@@ -565,8 +565,8 @@ TEST(EndToEnd, MetricsRegistryAggregatesAllComponents) {
   EXPECT_GT(snap.counters.at("vm_instructions{site=\"server\"}"), 0u);
   EXPECT_EQ(snap.counters.at("site_msgs_shipped{site=\"client\"}"),
             net.find_site("client")->mobility().msgs_shipped.value());
-  EXPECT_EQ(snap.counters.at("ns_lookups{ns=\"central\"}"), 1u);
-  EXPECT_EQ(snap.counters.at("ns_replies{ns=\"central\"}"), 1u);
+  EXPECT_EQ(snap.counters.at("ns_lookups{ns=\"shard0\"}"), 1u);
+  EXPECT_EQ(snap.counters.at("ns_replies{ns=\"shard0\"}"), 1u);
   // Untraced run: no events, no drops.
   EXPECT_EQ(snap.counters.at("site_trace_events{site=\"client\"}"), 0u);
 

@@ -6,10 +6,12 @@ Usage:
 
 Every section of every bench is joined by (bench, config, section name)
 across the two files — config being "plain" or "obs" — and the
-msgs_per_sec and p99_us deltas are printed. A section whose throughput
-drops, or whose p99 latency grows, by more than the threshold (default
-15%) is a REGRESSION and turns the exit code nonzero, so CI can gate on
-a bench run against the committed baseline.
+msgs_per_sec and p99_us deltas are printed. A wall-clock section whose
+throughput drops, or whose p99 latency grows, by more than the threshold
+(default 15%) is a REGRESSION and turns the exit code nonzero, so CI can
+gate on a bench run against the committed baseline. A "virtual_us"
+section is deterministic simulated time: ANY change to it (any field,
+either direction) is a REGRESSION, whatever the threshold.
 
 A section present in OLD but missing from NEW is a DROPPED section and
 FAILS the comparison: losing a measurement silently is how coverage
@@ -97,8 +99,15 @@ def main():
         d_tput = pct(n.get("msgs_per_sec", 0), o.get("msgs_per_sec", 0))
         d_p99 = pct(n.get("p99_us", 0), o.get("p99_us", 0))
         flag = ""
-        # Throughput DOWN or p99 UP beyond the threshold is a regression.
-        if d_tput < -args.threshold or d_p99 > args.threshold:
+        if "virtual_us" in (o.get("unit"), n.get("unit")):
+            # Simulated time is deterministic: any difference is a real
+            # behaviour change, never noise.
+            changed = sorted(k for k in set(o) | set(n) if o.get(k) != n.get(k))
+            if changed:
+                flag = "  << REGRESSION (sim changed: " + ", ".join(changed) + ")"
+                regressions.append(label + " (sim changed)")
+        elif d_tput < -args.threshold or d_p99 > args.threshold:
+            # Throughput DOWN or p99 UP beyond the threshold.
             flag = "  << REGRESSION"
             regressions.append(label)
         rows.append(
@@ -126,8 +135,8 @@ def main():
               "(v1 baselines?) — nothing to gate on")
 
     if regressions:
-        print(f"bench_compare: {len(regressions)} regression(s) beyond "
-              f"{args.threshold:g}%:")
+        print(f"bench_compare: {len(regressions)} regression(s) (wall "
+              f"threshold {args.threshold:g}%, sim exact):")
         for r in regressions:
             print(f"  {r}")
         return 1

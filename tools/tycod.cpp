@@ -5,11 +5,11 @@
 // One tycod process hosts exactly one node (its sites come from the
 // program file's `site name { P }` blocks) and speaks the v2 daemon
 // wire format to other tycod processes over TCP (docs/NETWORKING.md).
-// By default node 0 hosts the network name service; every other node
-// needs --join (or --peer 0=...) to reach it. With --ns-shards the
-// directory is sharded across the fleet instead (docs/NAMESERVICE.md):
-// every node hosts a slice, each slice is replicated to a follower, and
-// a confirmed-dead primary fails over without losing bindings.
+// By default the name service is one shard on node 0; every other node
+// needs --join (or --peer 0=...) to reach it. With --ns-shards N the
+// directory is spread over nodes 0..N-1 (docs/NAMESERVICE.md): each
+// hosts a slice, each slice is replicated to a follower, and a
+// confirmed-dead primary fails over without losing bindings.
 //
 // Usage:
 //   tycod --node 0 --listen 127.0.0.1:7100 a.dtc
@@ -61,8 +61,8 @@
 //   --serve-ms N         hard cap on total serve time (default 60000)
 //   --timeout-ms N       per-run wall-clock cap (default 10000)
 //   --ns-shards N        shard the name service N ways by name hash
-//                        (default 0 = centralized on node 0; pass the
-//                        same value to every daemon in the fleet)
+//                        (default 1 = the whole directory on node 0;
+//                        pass the same value to every daemon)
 //   --ns-replicas N      followers per shard slice (default 1)
 //   --ns-lease-ms N      lease-based client-side lookup caching with
 //                        this TTL (default 0 = off); rebinds and

@@ -18,9 +18,9 @@
 //           mutation-heavy shape the sharded NS is built for. Needs
 //           no --import.
 //
-// With --ns-shards N the generator routes every name-service frame to
-// the owning shard primary (same rendezvous map as the daemons,
-// docs/NAMESERVICE.md) instead of node 0; confirmed peer deaths
+// The generator routes every name-service frame to the owning shard
+// primary (the same rendezvous map as the daemons, docs/NAMESERVICE.md;
+// with the default single shard, node 0); confirmed peer deaths
 // advance the local shard map exactly like a daemon's.
 //
 // The generator is open-loop and coordinated-omission safe: requests
@@ -86,7 +86,7 @@ void usage() {
       "  --scenario S         rpc | pubsub | fetch | fetch-churn\n"
       "                       (default rpc; fetch-churn needs no --import)\n"
       "  --ns-shards N        route NS frames by the N-way shard map\n"
-      "                       (default 0 = centralized on node 0)\n"
+      "                       (default 1 = everything to node 0)\n"
       "  --ns-replicas N      followers per shard (map geometry; default 1)\n"
       "  --rate R             intended requests/second  (default 1000)\n"
       "  --duration-ms D      load duration             (default 5000)\n"
@@ -114,7 +114,7 @@ struct Options {
   std::uint64_t clients = 256;
   std::uint64_t timeout_ms = 2000;
   std::uint32_t self = 900;
-  std::uint32_t ns_shards = 0;
+  std::uint32_t ns_shards = 1;
   std::uint32_t ns_replicas = 1;
   std::uint32_t kill_node = 0;
   long kill_pid = 0;
@@ -269,17 +269,12 @@ int main(int argc, char** argv) {
   tcp->set_death_frame(
       [](std::uint32_t dead) { return dityco::core::make_peer_down(dead); });
 
-  // With --ns-shards the generator computes the same rendezvous map as
-  // the daemons and sends every NS frame to the owning shard primary;
-  // without it, everything goes to the centralized service on node 0.
-  std::unique_ptr<dityco::ns::ShardRouter> router;
-  if (opt.ns_shards > 0)
-    router = std::make_unique<dityco::ns::ShardRouter>(opt.ns_shards,
-                                                       opt.ns_replicas);
+  // The generator computes the same rendezvous map as the daemons and
+  // sends every NS frame to the owning shard primary.
+  dityco::ns::ShardRouter router(opt.ns_shards, opt.ns_replicas);
   const auto ns_dst = [&](const std::string& site,
                           const std::string& name) -> std::uint32_t {
-    if (!router) return 0;
-    return router->primary_of(site, name);
+    return router.primary_of(site, name);
   };
 
   // -- import phase: resolve every SITE:NAME through the NS ----------
@@ -355,15 +350,17 @@ int main(int argc, char** argv) {
 
   std::unordered_map<std::uint64_t, Pending> pending;
   std::vector<bool> node_dead_seen(1, false);
+  // A key with no live shard owner (kNoNode) counts as dead too.
   const auto node_dead = [&](std::uint32_t n) {
-    return n < node_dead_seen.size() && node_dead_seen[n];
+    return n == dityco::ns::ShardRouter::kNoNode ||
+           (n < node_dead_seen.size() && node_dead_seen[n]);
   };
   const auto mark_dead = [&](std::uint32_t n) {
     if (n >= node_dead_seen.size()) node_dead_seen.resize(n + 1, false);
     node_dead_seen[n] = true;
     // Advance the shard map: the dead primary's keys fail over to its
     // follower, so churn traffic keeps resolving through the kill.
-    if (router) router->note_dead(n);
+    router.note_dead(n);
   };
 
   std::uint64_t next_send = start;
@@ -504,9 +501,11 @@ int main(int argc, char** argv) {
     if (it == pending.end()) return;  // late reply, already timed out
     if (churn && type == MsgType::kNsReply) {
       const std::string name = "churn" + std::to_string(req);
-      tcp->send(Packet{opt.self, ns_dst(churn_site, name),
-                       NameService::make_unregister(churn_site, name)},
-                0.0);
+      const std::uint32_t dst = ns_dst(churn_site, name);
+      if (!node_dead(dst))
+        tcp->send(Packet{opt.self, dst,
+                         NameService::make_unregister(churn_site, name)},
+                  0.0);
     }
     const std::uint64_t lat = now - it->second.intended_ns;
     plane.record_value(op, lat, now, it->second.tid);

@@ -25,7 +25,7 @@
 //                    --peer 0=HOST:PORT)
 //   --peer N=H:P     static peer address (with --tcp; repeatable)
 //   --ns-shards N    shard the name service N ways by name hash
-//                    (default 0 = centralized on node 0; see
+//                    (default 1 = the whole directory on node 0; see
 //                    docs/NAMESERVICE.md)
 //   --ns-replicas N  followers per shard slice (default 1)
 //   --ns-lease-ms N  lease-based client-side lookup caching (TTL in ms;
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
   bool show_slo = false;
   std::string fleet_url;
   long flush_bytes = -1, flush_frames = -1, busy_poll_us = -1;
-  long ns_shards = 0, ns_replicas = 1, ns_lease_ms = 0;
+  long ns_shards = 1, ns_replicas = 1, ns_lease_ms = 0;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -331,13 +331,11 @@ int main(int argc, char** argv) {
       cfg.tcp.flush_frames = static_cast<std::size_t>(flush_frames);
     if (busy_poll_us >= 0)
       cfg.tcp.busy_poll_us = static_cast<std::uint64_t>(busy_poll_us);
-    if (ns_shards > 0) {
-      cfg.ns_shards = static_cast<std::uint32_t>(ns_shards);
-      cfg.ns_replicas = static_cast<std::uint32_t>(ns_replicas < 0
-                                                       ? 0 : ns_replicas);
-      cfg.ns_lease_ms = static_cast<std::uint64_t>(ns_lease_ms < 0
-                                                       ? 0 : ns_lease_ms);
-    }
+    cfg.ns_shards = static_cast<std::uint32_t>(ns_shards < 1 ? 1 : ns_shards);
+    cfg.ns_replicas = static_cast<std::uint32_t>(ns_replicas < 0 ? 0
+                                                                 : ns_replicas);
+    cfg.ns_lease_ms = static_cast<std::uint64_t>(ns_lease_ms < 0 ? 0
+                                                                 : ns_lease_ms);
 
     dityco::core::Network net(cfg);
     const int nnodes = cfg.tcp.multiprocess

@@ -29,8 +29,9 @@
 //     snapshot) is reported as unverifiable, not as imbalanced.
 //   * --names: federates the fleet directory. The name service is NOT
 //     assumed to live on node 0: every node's /names document is one
-//     slice of the picture (the whole table when centralized, one
-//     shard slice per node when --ns-shards is on; docs/NAMESERVICE.md)
+//     slice of the picture (one "shard<N>" slice per shard node — with
+//     the default single shard, node 0 holds the whole table;
+//     docs/NAMESERVICE.md)
 //     and the view stitches them all — per-slice binding counts, the
 //     shard map's epoch and dead set, and lease-cache hit rates.
 //
@@ -221,10 +222,8 @@ int main(int argc, char** argv) {
 
   if (do_names) {
     // Fleet directory view. Every node's /names is scraped — the
-    // directory is not assumed to live on node 0: a centralized fleet
-    // yields one "central" slice from the hosting node, a sharded
-    // fleet one "shard<N>" slice per node, and the federation is the
-    // union. The same per-slice join the credit audit uses.
+    // directory is not assumed to live on node 0: each shard node
+    // yields one "shard<N>" slice, and the federation is the union. The same per-slice join the credit audit uses.
     struct Slice {
       std::uint32_t node = 0;
       std::string scope;
