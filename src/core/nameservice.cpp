@@ -29,21 +29,20 @@ std::optional<NameService::SiteInfo> NameService::lookup_site(
 void NameService::reply_to(const Waiter& w, Entry& e, bool ok,
                            std::vector<net::Packet>& replies) {
   // A credit-bearing binding hands half of its held balance to each
-  // importer (share 0 once starved: the importer gets a weak handle).
-  const bool gc = e.gc && ok;
-  std::uint64_t share = 0;
-  if (gc) {
-    share = e.credit / 2;
+  // importer (share 0 once starved, from a weak binding or on a failed
+  // reply: the importer gets a weak handle).
+  const std::uint64_t share = ok ? e.credit / 2 : 0;
+  if (share > 0) {
     e.credit -= share;
-    if (share > 0) ++mutations_;
+    ++mutations_;
   }
   Writer out;
-  write_header(out, MsgType::kNsReply, w.site, w.trace_id, w.sampled, gc);
+  write_header(out, MsgType::kNsReply, w.site, w.trace_id, w.sampled);
   out.u64(w.token);
   out.boolean(ok);
   write_netref(out, e.ref);
   out.str(e.type_sig);
-  if (gc) out.u64(share);
+  out.u64(share);
   net::Packet p;
   p.src_node = home_node_;
   p.dst_node = w.node;
@@ -68,7 +67,7 @@ void NameService::reply_to(const Waiter& w, Entry& e, bool ok,
 }
 
 void NameService::release_entry(const Entry& e, std::vector<net::Packet>& out) {
-  if (!e.gc || e.credit == 0) return;
+  if (e.credit == 0) return;
   std::uint64_t& cum = released_cum_[e.ref];
   cum += e.credit;
   ++mutations_;
@@ -125,13 +124,12 @@ void NameService::register_id(const std::string& site, const std::string& name,
 }
 
 void NameService::handle_export(Reader& r, std::vector<net::Packet>& replies,
-                                std::uint64_t /*trace_id*/, bool /*sampled*/,
-                                bool gc, bool keep_credit) {
+                                bool keep_credit) {
   const std::string site = r.str();
   const std::string name = r.str();
   const vm::NetRef ref = read_netref(r);
   const std::string sig = r.str();
-  const std::uint64_t credit = gc ? r.u64() : 0;
+  const std::uint64_t credit = r.u64();
   // A follower's copy must not hold the credit: exactly one holder per
   // minted unit (the shard primary keeps it).
   register_id(site, name, ref, sig, replies, keep_credit ? credit : 0);
@@ -310,13 +308,12 @@ std::vector<std::uint8_t> NameService::make_export(
     const std::string& type_sig, std::uint64_t trace_id, bool sampled,
     std::uint64_t credit) {
   Writer w;
-  write_header(w, MsgType::kNsExport, kNsDstSite, trace_id, sampled,
-               /*gc=*/credit > 0);
+  write_header(w, MsgType::kNsExport, kNsDstSite, trace_id, sampled);
   w.str(site);
   w.str(name);
   write_netref(w, ref);
   w.str(type_sig);
-  if (credit > 0) w.u64(credit);
+  w.u64(credit);
   return w.take();
 }
 

@@ -65,14 +65,12 @@ class NameService {
   // -- IdTable, via packets --
 
   /// Handle a kNsExport payload (Reader positioned after the header).
-  /// `trace_id` is the causal id carried by the request packet; replies
-  /// triggered by this export reuse the *waiter's* lookup id (and its
-  /// sampling decision). `gc` is the packet header's credit flag; with
+  /// Replies triggered by this export carry the *waiter's* lookup trace
+  /// id (and its sampling decision), not the export's. With
   /// `keep_credit` false (a follower's copy of a shard primary's entry)
   /// the carried credit is ignored — the primary holds those units.
   void handle_export(Reader& r, std::vector<net::Packet>& replies,
-                     std::uint64_t trace_id = 0, bool sampled = true,
-                     bool gc = false, bool keep_credit = true);
+                     bool keep_credit = true);
   /// Handle a kNsLookup payload; replies immediately if the identifier is
   /// known, parks the request otherwise. An immediate or deferred reply
   /// carries `trace_id` (with its `sampled` bit), closing the lookup's

@@ -110,7 +110,7 @@ void Network::enable_flight(const obs::FlightPolicy& policy) {
 }
 
 void Network::enable_slo(const obs::SloPlane::Config& cfg) {
-  // The ledger keys on propagated v2 trace ids, which only exist while
+  // The ledger keys on propagated trace ids, which only exist while
   // tracing is on (fresh_trace_id returns 0 otherwise).
   if (trace_capacity_ == 0) enable_tracing();
   if (!slo_) {
@@ -516,6 +516,12 @@ std::string Network::gc_json() const {
   out += running ? "true" : "false";
   out += ",\"fresh\":";
   out += running ? "false" : "true";
+  // Frames queued in this node's transport may carry credit no ledger
+  // shows yet: the audit confirms a leak only once no node is running
+  // and every node reads 0. Read at rest only (SimTransport's queues
+  // belong to the sim loop).
+  if (!running && transport_)
+    out += ",\"in_flight\":" + std::to_string(transport_->in_flight());
   out += ",\"steady_now_ns\":" + std::to_string(now_ns);
   out += ",\"wall_now_us\":" + std::to_string(wall_now_us());
   out += ",\"sites\":[";
@@ -648,7 +654,6 @@ obs::fleet::AuditReport Network::self_audit(bool include_fleet) {
 }
 
 std::size_t Network::heal_releases() {
-  if (!cfg_.gc) return 0;
   {
     std::lock_guard<std::mutex> lk(live_->scrape_mu);
     if (live_->running.load(std::memory_order_relaxed)) return 0;
@@ -837,7 +842,6 @@ Site& Network::add_site(std::size_t node_idx, const std::string& name) {
   for (const auto& n : nodes_)
     if (n.get() != &home)
       n->name_service().register_site(name, home.id(), s.site_id());
-  if (cfg_.gc) s.set_gc_enabled(true);
   if (monitor_) s.set_gc_publishing(true);
   return s;
 }
@@ -1013,7 +1017,7 @@ const std::vector<std::string>& Network::output(const std::string& site_name) {
 }
 
 std::vector<std::string> Network::all_errors() const {
-  std::vector<std::string> out;
+  std::vector<std::string> out = run_errors_;
   for (const auto& n : nodes_)
     for (const auto& s : n->sites()) {
       for (const auto& e : s->errors()) out.push_back(e);
@@ -1101,7 +1105,7 @@ void Network::sequential_drain(net::Transport& t, Result& res) {
     if (moved == 0 && executed == 0 && t.in_flight() == 0) {
       // Quiescent. Run a GC pass; if it queued RELs, keep pumping so the
       // owners apply them (and possibly cascade further collections).
-      if (cfg_.gc && gc_pass(/*final=*/false) > 0) continue;
+      if (gc_pass(/*final=*/false) > 0) continue;
       return;
     }
   }
@@ -1136,10 +1140,24 @@ Network::Result Network::run_threaded() {
   t.attach_work(nullptr);
   for (auto& n : nodes_) n->attach_work(nullptr, false);
   instructions_run_ += res.instructions;
+  // In-process, zero is exact termination: at the join no packet is
+  // queued and no machine is runnable, so the GC drain below executes no
+  // byte code. Anything left means the run stopped early.
+  if (!remote && !res.budget_exhausted) {
+    std::size_t left = t.in_flight();
+    for (auto& n : nodes_)
+      for (auto& s : n->sites())
+        left += s->incoming_size() + s->outgoing_size() +
+                (s->failed() || s->machine().idle() ? 0 : 1);
+    if (left != 0)
+      run_errors_.push_back("threaded run stopped early: " +
+                            std::to_string(left) +
+                            " packets or runnable sites left at the join");
+  }
   // Executors are joined: the network is single-threaded again, so GC
-  // passes run through the sequential pump (any work the RELs uncover is
-  // executed inline).
-  if (cfg_.gc && !res.budget_exhausted) {
+  // passes run through the sequential pump (over a remote transport,
+  // frames peers sent since are applied and executed inline).
+  if (!res.budget_exhausted) {
     Result gc_res;
     sequential_drain(t, gc_res);
     res.instructions += gc_res.instructions;
@@ -1177,7 +1195,7 @@ void Network::drive_threads(net::Transport& t, net::WorkCount& work,
       // Periodic REL resend (Config::gc_resend_ms): collect() is an
       // executor-thread operation, so the heal timer lives here and
       // bounds the park.
-      const bool resend_gc = cfg_.gc && cfg_.gc_resend_ms > 0;
+      const bool resend_gc = cfg_.gc_resend_ms > 0;
       const auto resend_every = std::chrono::milliseconds(cfg_.gc_resend_ms);
       auto next_resend = std::chrono::steady_clock::now() + resend_every;
       bool was_idle = false;
@@ -1326,7 +1344,6 @@ void Network::drive_threads(net::Transport& t, net::WorkCount& work,
 
 Network::GcReport Network::collect_garbage(int max_rounds) {
   GcReport rep;
-  if (!cfg_.gc) return rep;
   net::Transport& t = transport();
   // In sim mode the transport holds timed queues: drive them with a
   // virtual clock far past the run's makespan, advanced whenever packets

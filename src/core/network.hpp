@@ -90,13 +90,13 @@ class Network {
     /// inferred export signatures and import requirements to the site so
     /// remote interactions are checked dynamically (paper, section 7).
     bool typecheck = false;
-    /// Distributed GC for network references (credit-based reference
-    /// counting; DESIGN.md §GC). Sites stamp kGcFlag on their frames and
-    /// reclaim export-table entries once every minted unit of credit has
-    /// returned. The sequential and threaded drivers run collection
-    /// passes at quiescence; sim mode defers GC entirely to
-    /// collect_garbage() so virtual-time results are unaffected.
-    bool gc = true;
+    /// Distributed GC (credit-based reference counting; DESIGN.md §GC) is
+    /// always on: every netref on the wire carries credit, and sites
+    /// reclaim export-table entries once every minted unit has returned.
+    /// The sequential and threaded drivers run collection passes at
+    /// quiescence; sim mode defers GC entirely to collect_garbage() so
+    /// virtual-time results are unaffected.
+    ///
     /// Threaded driver: every `gc_resend_ms` milliseconds each site
     /// retransmits its non-zero cumulative releases (Site::collect with
     /// resend), healing RELs a lossy transport dropped — the owner's
@@ -150,7 +150,7 @@ class Network {
   /// drains until no site queues further RELs (or `max_rounds` is hit).
   /// After this, a leak-free program leaves every export table and the
   /// IdTable empty. Works in every mode (sim uses a far-future virtual
-  /// clock so in-flight RELs arrive). No-op report unless cfg.gc.
+  /// clock so in-flight RELs arrive).
   GcReport collect_garbage(int max_rounds = 8);
 
   const std::vector<std::string>& output(const std::string& site_name);
@@ -170,7 +170,8 @@ class Network {
   net::TcpTransport* tcp_transport();
   const Config& config() const { return cfg_; }
 
-  /// All runtime errors across sites and machines.
+  /// All runtime errors: driver invariant violations, then every site's
+  /// and machine's.
   std::vector<std::string> all_errors() const;
 
   // -- observability --
@@ -328,8 +329,8 @@ class Network {
   void wire_tcp_flight(net::TcpTransport& t);
   /// Feed a transport's tcp-send/tcp-recv hops into the SLO ledger.
   void wire_tcp_slo(net::TcpTransport& t);
-  /// The sequential pump loop: round-robin sites until quiescent (with
-  /// cfg.gc, quiescence triggers collection passes until no RELs flow).
+  /// The sequential pump loop: round-robin sites until quiescent
+  /// (quiescence triggers collection passes until no RELs flow).
   void sequential_drain(net::Transport& t, Result& res);
 
   /// Live run state shared between the drivers and TyCOmon's handlers.
@@ -370,6 +371,8 @@ class Network {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unique_ptr<net::Transport> transport_;
   std::uint64_t instructions_run_ = 0;
+  // Driver invariant violations (all_errors lists them first).
+  std::vector<std::string> run_errors_;
   std::size_t trace_capacity_ = 0;
   std::uint64_t sample_every_ = 1, sample_seed_ = 0;
   std::uint64_t prof_period_ = 0;  // 0 = profiling off

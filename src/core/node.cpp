@@ -15,9 +15,8 @@ std::uint32_t packet_dst_site(const net::Packet& p) {
 }
 
 bool packet_is_ns(const net::Packet& p) {
-  if (p.bytes.empty()) throw DecodeError("empty packet");
-  // packet_type masks the trace-flag bit, so v2 (traced) frames route the
-  // same as v1.
+  // packet_type masks the flag bits, so traced frames route the same as
+  // untraced ones.
   const MsgType t = packet_type(p.bytes);
   return t == MsgType::kNsExport || t == MsgType::kNsLookup ||
          t == MsgType::kNsUnregister || t == MsgType::kNsInvalidate;
@@ -125,10 +124,9 @@ void Node::route(net::Packet p, net::Transport& t, double now_us) {
       return;
     }
     // The key's rendezvous owners decide this packet's fate. Every NS
-    // frame leads with the key (site str, name str), so a second reader
+    // frame leads with the key (site str, name str), so a copy of `r`
     // peeks it without disturbing `r`.
-    Reader peek(p.bytes);
-    read_header(peek);
+    Reader peek = r;
     const std::string ksite = peek.str();
     const std::string kname = peek.str();
     const auto owners = router_->owners_of(ksite, kname);
@@ -178,8 +176,7 @@ void Node::route(net::Packet p, net::Transport& t, double now_us) {
       if (ring_.should_record(h.sampled))
         ring_.record(obs::EventType::kNsExport, h.trace_id, p.bytes.size());
       if (h.type == MsgType::kNsExport)
-        ns_.handle_export(r, replies, h.trace_id, h.sampled, h.gc,
-                          keep_credit);
+        ns_.handle_export(r, replies, keep_credit);
       else
         ns_.handle_unregister(r, replies);
     } else {

@@ -235,22 +235,19 @@ std::size_t Site::process_incoming(std::size_t max_packets) {
     // sender's debt slot (a self-delivery attributes to ourselves, which
     // is equally correct — our own node is never written off).
     machine_.set_credit_peer(d.src_node);
-    machine_.set_credit_trace(
-        d.bytes.size() >= 13 && (d.bytes[0] & kTraceFlag) != 0
-            ? packet_trace_id(d.bytes)
-            : 0);
-    const std::vector<std::uint8_t>& bytes = d.bytes;
+    PacketHeader h;  // trace id 0 until the header parses
     try {
-      handle_packet(bytes);
+      Reader r(d.bytes);
+      h = read_header(r);
+      machine_.set_credit_trace(h.trace_id);
+      handle_packet(h, r, d.bytes.size());
     } catch (const std::exception& e) {
       // The packet boundary is where untrusted bytes enter: any failure
       // (malformed frame, verification, forged reference) poisons only
       // this delivery, never the site.
       record_error(name_ + ": malformed packet: " + e.what());
-      if (flight_ != nullptr && bytes.size() >= 13 &&
-          (bytes[0] & kTraceFlag) != 0)
-        flight_->promote(packet_trace_id(bytes),
-                         obs::FlightRecorder::Reason::kError);
+      if (flight_ != nullptr && h.trace_id != 0)
+        flight_->promote(h.trace_id, obs::FlightRecorder::Reason::kError);
     }
     machine_.set_credit_peer(vm::Machine::kNoPeer);
     machine_.set_credit_trace(0);
@@ -278,15 +275,14 @@ void Site::ship_message(const vm::NetRef& target, const std::string& label,
   const obs::TraceTag tid = fresh_trace_id();
   const std::uint64_t starved0 = machine_.gc_stats().credit_starved;
   Writer w;
-  write_header(w, MsgType::kShipMsg, target.site, tid.id, tid.sampled,
-               gc_enabled_);
+  write_header(w, MsgType::kShipMsg, target.site, tid.id, tid.sampled);
   w.u64(target.heap_id);
   w.str(label);
   // Credit minted while marshalling is charged to the receiving node
   // (and stamped with this ship's trace id for the audit plane).
   machine_.set_credit_peer(target.node);
   machine_.set_credit_trace(tid.id);
-  marshal_values(machine_, args, w, gc_enabled_);
+  marshal_values(machine_, args, w);
   machine_.set_credit_peer(vm::Machine::kNoPeer);
   machine_.set_credit_trace(0);
   auto bytes = w.take();
@@ -314,15 +310,14 @@ void Site::ship_object(const vm::NetRef& target, std::uint32_t seg_slot,
   const obs::TraceTag tid = fresh_trace_id();
   const std::uint64_t starved0 = machine_.gc_stats().credit_starved;
   Writer w;
-  write_header(w, MsgType::kShipObj, target.site, tid.id, tid.sampled,
-               gc_enabled_);
+  write_header(w, MsgType::kShipObj, target.site, tid.id, tid.sampled);
   w.u64(target.heap_id);
   std::vector<vm::Segment> closure;
   machine_.collect_closure(seg_slot, closure);
   write_closure(w, closure);
   machine_.set_credit_peer(target.node);
   machine_.set_credit_trace(tid.id);
-  marshal_values(machine_, env, w, gc_enabled_);
+  marshal_values(machine_, env, w);
   machine_.set_credit_peer(vm::Machine::kNoPeer);
   machine_.set_credit_trace(0);
   auto bytes = w.take();
@@ -393,22 +388,19 @@ void Site::export_id(const std::string& name, const vm::NetRef& ref) {
     sig = it->second;
   const obs::TraceTag tid = fresh_trace_id();
   const std::uint32_t target = ns_target(name_, name);
-  std::uint64_t credit = 0;
-  if (gc_enabled_) {
-    // The name service becomes a credit holder for this entry: it hands
-    // shares of the minted balance to importers and RELs the remainder
-    // when the binding is dropped. The name pin keeps the entry alive
-    // even if every unit of credit drains first. The mint is attributed
-    // to the owning shard primary, so a confirmed-dead shard's held
-    // balance is forgiven by write_off_node.
-    machine_.set_credit_peer(target);
-    machine_.set_credit_trace(tid.id);
-    credit = machine_.mint_export_credit(ref);
-    machine_.set_credit_trace(0);
-    machine_.set_credit_peer(vm::Machine::kNoPeer);
-    machine_.pin_name(ref);
-    exported_names_.emplace_back(name, ref);
-  }
+  // The name service becomes a credit holder for this entry: it hands
+  // shares of the minted balance to importers and RELs the remainder
+  // when the binding is dropped. The name pin keeps the entry alive even
+  // if every unit of credit drains first. The mint is attributed to the
+  // owning shard primary, so a confirmed-dead shard's held balance is
+  // forgiven by write_off_node.
+  machine_.set_credit_peer(target);
+  machine_.set_credit_trace(tid.id);
+  const std::uint64_t credit = machine_.mint_export_credit(ref);
+  machine_.set_credit_trace(0);
+  machine_.set_credit_peer(vm::Machine::kNoPeer);
+  machine_.pin_name(ref);
+  exported_names_.emplace_back(name, ref);
   if (ring_.should_record(tid.sampled))
     ring_.record(obs::EventType::kNsExport, tid.id);
   send_packet(target, NameService::make_export(0, name_, name, ref, sig,
@@ -429,8 +421,8 @@ void Site::import_id(const std::string& site, const std::string& name,
       // Lease hit: synthesize the reply the service would have sent and
       // deliver it through the normal queue (the importing frame parks
       // first; the resume must not run under this stack). The handle is
-      // weak (no credit share) — safe, the exporter's name pin holds
-      // the entry for the binding's lifetime.
+      // weak (zero credit) — safe, the exporter's name pin holds the
+      // entry for the binding's lifetime.
       cache_tokens_.insert(token);
       if (work_ != nullptr) work_->take();
       Writer w;
@@ -439,6 +431,7 @@ void Site::import_id(const std::string& site, const std::string& name,
       w.boolean(true);
       write_netref(w, ref);
       w.str(sig);
+      w.u64(0);
       push_incoming(w.take(), node_id_);
       return;
     }
@@ -453,7 +446,7 @@ void Site::import_id(const std::string& site, const std::string& name,
 // ---------------------------------------------------------------------
 
 std::size_t Site::collect(bool final, bool resend) {
-  if (!gc_enabled_ || failed()) return 0;
+  if (failed()) return 0;
   std::size_t queued = 0;
   if (final) {
     // Shutdown epoch: the dynamic-link cache no longer pins fetched
@@ -534,17 +527,15 @@ std::shared_ptr<const vm::Machine::GcSnapshot> Site::gc_snapshot() const {
 // Inbound packets
 // ---------------------------------------------------------------------
 
-void Site::handle_packet(const std::vector<std::uint8_t>& bytes) {
-  Reader r(bytes);
-  const PacketHeader h = read_header(r);
-
+void Site::handle_packet(const PacketHeader& h, Reader& r,
+                         std::size_t size) {
   switch (h.type) {
     case MsgType::kShipMsg: {
       const std::uint64_t heap_id = r.u64();
       const std::string label = r.str();
-      auto args = unmarshal_values(machine_, r, h.gc);
+      auto args = unmarshal_values(machine_, r);
       if (ring_.should_record(h.sampled))
-        ring_.record(obs::EventType::kShipMsgIn, h.trace_id, bytes.size());
+        ring_.record(obs::EventType::kShipMsgIn, h.trace_id, size);
       if (flight_ != nullptr && h.trace_id != 0)
         flight_->on_complete(h.trace_id, now_ns());
       if (slo_ != nullptr && h.trace_id != 0)
@@ -558,9 +549,9 @@ void Site::handle_packet(const std::vector<std::uint8_t>& bytes) {
       vm::SegmentGuid root{};
       auto pool = read_closure(r, root);
       const std::uint32_t slot = machine_.link(root, pool);
-      auto env = unmarshal_values(machine_, r, h.gc);
+      auto env = unmarshal_values(machine_, r);
       if (ring_.should_record(h.sampled))
-        ring_.record(obs::EventType::kShipObjIn, h.trace_id, bytes.size());
+        ring_.record(obs::EventType::kShipObjIn, h.trace_id, size);
       if (flight_ != nullptr && h.trace_id != 0)
         flight_->on_complete(h.trace_id, now_ns());
       if (slo_ != nullptr && h.trace_id != 0)
@@ -580,8 +571,7 @@ void Site::handle_packet(const std::vector<std::uint8_t>& bytes) {
       Writer w;
       // The reply reuses the request's trace id (and sampling decision),
       // so a FETCH shows as one causal chain: req -> served -> reply.
-      write_header(w, MsgType::kFetchRep, req_site, h.trace_id, h.sampled,
-                   gc_enabled_);
+      write_header(w, MsgType::kFetchRep, req_site, h.trace_id, h.sampled);
       w.u64(req_id);
       std::vector<vm::Segment> closure;
       machine_.collect_closure(blk.seg, closure);
@@ -589,7 +579,7 @@ void Site::handle_packet(const std::vector<std::uint8_t>& bytes) {
       w.u32(entry.cls);
       // The requester becomes the holder of any credit the reply mints.
       machine_.set_credit_peer(req_node);
-      marshal_values(machine_, blk.env, w, gc_enabled_);
+      marshal_values(machine_, blk.env, w);
       auto reply = w.take();
       packet_bytes_.observe(static_cast<double>(reply.size()));
       if (ring_.should_record(h.sampled))
@@ -608,7 +598,7 @@ void Site::handle_packet(const std::vector<std::uint8_t>& bytes) {
       vm::SegmentGuid root{};
       auto pool = read_closure(r, root);
       const std::uint32_t cls_idx = r.u32();
-      auto env = unmarshal_values(machine_, r, h.gc);
+      auto env = unmarshal_values(machine_, r);
       auto rit = fetch_by_req_.find(req_id);
       if (rit == fetch_by_req_.end())
         throw DecodeError("fetch reply for unknown request");
@@ -618,7 +608,7 @@ void Site::handle_packet(const std::vector<std::uint8_t>& bytes) {
         fetch_rtt_us_.observe(
             static_cast<double>(arrived - rit->second.issued_ns) / 1e3);
       if (ring_.should_record(h.sampled))
-        ring_.record(obs::EventType::kFetchReply, h.trace_id, bytes.size());
+        ring_.record(obs::EventType::kFetchReply, h.trace_id, size);
       if (flight_ != nullptr && h.trace_id != 0)
         flight_->on_complete(h.trace_id, arrived);
       if (slo_ != nullptr && h.trace_id != 0)
@@ -641,10 +631,9 @@ void Site::handle_packet(const std::vector<std::uint8_t>& bytes) {
       const bool ok = r.boolean();
       const vm::NetRef ref = read_netref(r);
       const std::string sig = r.str();
-      // GC replies append the credit share the name service carved off
-      // its held balance for this importer (flag only set on ok replies
-      // from a credit-bearing binding).
-      const std::uint64_t credit = h.gc ? r.u64() : 0;
+      // The credit share the name service carved off its held balance
+      // for this importer (0: a weak handle).
+      const std::uint64_t credit = r.u64();
       if (ring_.should_record(h.sampled))
         ring_.record(obs::EventType::kNsReply, h.trace_id, token);
       // A reply synthesized from the lease cache must not re-fill it

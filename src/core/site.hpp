@@ -109,14 +109,8 @@ class Site {
   /// dynamic-link cache and unregisters this site's name-service
   /// bindings (shutdown epoch). With `resend`, retransmits *every*
   /// non-zero cumulative release (heals lost RELs; idempotent at the
-  /// owner). Returns the number of packets queued. No-op unless
-  /// set_gc_enabled(true).
+  /// owner). Returns the number of packets queued (0 once failed).
   std::size_t collect(bool final, bool resend = false);
-
-  /// Opt this site into the credit-based distributed GC (wire frames it
-  /// sends will carry the kGcFlag credit fields).
-  void set_gc_enabled(bool on) { gc_enabled_ = on; }
-  bool gc_enabled() const { return gc_enabled_; }
 
   // -- daemon-thread operations (thread-safe) --
 
@@ -217,7 +211,9 @@ class Site {
  private:
   class Backend;
 
-  void handle_packet(const std::vector<std::uint8_t>& bytes);
+  /// Apply one delivery; `r` is positioned after the parsed header `h`
+  /// and `size` is the whole frame's byte count.
+  void handle_packet(const PacketHeader& h, Reader& r, std::size_t size);
   /// Runnable frames, or (count_parked_) imports awaiting a reply.
   bool wants_busy() const;
   /// Take or release the busy token to match wants_busy() (executor
@@ -226,7 +222,7 @@ class Site {
   void send_packet(std::uint32_t dst_node, std::vector<std::uint8_t> bytes);
   void record_error(std::string what);
   /// Fresh trace id + sampling decision when tracing is on; an untraced
-  /// site returns id 0 (v1 frame on the wire).
+  /// site returns id 0 (no trace field on the wire).
   obs::TraceTag fresh_trace_id() {
     if (!ring_.enabled()) return {};
     obs::TraceTag t;
@@ -262,7 +258,6 @@ class Site {
   // Lookup tokens answered from the lease cache (a synthesized reply
   // must not re-fill the cache — that would renew the lease for free).
   std::set<std::uint64_t> cache_tokens_;
-  bool gc_enabled_ = false;
   // Name-service bindings this site created, kept for the final
   // unregister epoch (duplicates allowed: re-export pins again).
   std::vector<std::pair<std::string, vm::NetRef>> exported_names_;

@@ -14,18 +14,33 @@ enum class WireTag : std::uint8_t {
   kNetRef,
 };
 
-}  // namespace
+constexpr std::uint8_t kHeaderFlags = kTraceFlag | kSampledFlag;
 
-namespace {
-
-constexpr std::uint8_t kHeaderFlags = kTraceFlag | kSampledFlag | kGcFlag;
+/// The one check of a type byte's message kind: only MsgType values pass.
+MsgType checked_type(std::uint8_t t) {
+  switch (static_cast<MsgType>(t)) {
+    case MsgType::kShipMsg:
+    case MsgType::kShipObj:
+    case MsgType::kFetchReq:
+    case MsgType::kFetchRep:
+    case MsgType::kNsExport:
+    case MsgType::kNsLookup:
+    case MsgType::kNsReply:
+    case MsgType::kRelease:
+    case MsgType::kNsUnregister:
+    case MsgType::kPeerDown:
+    case MsgType::kCreditMoved:
+    case MsgType::kNsInvalidate:
+      return static_cast<MsgType>(t);
+  }
+  throw DecodeError("unknown packet type");
+}
 
 }  // namespace
 
 void write_header(Writer& w, MsgType t, std::uint32_t dst_site,
-                  std::uint64_t trace_id, bool sampled, bool gc) {
+                  std::uint64_t trace_id, bool sampled) {
   std::uint8_t b = static_cast<std::uint8_t>(t);
-  if (gc) b |= kGcFlag;
   if (trace_id == 0) {
     w.u8(b);
     w.u32(dst_site);
@@ -40,18 +55,15 @@ void write_header(Writer& w, MsgType t, std::uint32_t dst_site,
 
 PacketHeader read_header(Reader& r) {
   const std::uint8_t b = r.u8();
-  const std::uint8_t type = b & static_cast<std::uint8_t>(~kHeaderFlags);
-  if (type < static_cast<std::uint8_t>(MsgType::kShipMsg) ||
-      type > static_cast<std::uint8_t>(MsgType::kNsInvalidate))
-    throw DecodeError("unknown packet type");
   PacketHeader h;
-  h.type = static_cast<MsgType>(type);
+  h.type = checked_type(b & static_cast<std::uint8_t>(~kHeaderFlags));
+  if ((b & kTraceFlag) == 0 && (b & kSampledFlag) != 0)
+    throw DecodeError("sampled flag on an untraced frame");
   h.dst_site = r.u32();
   if (b & kTraceFlag) {
     h.trace_id = r.u64();
     h.sampled = (b & kSampledFlag) != 0;
   }
-  h.gc = (b & kGcFlag) != 0;
   return h;
 }
 
@@ -64,7 +76,7 @@ MsgType packet_type(const std::vector<std::uint8_t>& bytes) {
 std::uint64_t packet_trace_id(const std::vector<std::uint8_t>& bytes) {
   if (bytes.empty()) throw DecodeError("empty packet");
   if (!(bytes[0] & kTraceFlag)) return 0;
-  if (bytes.size() < 13) throw DecodeError("short v2 packet");
+  if (bytes.size() < 13) throw DecodeError("short traced packet");
   std::uint64_t id;
   std::memcpy(&id, bytes.data() + 5, sizeof id);
   return id;
@@ -72,7 +84,7 @@ std::uint64_t packet_trace_id(const std::vector<std::uint8_t>& bytes) {
 
 bool packet_sampled(const std::vector<std::uint8_t>& bytes) {
   if (bytes.empty()) throw DecodeError("empty packet");
-  if (!(bytes[0] & kTraceFlag)) return true;  // v1: pre-sampling behaviour
+  if (!(bytes[0] & kTraceFlag)) return true;  // untraced: record it
   return (bytes[0] & kSampledFlag) != 0;
 }
 
@@ -94,7 +106,7 @@ vm::NetRef read_netref(Reader& r) {
   return out;
 }
 
-void marshal_value(vm::Machine& m, const vm::Value& v, Writer& w, bool gc) {
+void marshal_value(vm::Machine& m, const vm::Value& v, Writer& w) {
   using Tag = vm::Value::Tag;
   switch (v.tag) {
     case Tag::kInt:
@@ -115,49 +127,39 @@ void marshal_value(vm::Machine& m, const vm::Value& v, Writer& w, bool gc) {
       return;
     case Tag::kChan: {
       // Step 1: a local name leaving the site becomes a network reference.
+      const auto [id, credit] = m.export_chan_credit(v.idx);
       w.u8(static_cast<std::uint8_t>(WireTag::kNetRef));
-      if (gc) {
-        const auto [id, credit] = m.export_chan_credit(v.idx);
-        write_netref(w, vm::NetRef{vm::NetRef::Kind::kChan, m.node_id(),
-                                   m.site_id(), id});
-        w.u64(credit);
-      } else {
-        write_netref(w, vm::NetRef{vm::NetRef::Kind::kChan, m.node_id(),
-                                   m.site_id(), m.export_chan(v.idx)});
-      }
+      write_netref(w, vm::NetRef{vm::NetRef::Kind::kChan, m.node_id(),
+                                 m.site_id(), id});
+      w.u64(credit);
       return;
     }
     case Tag::kClass: {
+      const auto [id, credit] = m.export_class_credit(v);
       w.u8(static_cast<std::uint8_t>(WireTag::kNetRef));
-      if (gc) {
-        const auto [id, credit] = m.export_class_credit(v);
-        write_netref(w, vm::NetRef{vm::NetRef::Kind::kClass, m.node_id(),
-                                   m.site_id(), id});
-        w.u64(credit);
-      } else {
-        write_netref(w, vm::NetRef{vm::NetRef::Kind::kClass, m.node_id(),
-                                   m.site_id(), m.export_class_value(v)});
-      }
+      write_netref(w, vm::NetRef{vm::NetRef::Kind::kClass, m.node_id(),
+                                 m.site_id(), id});
+      w.u64(credit);
       return;
     }
     case Tag::kNetRef:
-      // Already a network reference: passes through untouched (with gc,
-      // half of the local credit balance travels with it).
+      // Already a network reference: passes through untouched, with half
+      // of the local credit balance.
       w.u8(static_cast<std::uint8_t>(WireTag::kNetRef));
       write_netref(w, m.netref(v.idx));
-      if (gc) w.u64(m.split_netref_credit(v.idx));
+      w.u64(m.split_netref_credit(v.idx));
       return;
   }
   throw DecodeError("unmarshallable value tag");
 }
 
 void marshal_values(vm::Machine& m, const std::vector<vm::Value>& vs,
-                    Writer& w, bool gc) {
+                    Writer& w) {
   w.u32(static_cast<std::uint32_t>(vs.size()));
-  for (const auto& v : vs) marshal_value(m, v, w, gc);
+  for (const auto& v : vs) marshal_value(m, v, w);
 }
 
-vm::Value unmarshal_value(vm::Machine& m, Reader& r, bool gc) {
+vm::Value unmarshal_value(vm::Machine& m, Reader& r) {
   switch (static_cast<WireTag>(r.u8())) {
     case WireTag::kInt:
       return vm::Value::make_int(r.i64());
@@ -169,7 +171,7 @@ vm::Value unmarshal_value(vm::Machine& m, Reader& r, bool gc) {
       return vm::Value::make_str(m.intern_string(r.str()));
     case WireTag::kNetRef: {
       const vm::NetRef ref = read_netref(r);
-      const std::uint64_t credit = gc ? r.u64() : 0;
+      const std::uint64_t credit = r.u64();
       // Step 2: references into this site's heap become local again (the
       // credit they carried comes home to the export entry).
       if (ref.owned_by(m.node_id(), m.site_id())) {
@@ -185,7 +187,7 @@ vm::Value unmarshal_value(vm::Machine& m, Reader& r, bool gc) {
   throw DecodeError("bad wire tag");
 }
 
-std::vector<vm::Value> unmarshal_values(vm::Machine& m, Reader& r, bool gc) {
+std::vector<vm::Value> unmarshal_values(vm::Machine& m, Reader& r) {
   const std::uint32_t n = r.u32();
   // Every value takes at least its tag byte: a count beyond the bytes
   // present is forged, and reserving it could ask for 64 GiB.
@@ -193,7 +195,7 @@ std::vector<vm::Value> unmarshal_values(vm::Machine& m, Reader& r, bool gc) {
   std::vector<vm::Value> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i)
-    out.push_back(unmarshal_value(m, r, gc));
+    out.push_back(unmarshal_value(m, r));
   return out;
 }
 
@@ -204,8 +206,7 @@ std::vector<std::uint8_t> make_release(const vm::NetRef& ref,
                                        std::uint64_t trace_id,
                                        bool sampled) {
   Writer w;
-  write_header(w, MsgType::kRelease, ref.site, trace_id, sampled,
-               /*gc=*/true);
+  write_header(w, MsgType::kRelease, ref.site, trace_id, sampled);
   write_netref(w, ref);
   w.u32(rel_node);
   w.u32(rel_site);
@@ -232,8 +233,7 @@ std::vector<std::uint8_t> make_credit_moved(const vm::NetRef& ref,
                                             std::uint32_t to_node,
                                             std::uint64_t amount) {
   Writer w;
-  write_header(w, MsgType::kCreditMoved, ref.site, /*trace_id=*/0,
-               /*sampled=*/true, /*gc=*/true);
+  write_header(w, MsgType::kCreditMoved, ref.site);
   write_netref(w, ref);
   w.u32(to_node);
   w.u64(amount);

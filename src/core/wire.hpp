@@ -36,86 +36,75 @@ enum class MsgType : std::uint8_t {
   kNsInvalidate = 12, // NS pushed a lease-cache invalidation for one key
 };
 
-// -- packet header (wire format v2) -----------------------------------
+// -- packet header -------------------------------------------------------
 //
-// v1 frames are [type u8][dst_site u32][payload]. v2 sets kTraceFlag on
-// the type byte and inserts a causal trace id after the routing word:
-// [type|0x80 u8][dst_site u32][trace_id u64][payload]. The flag keeps
-// the change backward-compatible (v1 frames still decode, trace id 0)
-// and leaves dst_site at a fixed offset for daemon routing. Trace ids
-// correlate the departure and arrival events of one mobility operation
-// across sites (see obs/trace.hpp); they are only emitted when the
-// sending site has tracing enabled, so an untraced run's wire bytes are
-// identical to v1.
+// Every frame starts [type u8][dst_site u32]; dst_site sits at a fixed
+// offset for daemon routing. The high bits of the type byte are flags:
+// kTraceFlag marks a traced frame, which inserts a causal trace id after
+// the routing word, [type|0x80 u8][dst_site u32][trace_id u64][payload].
+// Trace ids correlate the departure and arrival events of one mobility
+// operation across sites (see obs/trace.hpp); a site only emits them
+// while tracing is on. kSampledFlag (traced frames only) marks a sampled
+// operation that every hop records; without it the id still rides along
+// (reply routing and causality need it) but hops skip recording. Any
+// other flag bit, and any type outside MsgType, is a malformed frame.
 //
-// Sampled tracing adds a second type-byte flag, kSampledFlag: a v2
-// frame with the flag set belongs to a sampled operation and every hop
-// records it; without the flag the id still rides along (reply routing
-// and causality need it) but hops skip recording. v1 frames and frames
-// predating the flag decode as sampled — the pre-sampling behaviour.
-//
-// Distributed GC adds a third type-byte flag, kGcFlag: a frame with the
-// flag set carries a u64 credit field after every netref in its payload
-// (and, for NS export/reply frames, a trailing credit balance). The
-// flag adds no header bytes, so dst_site and the trace id stay at their
-// fixed offsets; frames without the flag — v1 frames and frames from
-// non-GC peers — decode exactly as before, with zero (weak) credit.
+// Distributed GC (DESIGN.md §GC) is part of the payload layout: a u64
+// credit field follows every marshalled netref, and every NS export and
+// NS reply ends with the credit carried for its netref. A weak handle
+// carries 0.
 
-/// Type-byte flag marking a v2 frame that carries a trace id.
+/// Type-byte flag marking a frame that carries a trace id.
 constexpr std::uint8_t kTraceFlag = 0x80;
-/// Type-byte flag (v2 only): this operation's trace id was sampled in.
+/// Type-byte flag (traced frames only): the trace id was sampled in.
 constexpr std::uint8_t kSampledFlag = 0x40;
-/// Type-byte flag: payload netrefs carry distributed-GC credit fields.
-constexpr std::uint8_t kGcFlag = 0x20;
 
 struct PacketHeader {
   MsgType type = MsgType::kShipMsg;
   std::uint32_t dst_site = 0;
-  std::uint64_t trace_id = 0;  // 0 = untraced (v1 frame)
+  std::uint64_t trace_id = 0;  // 0 = untraced
   bool sampled = true;         // hops should record this operation
-  bool gc = false;             // payload netrefs carry credit fields
 };
 
-/// Write a frame header; emits the v1 layout when trace_id == 0 (the gc
-/// flag is orthogonal to the trace id and valid on both layouts).
+/// Write a frame header; the trace id (and the sampled bit) are only
+/// written when trace_id != 0.
 void write_header(Writer& w, MsgType t, std::uint32_t dst_site,
-                  std::uint64_t trace_id = 0, bool sampled = true,
-                  bool gc = false);
-/// Read either header version; throws DecodeError on an unknown type.
+                  std::uint64_t trace_id = 0, bool sampled = true);
+/// Read and validate a header; throws DecodeError on an unknown type or
+/// flag bit.
 PacketHeader read_header(Reader& r);
 
-/// Peek the message type of a framed packet (flags masked off).
+/// Peek the message type of a framed packet (flags masked off, not
+/// validated) for routing before the header is parsed.
 MsgType packet_type(const std::vector<std::uint8_t>& bytes);
-/// Peek a framed packet's trace id (0 for v1 frames).
+/// Peek a framed packet's trace id (0 when untraced).
 std::uint64_t packet_trace_id(const std::vector<std::uint8_t>& bytes);
-/// Peek whether a framed packet's operation was sampled (true for v1).
+/// Peek whether a framed packet's operation was sampled (true when
+/// untraced).
 bool packet_sampled(const std::vector<std::uint8_t>& bytes);
 
-/// Marshal one value leaving `m` (sender side, step 1). With `gc`, every
-/// netref written is followed by a u64 credit field: marshalling an
-/// owned reference mints kMintCredit against its export-table entry,
+/// Marshal one value leaving `m` (sender side, step 1). Every netref
+/// written is followed by a u64 credit field: marshalling an owned
+/// reference mints kMintCredit against its export-table entry,
 /// forwarding a foreign reference ships half the local balance.
-void marshal_value(vm::Machine& m, const vm::Value& v, Writer& w,
-                   bool gc = false);
+void marshal_value(vm::Machine& m, const vm::Value& v, Writer& w);
 void marshal_values(vm::Machine& m, const std::vector<vm::Value>& vs,
-                    Writer& w, bool gc = false);
+                    Writer& w);
 
-/// Unmarshal one value arriving at `m` (receiver side, step 2). With
-/// `gc` (from the frame header), credit fields are consumed: credit on a
-/// reference owned by `m` returns to its export entry, credit on a
-/// foreign reference adds to the local balance.
-vm::Value unmarshal_value(vm::Machine& m, Reader& r, bool gc = false);
-std::vector<vm::Value> unmarshal_values(vm::Machine& m, Reader& r,
-                                        bool gc = false);
+/// Unmarshal one value arriving at `m` (receiver side, step 2),
+/// consuming the credit fields: credit on a reference owned by `m`
+/// returns to its export entry, credit on a foreign reference adds to
+/// the local balance (0 interns a weak handle).
+vm::Value unmarshal_value(vm::Machine& m, Reader& r);
+std::vector<vm::Value> unmarshal_values(vm::Machine& m, Reader& r);
 
 /// Build a REL frame: releaser (rel_node, rel_site) tells `ref`'s owner
 /// that its *cumulative* released credit for this reference is `cum`.
 /// Cumulative totals make REL idempotent: duplicates and reordered
 /// deliveries max-merge at the owner, dropped ones are healed by
 /// retransmission.
-/// `trace_id`/`sampled` ride the standard v2 header bits so traced
-/// sites can follow REL frames too; the defaults keep untraced frames
-/// byte-identical to v1+kGcFlag (pinned by test_net).
+/// `trace_id`/`sampled` ride the standard header bits so traced sites
+/// can follow REL frames too.
 std::vector<std::uint8_t> make_release(const vm::NetRef& ref,
                                        std::uint32_t rel_node,
                                        std::uint32_t rel_site,

@@ -101,7 +101,7 @@ sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
   return addr;
 }
 
-// Peek at a daemon packet's v2 trace header without decoding it. This
+// Peek at a daemon packet's trace header without decoding it. This
 // mirrors core/wire.hpp — which net/ cannot include (packets are opaque
 // at this layer) — so the socket hops of a traced operation carry the
 // same id and sampling decision as every other hop.
@@ -116,7 +116,7 @@ std::uint64_t peek_trace_id(const std::vector<std::uint8_t>& b) {
 }
 
 bool peek_sampled(const std::vector<std::uint8_t>& b) {
-  // v1 packets (no trace header) count as sampled, like packet_sampled.
+  // Untraced packets count as sampled, like packet_sampled.
   return b.empty() || !(b[0] & kPeekTraceFlag) || (b[0] & kPeekSampledFlag);
 }
 

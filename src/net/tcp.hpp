@@ -6,8 +6,8 @@
 //
 //   * length-prefixed framing over nonblocking sockets — a frame is
 //     [len u32][kind u8][body]; kData bodies carry a daemon packet
-//     (the v2 wire format of core/wire.hpp, completely opaque here, so
-//     SHIPM/SHIPO/FETCH/REL and the trace/GC header flags cross process
+//     (the wire format of core/wire.hpp, completely opaque here, so
+//     SHIPM/SHIPO/FETCH/REL, the trace flags and GC credit cross process
 //     boundaries verbatim);
 //   * a poll()-based I/O loop thread owning every socket;
 //   * per-peer outbound queues with byte-bounded backpressure

@@ -585,6 +585,10 @@ AuditReport audit(const std::vector<Json>& gc_docs,
 
   std::set<std::uint32_t> scraped;      // nodes with >= 1 fresh site doc
   std::set<std::uint32_t> stale_nodes;  // nodes with a stale site doc
+  // A node mid-run or with frames in its transport may have credit in
+  // flight: the scrape is then not settled, and a positive residual
+  // cannot be confirmed as a leak.
+  bool settled = true;
 
   auto owner_key = [](const Json& o) {
     return OwnerKey{static_cast<std::uint32_t>(o.u64_or("owner_node", 0)),
@@ -597,6 +601,10 @@ AuditReport audit(const std::vector<Json>& gc_docs,
     const Json* sites = doc.find("sites");
     if (!sites || sites->kind != Json::Kind::kArray) continue;
     ++rep.nodes;
+    if (const Json* run = doc.find("running");
+        (run && run->kind == Json::Kind::kBool && run->boolean) ||
+        doc.u64_or("in_flight", 0) > 0)
+      settled = false;
     for (const Json& s : sites->items) {
       const auto node = static_cast<std::uint32_t>(s.u64_or("node", 0));
       const auto site = static_cast<std::uint32_t>(s.u64_or("site", 0));
@@ -752,12 +760,12 @@ AuditReport audit(const std::vector<Json>& gc_docs,
 
   // Verdicts.
   for (auto& [key, en] : entries) {
-    if (en.minted == 0) continue;  // legacy immortal entry: no ledger
     ++rep.entries;
     rep.outstanding += en.outstanding;
     rep.held += en.held;
     rep.lag += en.lag;
-    bool entry_verifiable = fleet_complete && (en.pins == 0 || ns_complete);
+    bool entry_verifiable =
+        settled && fleet_complete && (en.pins == 0 || ns_complete);
     for (std::uint32_t dn : en.debt_nodes)
       if (!scraped.count(dn)) entry_verifiable = false;
     const std::int64_t residual = static_cast<std::int64_t>(en.outstanding) -

@@ -141,8 +141,11 @@ std::string federate_metrics_json(
 // where `held` sums remote netref balances plus name-service credit,
 // and `lag` is Σ max(0, declared_releaser_cum - applied_slot) — credit a
 // releaser has cumulatively RELed that the owner has not yet applied (a
-// dropped REL, healed by gc_resend_ms). On an idle fleet in-flight is
-// zero, so residual = outstanding - held - lag must be zero too.
+// dropped REL, healed by gc_resend_ms). On a settled fleet — no node
+// running and no frame queued in any transport (/gc "running",
+// "in_flight") — in-flight is zero, so residual = outstanding - held -
+// lag must be zero too; while frames may be in flight a positive
+// residual is unverifiable, not a leak.
 
 /// One out-of-balance export entry, worst first in AuditReport.
 struct AuditOffender {
@@ -162,7 +165,7 @@ struct AuditReport {
   bool verifiable = true;    // every referenced node was scraped, fresh
   std::size_t nodes = 0;     // /gc documents joined
   std::size_t sites = 0;     // site snapshots joined (stale ones excluded)
-  std::size_t entries = 0;   // credit-bearing export entries audited
+  std::size_t entries = 0;   // export entries audited
   std::uint64_t outstanding = 0, held = 0, lag = 0;
   std::vector<AuditOffender> offenders;
   /// Imports holding credit for an export the (scraped) owner no longer

@@ -12,7 +12,7 @@
 //     snapshots are plain structs that merge associatively, so per-node
 //     histograms can be stitched into one fleet view.
 //
-//   * Request ledger — keyed on the propagated v2 trace id, one record
+//   * Request ledger — keyed on the propagated trace id, one record
 //     per in-flight mobility operation (SHIPM/SHIPO/FETCH). Sites feed
 //     on_depart/on_complete (the same hook points as the flight
 //     recorder) and the TCP transport feeds on_tcp_send/on_tcp_recv, so

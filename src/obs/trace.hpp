@@ -5,7 +5,7 @@
 // steady_clock timestamp, the recording site, and a *trace id*. Trace
 // ids are allocated at the departure side of a mobility operation
 // (SHIPM/SHIPO/FETCH/NS traffic) and propagated through the wire format
-// (core/wire.hpp, v2 header), so one logical operation can be followed
+// (core/wire.hpp), so one logical operation can be followed
 // across sites and nodes: departure, daemon hops, service handling and
 // arrival all carry the same id. obs/export.hpp merges the rings into a
 // Chrome trace-event / Perfetto timeline with flow arrows along each id.

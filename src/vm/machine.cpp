@@ -386,8 +386,7 @@ bool Machine::maybe_reclaim(NetRef::Kind kind, std::uint64_t heap_id) {
   auto it = tbl.find(heap_id);
   if (it == tbl.end()) return false;
   const ExportEntry& e = it->second;
-  // minted == 0 marks a legacy (credit-less) export: never reclaimed.
-  if (e.minted == 0 || e.names > 0 || e.outstanding() > 0) return false;
+  if (e.names > 0 || e.outstanding() > 0) return false;
   if (kind == NetRef::Kind::kChan)
     chan_to_heapid_.erase(e.local);
   else
@@ -399,39 +398,30 @@ bool Machine::maybe_reclaim(NetRef::Kind kind, std::uint64_t heap_id) {
   return true;
 }
 
-std::pair<std::uint64_t, std::uint64_t> Machine::export_chan_credit(
-    std::uint32_t chan_idx) {
-  const std::uint64_t id = export_chan(chan_idx);
-  ExportEntry& e = chan_exports_[id];
+std::uint64_t Machine::mint(ExportEntry& e) {
   e.minted += kMintCredit;
   if (credit_peer_ != kNoPeer) e.debt[credit_peer_] += kMintCredit;
   e.touched_ns = obs::trace_now_ns();
   if (credit_trace_ != 0) e.last_trace = credit_trace_;
   ++gc_stats_.credit_mints;
-  return {id, kMintCredit};
+  return kMintCredit;
+}
+
+std::pair<std::uint64_t, std::uint64_t> Machine::export_chan_credit(
+    std::uint32_t chan_idx) {
+  const std::uint64_t id = export_chan(chan_idx);
+  return {id, mint(chan_exports_[id])};
 }
 
 std::pair<std::uint64_t, std::uint64_t> Machine::export_class_credit(
     Value cls) {
   const std::uint64_t id = export_class_value(cls);
-  ExportEntry& e = class_exports_[id];
-  e.minted += kMintCredit;
-  if (credit_peer_ != kNoPeer) e.debt[credit_peer_] += kMintCredit;
-  e.touched_ns = obs::trace_now_ns();
-  if (credit_trace_ != 0) e.last_trace = credit_trace_;
-  ++gc_stats_.credit_mints;
-  return {id, kMintCredit};
+  return {id, mint(class_exports_[id])};
 }
 
 std::uint64_t Machine::mint_export_credit(const NetRef& ref) {
   ExportEntry* e = find_export(ref.kind, ref.heap_id);
-  if (!e) return 0;
-  e->minted += kMintCredit;
-  if (credit_peer_ != kNoPeer) e->debt[credit_peer_] += kMintCredit;
-  e->touched_ns = obs::trace_now_ns();
-  if (credit_trace_ != 0) e->last_trace = credit_trace_;
-  ++gc_stats_.credit_mints;
-  return kMintCredit;
+  return e ? mint(*e) : 0;
 }
 
 void Machine::return_export_credit(NetRef::Kind kind, std::uint64_t heap_id,

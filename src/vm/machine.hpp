@@ -254,9 +254,8 @@ class Machine {
   // ---- export table (section 5) ---------------------------------------
 
   /// Register a channel in the export table (idempotent); returns HeapId.
-  /// Entries created this way carry no credit and are never reclaimed
-  /// (pre-GC semantics, kept for peers that do not speak the GC wire
-  /// extension).
+  /// Mints no credit: callers that put the reference on the wire mint
+  /// through export_chan_credit or mint_export_credit.
   std::uint64_t export_chan(std::uint32_t chan_idx);
   /// Register a class value; returns HeapId.
   std::uint64_t export_class_value(Value cls);
@@ -514,8 +513,6 @@ class Machine {
   /// One credit-bearing export-table entry (distributed GC). An entry is
   /// reclaimed when every unit of minted credit has come back — returned
   /// inline or released via REL — and no name-service binding pins it.
-  /// Legacy entries (minted == 0, from export_chan without credit) stay
-  /// pinned forever, preserving pre-GC semantics.
   struct ExportEntry {
     std::uint32_t local = 0;       // channel or class index
     std::uint64_t minted = 0;      // credit ever put on the wire
@@ -544,6 +541,9 @@ class Machine {
   std::uint32_t link_loaded(std::shared_ptr<const Segment> seg,
                             std::vector<std::uint32_t> dep_map);
   ExportEntry* find_export(NetRef::Kind kind, std::uint64_t heap_id);
+  /// Mint kMintCredit against `e` (debtor and trace attribution as set);
+  /// returns the credit to put on the wire.
+  std::uint64_t mint(ExportEntry& e);
   /// Drop the entry if fully drained and unpinned; returns true if so.
   bool maybe_reclaim(NetRef::Kind kind, std::uint64_t heap_id);
   void free_channel(std::uint32_t idx);

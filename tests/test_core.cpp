@@ -299,7 +299,8 @@ TEST(Core, KindMismatchRejectedByNameService) {
   NameService ns(0);
   std::vector<net::Packet> replies;
   ns.register_id("server", "x",
-                 vm::NetRef{vm::NetRef::Kind::kChan, 0, 0, 1}, "", replies);
+                 vm::NetRef{vm::NetRef::Kind::kChan, 0, 0, 1}, "", replies,
+                 /*credit=*/vm::kMintCredit);
   Writer lookup;
   {
     auto bytes = NameService::make_lookup("server", "x",
@@ -315,6 +316,10 @@ TEST(Core, KindMismatchRejectedByNameService) {
   r.u32();  // dst site
   EXPECT_EQ(r.u64(), 77u);  // token
   EXPECT_FALSE(r.boolean()) << "kind mismatch must be flagged not-ok";
+  EXPECT_EQ(read_netref(r).kind, vm::NetRef::Kind::kChan);
+  EXPECT_EQ(r.str(), "");  // type signature
+  EXPECT_EQ(r.u64(), 0u) << "a failed reply hands out no credit";
+  EXPECT_TRUE(r.done());
 }
 
 TEST(Core, NameServiceStats) {

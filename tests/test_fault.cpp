@@ -146,10 +146,10 @@ using vm::Value;
 /// Ship a minted handle for `chan` from `owner` into `holder`.
 void ship(Machine& owner, std::uint32_t chan, Machine& holder) {
   Writer w;
-  marshal_value(owner, Value::make_chan(chan), w, /*gc=*/true);
+  marshal_value(owner, Value::make_chan(chan), w);
   const auto bytes = w.take();
   Reader r(bytes);
-  unmarshal_value(holder, r, /*gc=*/true);
+  unmarshal_value(holder, r);
 }
 
 TEST(Fault, DroppedRelIsHealedByResend) {

@@ -171,24 +171,6 @@ TEST(Gc, SimRingDrainsToEmpty) {
   expect_all_empty(net, net.collect_garbage());
 }
 
-TEST(Gc, DisabledGcKeepsLegacyBehaviour) {
-  // cfg.gc = false: no credit on the wire, entries live forever, and
-  // collect_garbage is a no-op report.
-  Network::Config cfg;
-  cfg.gc = false;
-  Network net(cfg);
-  build_ring(net);
-  auto res = net.run();
-  EXPECT_TRUE(res.quiescent);
-  EXPECT_EQ(net.output("r0"), std::vector<std::string>{"2"});
-  std::size_t live = 0;
-  for (const auto& n : net.nodes())
-    for (const auto& s : n->sites()) live += s->machine().live_exports();
-  EXPECT_GE(live, 3u);
-  auto rep = net.collect_garbage();
-  EXPECT_EQ(rep.rounds, 0u);
-}
-
 TEST(Gc, MetricsExposed) {
   Network net;
   net.add_node();
@@ -219,10 +201,10 @@ using vm::Value;
 /// the resulting reference at `holder`; returns the netref Value.
 Value ship_chan(Machine& owner, std::uint32_t chan, Machine& holder) {
   Writer w;
-  marshal_value(owner, Value::make_chan(chan), w, /*gc=*/true);
+  marshal_value(owner, Value::make_chan(chan), w);
   const auto bytes = w.take();
   Reader r(bytes);
-  return unmarshal_value(holder, r, /*gc=*/true);
+  return unmarshal_value(holder, r);
 }
 
 TEST(GcProtocol, ReleaseDrainsAndReclaims) {
@@ -308,21 +290,6 @@ TEST(GcProtocol, PartialReleaseDoesNotReclaim) {
   EXPECT_EQ(owner.exports_outstanding(), b.netref_credit_total());
 }
 
-TEST(GcProtocol, LegacyEntriesAreNeverReclaimed) {
-  // export_chan without credit (a non-GC peer's view): minted == 0
-  // marks the entry immortal, preserving pre-GC semantics.
-  Machine owner("owner", 0, 0);
-  const std::uint32_t ch = owner.new_channel();
-  const std::uint64_t id = owner.export_chan(ch);
-  // Releases and returns against it are recorded but can never drain a
-  // zero mint: the entry survives arbitrary credit traffic.
-  EXPECT_EQ(owner.apply_release(NetRef::Kind::kChan, id, 1, 0, 1ull << 40),
-            Machine::ReleaseResult::kApplied);
-  owner.return_export_credit(NetRef::Kind::kChan, id, 1ull << 40);
-  EXPECT_EQ(owner.live_exports(), 1u);
-  EXPECT_EQ(owner.exports_outstanding(), 0u);
-}
-
 TEST(GcProtocol, NameServicePinBlocksReclaim) {
   Machine owner("owner", 0, 0);
   Machine peer("peer", 1, 0);
@@ -350,10 +317,10 @@ TEST(GcProtocol, ForwardingSplitsCreditAndStarves) {
 
   // Forward a -> b: half the balance travels.
   Writer w;
-  marshal_value(a, va, w, /*gc=*/true);
+  marshal_value(a, va, w);
   const auto bytes = w.take();
   Reader r(bytes);
-  unmarshal_value(b, r, /*gc=*/true);
+  unmarshal_value(b, r);
   EXPECT_EQ(a.netref_credit_total(), vm::kMintCredit / 2);
   EXPECT_EQ(b.netref_credit_total(), vm::kMintCredit / 2);
   EXPECT_EQ(owner.exports_outstanding(),
@@ -480,6 +447,44 @@ TEST(GcAudit, DroppedRelIsFlaggedThenHealed) {
   EXPECT_TRUE(healed.balanced) << healed.to_text();
   EXPECT_EQ(healed.lag, 0u);
   EXPECT_EQ(net.collect_garbage().exports_live, 0u);
+}
+
+TEST(GcAudit, CreditInFlightIsNotALeak) {
+  // An export mints the name service's credit before its frame reaches
+  // the shard primary. While the frame is queued in a transport the
+  // owner's residual cannot be told from a leak, so the audit reports it
+  // unverifiable; once the fleet settles without the frame (lost), the
+  // same residual is a confirmed leak.
+  Network net;
+  net.add_node();
+  net.add_node();
+  net.add_site(0, "idle");
+  Site& server = net.add_site(1, "server");
+  net::Transport& tr = net.transport();
+  net.submit_source("server", "export new p in 0");
+  server.run_slice(1000);
+  net.nodes()[1]->pump_outgoing(tr, 0);
+  ASSERT_EQ(tr.in_flight(), 1u) << "the export frame is on the wire";
+
+  namespace fleet = obs::fleet;
+  auto audit = [&net] {
+    fleet::Json gc, names;
+    EXPECT_TRUE(fleet::parse_json(net.gc_json(), gc));
+    EXPECT_TRUE(fleet::parse_json(net.names_json(), names));
+    return fleet::audit({gc}, {names}, {0, 1});
+  };
+  const fleet::AuditReport in_flight = audit();
+  EXPECT_TRUE(in_flight.balanced) << in_flight.to_text();
+  EXPECT_FALSE(in_flight.verifiable) << in_flight.to_text();
+  EXPECT_TRUE(in_flight.offenders.empty()) << in_flight.to_text();
+
+  net::Packet lost;
+  ASSERT_TRUE(tr.recv(0, lost, 0));
+  const fleet::AuditReport settled = audit();
+  EXPECT_FALSE(settled.balanced) << settled.to_text();
+  ASSERT_EQ(settled.offenders.size(), 1u) << settled.to_text();
+  EXPECT_EQ(settled.offenders[0].why, "leak");
+  EXPECT_EQ(settled.offenders[0].owner_node, 1u);
 }
 
 }  // namespace

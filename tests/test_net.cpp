@@ -1,11 +1,13 @@
 // Transport unit tests: in-process delivery, link-cost models, the
 // virtual-time semantics of the simulated cluster transport — and wire
-// format regression tests pinning the v1/v2 frame layouts against the
-// distributed-GC extension (kGcFlag).
+// format regression tests pinning the one frame layout: the header, the
+// credit field after every netref, and the decoder's rejections.
 #include <gtest/gtest.h>
 
 #include <thread>
 
+#include "core/nameservice.hpp"
+#include "core/network.hpp"
 #include "core/wire.hpp"
 #include "net/transport.hpp"
 #include "vm/machine.hpp"
@@ -132,100 +134,137 @@ TEST(Sim, BandwidthMatters) {
 }  // namespace dityco::net
 
 // ---------------------------------------------------------------------
-// Wire format regression: the GC extension must not disturb v1/v2 frames
+// Wire format regression: one header layout, one credit-carrying payload
 // ---------------------------------------------------------------------
 
 namespace dityco::core {
 namespace {
 
 TEST(Wire, V1HeaderBytesUnchanged) {
-  // The original frame layout: [type u8][dst_site u32]. Any drift here
-  // breaks daemon routing of packets from pre-GC peers.
-  Writer w;
-  write_header(w, MsgType::kShipMsg, 7);
-  const auto bytes = w.take();
-  ASSERT_EQ(bytes.size(), 5u);
-  EXPECT_EQ(bytes[0], 0x01);
-  EXPECT_EQ(bytes[1], 0x07);
-  Reader r(bytes);
-  const PacketHeader h = read_header(r);
-  EXPECT_EQ(h.type, MsgType::kShipMsg);
-  EXPECT_EQ(h.dst_site, 7u);
-  EXPECT_EQ(h.trace_id, 0u);
-  EXPECT_FALSE(h.gc);
-}
-
-TEST(Wire, GcFlagRidesTheTypeByteOnBothLayouts) {
-  {  // v1 layout + gc: flag only, no extra header bytes
+  // [type u8][dst_site u32], plus [trace_id u64] when traced. The routing
+  // word sits at offset 1 in both, and every MsgType is its own byte.
+  for (std::uint8_t t = 1; t <= 12; ++t) {
     Writer w;
-    write_header(w, MsgType::kShipMsg, 7, /*trace_id=*/0, /*sampled=*/true,
-                 /*gc=*/true);
+    write_header(w, static_cast<MsgType>(t), 7);
     const auto bytes = w.take();
-    ASSERT_EQ(bytes.size(), 5u) << "kGcFlag must not grow the header";
-    EXPECT_EQ(bytes[0], 0x01 | kGcFlag);
+    EXPECT_EQ(bytes, (std::vector<std::uint8_t>{t, 7, 0, 0, 0}));
     Reader r(bytes);
     const PacketHeader h = read_header(r);
-    EXPECT_TRUE(h.gc);
+    EXPECT_EQ(h.type, static_cast<MsgType>(t));
     EXPECT_EQ(h.dst_site, 7u);
-  }
-  {  // v2 layout (traced + sampled) + gc: all three flags coexist
-    Writer w;
-    write_header(w, MsgType::kShipObj, 3, /*trace_id=*/0xbeef,
-                 /*sampled=*/true, /*gc=*/true);
-    const auto bytes = w.take();
-    EXPECT_EQ(bytes[0], 0x02 | kTraceFlag | kSampledFlag | kGcFlag);
-    Reader r(bytes);
-    const PacketHeader h = read_header(r);
-    EXPECT_EQ(h.type, MsgType::kShipObj);
-    EXPECT_EQ(h.trace_id, 0xbeefu);
+    EXPECT_EQ(h.trace_id, 0u);
     EXPECT_TRUE(h.sampled);
-    EXPECT_TRUE(h.gc);
   }
+  Writer w;
+  write_header(w, MsgType::kShipObj, 3, /*trace_id=*/0x0102030405060708ull,
+               /*sampled=*/false);
+  EXPECT_EQ(w.take(), (std::vector<std::uint8_t>{0x02 | kTraceFlag, 3, 0, 0,
+                                                 0, 8, 7, 6, 5, 4, 3, 2, 1}));
 }
 
-TEST(Wire, NonGcMarshalBytesUnchanged) {
-  // A netref marshalled without the GC extension must produce exactly the
-  // pre-GC byte sequence; with it, the same sequence plus one trailing
-  // u64 credit field (the freshly minted kMintCredit).
-  vm::Machine m1("m1", 0, 0);
-  const std::uint32_t c1 = m1.new_channel();
-  Writer w1;
-  marshal_value(m1, vm::Value::make_chan(c1), w1, /*gc=*/false);
-  const auto legacy = w1.take();
-
-  vm::Machine m2("m2", 0, 0);
-  const std::uint32_t c2 = m2.new_channel();
-  Writer w2;
-  marshal_value(m2, vm::Value::make_chan(c2), w2, /*gc=*/true);
-  const auto gc = w2.take();
-
-  ASSERT_EQ(gc.size(), legacy.size() + 8u);
-  EXPECT_TRUE(std::equal(legacy.begin(), legacy.end(), gc.begin()))
-      << "the GC credit field must be a pure suffix";
-  std::uint64_t credit = 0;
-  for (int i = 0; i < 8; ++i)
-    credit |= static_cast<std::uint64_t>(gc[legacy.size() +
-                                            static_cast<std::size_t>(i)])
-              << (8 * i);
-  EXPECT_EQ(credit, vm::kMintCredit);
-
-  // A legacy frame decodes at a GC-aware receiver as a weak handle.
-  vm::Machine peer("peer", 1, 0);
-  Reader r(legacy);
-  const vm::Value v = unmarshal_value(peer, r, /*gc=*/false);
-  EXPECT_EQ(v.tag, vm::Value::Tag::kNetRef);
-  EXPECT_EQ(peer.netref_credit_total(), 0u);
-}
-
-TEST(Wire, TruncatedCreditFieldIsRejected) {
+TEST(Wire, NetrefCarriesCreditField) {
+  // A marshalled netref is [tag u8][kind u8][node u32][site u32][heap u64]
+  // [credit u64]; marshalling an owned channel mints kMintCredit.
   vm::Machine m("m", 0, 0);
   Writer w;
-  marshal_value(m, vm::Value::make_chan(m.new_channel()), w, /*gc=*/true);
-  auto bytes = w.take();
-  bytes.resize(bytes.size() - 3);  // tear the credit field
-  vm::Machine peer("peer", 1, 0);
+  marshal_value(m, vm::Value::make_chan(m.new_channel()), w);
+  const auto bytes = w.take();
+  ASSERT_EQ(bytes.size(), 1u + 17u + 8u);
   Reader r(bytes);
-  EXPECT_THROW(unmarshal_value(peer, r, /*gc=*/true), DecodeError);
+  r.u8();
+  EXPECT_EQ(read_netref(r).node, 0u);
+  EXPECT_EQ(r.u64(), vm::kMintCredit);
+  EXPECT_TRUE(r.done());
+}
+
+/// Which decoder a frame in the table below is fed to.
+enum class Receiver { kSite, kNameService };
+
+struct DecodeCase {
+  const char* what;
+  std::vector<std::uint8_t> bytes;
+  Receiver at;
+  bool rejected;
+};
+
+TEST(Wire, TruncatedCreditFieldIsRejected) {
+  // One decode table over the real receivers: a site's inbox for
+  // site-bound frames, a name-service slice for exports.
+  Network net;
+  net.add_node();
+  Site& site = net.add_site(0, "s");
+  const std::uint64_t heap_id =
+      site.machine().export_chan(site.machine().new_channel());
+  // A channel owned elsewhere (node 1), as a SHIPM argument with its
+  // minted credit, or with the credit field zeroed (a weak handle).
+  vm::Machine owner("owner", 1, 0);
+  const auto shipm = [&](bool weak) {
+    Writer w;
+    write_header(w, MsgType::kShipMsg, site.site_id());
+    w.u64(heap_id);
+    w.str("val");
+    marshal_values(owner, {vm::Value::make_chan(owner.new_channel())}, w);
+    auto bytes = w.take();
+    if (weak) std::fill(bytes.end() - 8, bytes.end(), 0);
+    return bytes;
+  };
+  const auto ns_reply = [&] {
+    Writer w;
+    write_header(w, MsgType::kNsReply, site.site_id());
+    w.u64(/*token=*/1);
+    w.boolean(true);
+    write_netref(w, vm::NetRef{vm::NetRef::Kind::kChan, 1, 0, 9});
+    w.str("");
+    w.u64(vm::kMintCredit);
+    return w.take();
+  };
+  const auto torn = [](std::vector<std::uint8_t> bytes) {
+    bytes.resize(bytes.size() - 3);
+    return bytes;
+  };
+  const auto type_byte = [](std::vector<std::uint8_t> bytes, std::uint8_t b) {
+    bytes[0] = b;
+    return bytes;
+  };
+  const std::vector<DecodeCase> cases = {
+      {"SHIPM, torn credit", torn(shipm(false)), Receiver::kSite, true},
+      {"NS export, torn credit",
+       torn(NameService::make_export(0, "s", "x",
+                                     {vm::NetRef::Kind::kChan, 1, 0, 9}, "",
+                                     0, true, vm::kMintCredit)),
+       Receiver::kNameService, true},
+      {"NS reply, torn credit", torn(ns_reply()), Receiver::kSite, true},
+      {"type byte with 0x20 set", type_byte(shipm(false), 0x01 | 0x20),
+       Receiver::kSite, true},
+      {"unknown type", type_byte(shipm(false), 13), Receiver::kSite, true},
+      {"sampled bit on an untraced frame",
+       type_byte(shipm(false), 0x01 | kSampledFlag), Receiver::kSite, true},
+      {"zero-credit netref", shipm(true), Receiver::kSite, false},
+  };
+  NameService ns(0);
+  for (const DecodeCase& c : cases) {
+    bool rejected = false;
+    if (c.at == Receiver::kSite) {
+      const std::size_t errors = site.errors().size();
+      site.push_incoming(c.bytes);
+      site.process_incoming();
+      rejected = site.errors().size() > errors;
+    } else {
+      std::vector<net::Packet> replies;
+      Reader r(c.bytes);
+      try {
+        read_header(r);
+        ns.handle_export(r, replies);
+      } catch (const DecodeError&) {
+        rejected = true;
+      }
+    }
+    EXPECT_EQ(rejected, c.rejected) << c.what;
+  }
+  // Only the zero-credit frame got through: a weak handle, no credit.
+  EXPECT_EQ(ns.id_count(), 0u);
+  EXPECT_EQ(site.machine().live_netrefs(), 1u);
+  EXPECT_EQ(site.machine().netref_credit_total(), 0u);
 }
 
 TEST(Wire, ForgedCountsAreRejectedBeforeAllocating) {
@@ -244,7 +283,7 @@ TEST(Wire, ForgedCountsAreRejectedBeforeAllocating) {
   vals.u8(0);
   vm::Machine m("m", 0, 0);
   Reader rv(vals.data());
-  EXPECT_THROW(unmarshal_values(m, rv, /*gc=*/false), DecodeError);
+  EXPECT_THROW(unmarshal_values(m, rv), DecodeError);
 }
 
 TEST(Wire, ReleaseFrameRoundTrip) {
@@ -263,17 +302,16 @@ TEST(Wire, ReleaseFrameRoundTrip) {
   EXPECT_EQ(r.u64(), vm::kMintCredit / 2);
 }
 
-TEST(Wire, PlainValuesUnaffectedByGcMode) {
-  // Only netrefs grow a credit field: builtin values marshal identically
-  // with and without the extension.
+TEST(Wire, PlainValuesCarryNoCreditField) {
+  // Only netrefs carry credit: a builtin value is its tag and payload.
   vm::Machine m("m", 0, 0);
-  for (const vm::Value v :
-       {vm::Value::make_int(-7), vm::Value::make_bool(true),
-        vm::Value::make_float(2.5)}) {
-    Writer a, b;
-    marshal_value(m, v, a, /*gc=*/false);
-    marshal_value(m, v, b, /*gc=*/true);
-    EXPECT_EQ(a.take(), b.take());
+  for (const auto& [v, size] :
+       {std::pair{vm::Value::make_int(-7), 9u},
+        std::pair{vm::Value::make_bool(true), 2u},
+        std::pair{vm::Value::make_float(2.5), 9u}}) {
+    Writer w;
+    marshal_value(m, v, w);
+    EXPECT_EQ(w.take().size(), size);
   }
 }
 

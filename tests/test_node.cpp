@@ -126,6 +126,7 @@ TEST(NameServicePackets, ExportThenLookupRoundTrip) {
   EXPECT_TRUE(r.boolean());        // ok
   EXPECT_EQ(read_netref(r), ref);
   EXPECT_EQ(r.str(), "^{val[int]}");
+  EXPECT_EQ(r.u64(), 0u) << "a weak (credit 0) binding hands out no credit";
   EXPECT_TRUE(r.done());
 }
 

@@ -217,7 +217,7 @@ TEST(Sampling, RingCountsSampledAndUnsampledDecisions) {
 }
 
 // ---------------------------------------------------------------------
-// Wire format: v2 header with trace ids, v1 backward compatibility
+// Wire format: the header with and without a trace id
 // ---------------------------------------------------------------------
 
 TEST(WireTrace, HeaderRoundTripWithTraceId) {
@@ -241,16 +241,26 @@ TEST(WireTrace, HeaderRoundTripWithTraceId) {
 }
 
 TEST(WireTrace, UntracedHeaderIsByteIdenticalToV1) {
-  Writer v2;
-  core::write_header(v2, core::MsgType::kShipMsg, 3, /*trace_id=*/0);
-  Writer v1;
-  v1.u8(static_cast<std::uint8_t>(core::MsgType::kShipMsg));
-  v1.u32(3);
-  EXPECT_EQ(v2.take(), v1.take());
+  // The one layout, written by hand: [type u8][dst u32], and with a trace
+  // id [type|kTraceFlag|kSampledFlag u8][dst u32][trace_id u64].
+  Writer untraced;
+  core::write_header(untraced, core::MsgType::kShipMsg, 3, /*trace_id=*/0);
+  Writer want;
+  want.u8(static_cast<std::uint8_t>(core::MsgType::kShipMsg));
+  want.u32(3);
+  EXPECT_EQ(untraced.take(), want.take());
+
+  Writer traced;
+  core::write_header(traced, core::MsgType::kShipMsg, 3, 0xabcdull);
+  want.u8(static_cast<std::uint8_t>(core::MsgType::kShipMsg) |
+          core::kTraceFlag | core::kSampledFlag);
+  want.u32(3);
+  want.u64(0xabcdull);
+  EXPECT_EQ(traced.take(), want.take());
 }
 
 TEST(WireTrace, OldFormatPacketStillDecodes) {
-  // A v1 frame written by hand (no flag, no trace id).
+  // An untraced frame written by hand (no flag, no trace id).
   Writer w;
   w.u8(static_cast<std::uint8_t>(core::MsgType::kFetchReq));
   w.u32(9);
@@ -264,23 +274,25 @@ TEST(WireTrace, OldFormatPacketStillDecodes) {
 }
 
 TEST(WireTrace, SampledBitRoundTrip) {
-  // Sampled v2 frame (the default).
+  // Sampled traced frame (the default).
   Writer ws;
   core::write_header(ws, core::MsgType::kShipMsg, 4, 0xabcdull,
                      /*sampled=*/true);
   auto sb = ws.take();
+  EXPECT_EQ(sb[0], 0x01 | core::kTraceFlag | core::kSampledFlag);
   EXPECT_TRUE(core::packet_sampled(sb));
   Reader rs(sb);
   const core::PacketHeader hs = core::read_header(rs);
   EXPECT_TRUE(hs.sampled);
   EXPECT_EQ(hs.trace_id, 0xabcdull);
 
-  // Unsampled v2 frame: the id is still carried (causality survives) but
-  // the bit tells every hop to skip recording.
+  // Unsampled traced frame: the id is still carried (causality survives)
+  // but the bit tells every hop to skip recording.
   Writer wu;
   core::write_header(wu, core::MsgType::kShipMsg, 4, 0xabcdull,
                      /*sampled=*/false);
   auto ub = wu.take();
+  EXPECT_EQ(ub[0], 0x01 | core::kTraceFlag);
   EXPECT_FALSE(core::packet_sampled(ub));
   EXPECT_EQ(core::packet_type(ub), core::MsgType::kShipMsg)
       << "routing helpers see through both flag bits";
@@ -291,15 +303,16 @@ TEST(WireTrace, SampledBitRoundTrip) {
   EXPECT_EQ(hu.trace_id, 0xabcdull);
   EXPECT_EQ(hu.dst_site, 4u);
 
-  // v1 frames carry no decision; they decode as sampled so an untraced
-  // peer never suppresses recording.
-  Writer v1;
-  v1.u8(static_cast<std::uint8_t>(core::MsgType::kShipMsg));
-  v1.u32(4);
-  auto vb = v1.take();
-  EXPECT_TRUE(core::packet_sampled(vb));
-  Reader rv(vb);
-  EXPECT_TRUE(core::read_header(rv).sampled);
+  // Untraced frames carry no decision: the sampled argument is not
+  // written, and they decode as sampled so nothing suppresses recording.
+  Writer wn;
+  core::write_header(wn, core::MsgType::kShipMsg, 4, /*trace_id=*/0,
+                     /*sampled=*/false);
+  auto nb = wn.take();
+  EXPECT_EQ(nb, (std::vector<std::uint8_t>{0x01, 4, 0, 0, 0}));
+  EXPECT_TRUE(core::packet_sampled(nb));
+  Reader rn(nb);
+  EXPECT_TRUE(core::read_header(rn).sampled);
 }
 
 TEST(WireTrace, UnknownTypeRejected) {

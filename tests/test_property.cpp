@@ -300,10 +300,10 @@ TEST_P(GcConservationProperty, CreditIsConservedAndDrainsToZero) {
         const std::uint32_t ch = chans[rng.below(chans.size())];
         const std::size_t h = rng.below(2);
         Writer w;
-        core::marshal_value(owner, vm::Value::make_chan(ch), w, /*gc=*/true);
+        core::marshal_value(owner, vm::Value::make_chan(ch), w);
         const auto bytes = w.take();
         Reader r(bytes);
-        held[h].push_back(core::unmarshal_value(*holders[h], r, /*gc=*/true));
+        held[h].push_back(core::unmarshal_value(*holders[h], r));
         check("export");
         break;
       }
@@ -312,11 +312,11 @@ TEST_P(GcConservationProperty, CreditIsConservedAndDrainsToZero) {
         if (held[h].empty()) break;
         const vm::Value v = held[h][rng.below(held[h].size())];
         Writer w;
-        core::marshal_value(*holders[h], v, w, /*gc=*/true);
+        core::marshal_value(*holders[h], v, w);
         const auto bytes = w.take();
         Reader r(bytes);
         held[1 - h].push_back(
-            core::unmarshal_value(*holders[1 - h], r, /*gc=*/true));
+            core::unmarshal_value(*holders[1 - h], r));
         check("forward");
         break;
       }
@@ -336,10 +336,10 @@ TEST_P(GcConservationProperty, CreditIsConservedAndDrainsToZero) {
         if (held[h].empty()) break;
         const vm::Value v = held[h][rng.below(held[h].size())];
         Writer w;
-        core::marshal_value(*holders[h], v, w, /*gc=*/true);
+        core::marshal_value(*holders[h], v, w);
         const auto bytes = w.take();
         Reader r(bytes);
-        const vm::Value back = core::unmarshal_value(owner, r, /*gc=*/true);
+        const vm::Value back = core::unmarshal_value(owner, r);
         EXPECT_EQ(back.tag, vm::Value::Tag::kChan) << "localised at home";
         check("send home");
         break;

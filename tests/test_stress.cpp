@@ -48,17 +48,18 @@ struct Outcome {
   std::vector<std::string> output;  // every site's, in site order
 };
 
-/// With `gc` off nothing runs after the threads stop, so work a wrong
-/// zero left behind stays visible in the queues and machines.
-Outcome run_once(Network::Mode mode, const Scenario& scenario, bool gc) {
+/// The threaded driver checks that the network is at rest when its
+/// threads join (before the GC drain could run leftover work) and
+/// reports a wrong zero through all_errors().
+Outcome run_once(Network::Mode mode, const Scenario& scenario) {
   Network::Config cfg;
   cfg.mode = mode;
-  cfg.gc = gc;
   cfg.timeout_ms = 10'000;
   Network net(cfg);
   scenario(net);
   const Network::Result res = net.run();
   EXPECT_FALSE(res.budget_exhausted) << "ended by the deadline";
+  EXPECT_EQ(net.all_errors(), std::vector<std::string>{});
   EXPECT_EQ(net.transport().in_flight(), 0u);
   Outcome o{res.quiescent, res.stalled, {}};
   for (const auto& n : net.nodes())
@@ -73,14 +74,12 @@ Outcome run_once(Network::Mode mode, const Scenario& scenario, bool gc) {
 }
 
 void expect_exact_termination(const Scenario& scenario, bool stalled) {
-  const Outcome want =
-      run_once(Network::Mode::kSequential, scenario, /*gc=*/true);
+  const Outcome want = run_once(Network::Mode::kSequential, scenario);
   ASSERT_EQ(want.stalled, stalled);
   ASSERT_EQ(want.quiescent, !stalled);
   const int runs = kSanitized ? 200 : 2000;
   for (int i = 0; i < runs; ++i) {
-    const Outcome got =
-        run_once(Network::Mode::kThreaded, scenario, /*gc=*/i % 2 == 0);
+    const Outcome got = run_once(Network::Mode::kThreaded, scenario);
     ASSERT_EQ(got.stalled, stalled) << "run " << i;
     ASSERT_EQ(got.quiescent, !stalled) << "run " << i;
     ASSERT_EQ(got.output, want.output) << "run " << i;

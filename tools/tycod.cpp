@@ -3,7 +3,7 @@
 // exchanges messages with its peers").
 //
 // One tycod process hosts exactly one node (its sites come from the
-// program file's `site name { P }` blocks) and speaks the v2 daemon
+// program file's `site name { P }` blocks) and speaks the daemon
 // wire format to other tycod processes over TCP (docs/NETWORKING.md).
 // By default the name service is one shard on node 0; every other node
 // needs --join (or --peer 0=...) to reach it. With --ns-shards N the

@@ -65,7 +65,6 @@ using dityco::Reader;
 using dityco::Writer;
 using dityco::core::MsgType;
 using dityco::core::NameService;
-using dityco::core::PacketHeader;
 using dityco::net::Packet;
 using dityco::net::TcpConfig;
 using dityco::net::TcpTransport;
@@ -308,9 +307,8 @@ int main(int argc, char** argv) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
         continue;
       }
-      if (dityco::core::packet_type(pkt.bytes) != MsgType::kNsReply) continue;
       Reader r(pkt.bytes);
-      const PacketHeader h = dityco::core::read_header(r);
+      if (dityco::core::read_header(r).type != MsgType::kNsReply) continue;
       const std::uint64_t token = r.u64();
       const bool ok = r.boolean();
       if (token >= imports.size() || imports[token].resolved) continue;
@@ -320,7 +318,7 @@ int main(int argc, char** argv) {
       if (ok) {
         imp.ref = dityco::core::read_netref(r);
         r.str();  // type signature (unused here)
-        if (h.gc) imp.credit = r.u64();
+        imp.credit = r.u64();
       }
       ++resolved;
     }
@@ -444,8 +442,8 @@ int main(int argc, char** argv) {
       w.u64(req);
     } else {
       // SHIPM with [int payload, reply channel]; the reply channel is a
-      // weak (zero credit) netref into our synthetic node, so serving
-      // daemons never hold credit against us.
+      // weak netref (explicit zero credit) into our synthetic node, so
+      // serving daemons never hold credit against us.
       dityco::core::write_header(w, MsgType::kShipMsg, t.ref.site, tid, true);
       w.u64(t.ref.heap_id);
       w.str(opt.label);
@@ -456,6 +454,7 @@ int main(int argc, char** argv) {
       dityco::core::write_netref(
           w, dityco::vm::NetRef{dityco::vm::NetRef::Kind::kChan, opt.self, 0,
                                 req});
+      w.u64(0);
     }
     tcp->send(Packet{opt.self, t.ref.node, w.take()}, 0.0);
     pending.emplace(req, Pending{intended, tid, t.ref.node});
@@ -463,10 +462,9 @@ int main(int argc, char** argv) {
   };
 
   const auto handle = [&](const Packet& pkt, std::uint64_t now) {
-    const MsgType type = dityco::core::packet_type(pkt.bytes);
+    Reader r(pkt.bytes);
+    const MsgType type = dityco::core::read_header(r).type;
     if (type == MsgType::kPeerDown) {
-      Reader r(pkt.bytes);
-      (void)dityco::core::read_header(r);
       const std::uint32_t dead = dityco::core::read_peer_down(r);
       mark_dead(dead);
       std::fprintf(stderr, "tycoload: peer node%u confirmed dead\n", dead);
@@ -485,14 +483,10 @@ int main(int argc, char** argv) {
     if (churn && type == MsgType::kNsReply) {
       // The lookup reply closes a churned name's round trip; retire the
       // binding so the directory stays bounded under sustained load.
-      Reader r(pkt.bytes);
-      (void)dityco::core::read_header(r);
       req = r.u64();  // token == req
     } else if (type == MsgType::kShipMsg || type == MsgType::kFetchRep) {
       // Both reply shapes lead with the request key: SHIPM replies
       // target reply-channel heap_id == req, FETCH replies echo req_id.
-      Reader r(pkt.bytes);
-      (void)dityco::core::read_header(r);
       req = r.u64();
     } else {
       return;  // REL / credit traffic for our weak refs: nothing to do
