@@ -2,8 +2,9 @@
 // allows to perform optimizations in the case of local (within a node)
 // communication ... a single shared-memory reference exchange"
 // (section 5). We measure the virtual-time cost of one RPC in four
-// placements: same site, two sites on one node (shared-memory daemon
-// path), two nodes over Myrinet, and two nodes over Fast Ethernet.
+// placements: same site, two sites on one node (the sender hands the
+// packet straight to the receiver's inbox, no daemon hop), two nodes
+// over Myrinet, and two nodes over Fast Ethernet.
 //
 // Expected shape: same-site ≈ same-node ≪ Myrinet ≪ FastEthernet; the
 // same-node path also moves zero transport packets.

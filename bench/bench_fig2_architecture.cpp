@@ -7,7 +7,8 @@
 // (nodes x sites/node). Every site runs an echo server and pings every
 // other site. The same site-level traffic maps to very different
 // node-level traffic: packets crossing nodes pay the link, packets
-// within a node take the daemon's shared-memory path.
+// within a node are handed from the sending site straight to the
+// receiving site's inbox (shared memory, no daemon hop).
 #include "bench_util.hpp"
 
 using namespace dityco;

@@ -1417,11 +1417,13 @@ Network::Result Network::run_sim() {
       sites.push_back(SiteRef{n.get(), n->sites()[i].get(), i});
       clock.push_back(0.0);
     }
+  // SIZE_MAX for a site the node does not have (a forged NetRef):
+  // route() drops such a frame without a clock to charge.
   auto site_index = [&](std::uint32_t node, std::uint32_t site) {
     for (std::size_t i = 0; i < sites.size(); ++i)
       if (sites[i].node->id() == node && sites[i].site->site_id() == site)
         return i;
-    throw std::logic_error("unknown site in packet");
+    return SIZE_MAX;
   };
   // Each directory slice is one server: its requests serialise. One
   // shard routes everything to node 0 (one hot clock); more shards
@@ -1458,11 +1460,12 @@ Network::Result Network::run_sim() {
         double arrival = 0;
         const net::Packet* head = t.peek(n->id(), arrival);
         if (!head) break;
+        const bool ns = packet_is_ns(*head);
         std::size_t idx = SIZE_MAX;
         // The NS daemon is modelled as always ready; site packets wait
         // until the receiving site's virtual clock reaches the arrival.
-        if (!packet_is_ns(*head)) {
-          idx = site_index(n->id(), packet_dst_site(*head));
+        if (!ns) idx = site_index(n->id(), packet_dst_site(*head));
+        if (idx != SIZE_MAX) {
           // An idle receiver is simply waiting: its clock may jump to the
           // arrival. A busy receiver only sees the packet once its own
           // clock catches up.
@@ -1476,7 +1479,7 @@ Network::Result Network::run_sim() {
         double now = arrival;
         if (idx != SIZE_MAX) {
           clock[idx] = std::max(clock[idx], arrival);
-        } else {
+        } else if (ns) {
           // NS request: queue behind earlier requests at this host, pay
           // service time.
           double& nsc = ns_clock_of(n->id());

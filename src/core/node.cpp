@@ -31,6 +31,10 @@ Node::Node(std::uint32_t id, ns::ShardRouter& router, std::uint64_t lease_ns,
     ns_.register_metrics(*metrics_, "shard" + std::to_string(id_));
     if (ns_cache_)
       ns_cache_->register_metrics(*metrics_, "node" + std::to_string(id_));
+    metrics_reg_ = metrics_->add_collector([this](obs::Collector& c) {
+      c.counter("node_frames_malformed{node=\"" + std::to_string(id_) + "\"}",
+                frames_malformed_);
+    });
   }
 }
 
@@ -38,11 +42,10 @@ Node::~Node() = default;
 
 Site& Node::add_site(const std::string& name) {
   const auto site_id = static_cast<std::uint32_t>(sites_.size());
-  sites_.push_back(
-      std::make_unique<Site>(name, id_, site_id, *router_, ns_cache_.get()));
+  sites_.push_back(std::make_unique<Site>(name, id_, site_id, sites_, bell_,
+                                          *router_, ns_cache_.get()));
   ns_.register_site(name, id_, site_id);
   Site& s = *sites_.back();
-  s.set_outbox_bell(&bell_);
   if (metrics_) s.register_metrics(*metrics_);
   if (trace_capacity_ > 0) {
     s.enable_tracing(trace_capacity_);
@@ -105,10 +108,32 @@ void Node::emit(net::Packet p, net::Transport& t, double now_us) {
     t.send(std::move(p), now_us);
 }
 
+std::uint64_t Node::local_deliveries() const {
+  std::uint64_t n = 0;
+  for (const auto& s : sites_) n += s->mobility().local_handoffs;
+  return n;
+}
+
 void Node::route(net::Packet p, net::Transport& t, double now_us) {
+  try {
+    dispatch(p, t, now_us);
+  } catch (const DecodeError&) {
+    drop_malformed();
+  }
+}
+
+void Node::drop_malformed() {
+  // The route boundary is where frames from the transport enter the
+  // daemon: an unroutable one is dropped, never fatal to the node.
+  ++frames_malformed_;
+  if (work_ != nullptr) work_->release();
+}
+
+void Node::dispatch(net::Packet& p, net::Transport& t, double now_us) {
   // Work tokens (WorkCount): `p` holds one. Forwarding it or handing it
   // to a site passes the token on; packets made here take their own
-  // (emit) before `p`'s is released by consume().
+  // (emit) before `p`'s is released by consume(). Everything that can
+  // throw runs before the token is passed on or released.
   const auto consume = [this] {
     if (work_ != nullptr) work_->release();
   };
@@ -260,8 +285,7 @@ std::size_t Node::pump_site_outgoing(net::Transport& t, std::size_t site_idx,
   while (sites_.at(site_idx)->pop_outgoing(p)) {
     ++moved;
     if (p.dst_node == id_) {
-      if (!packet_is_ns(p)) ++local_deliveries_;
-      route(std::move(p), t, now_us);  // shared-memory fast path
+      route(std::move(p), t, now_us);  // a key this node's slice owns
     } else {
       if (ring_.enabled() && ring_.should_record(packet_sampled(p.bytes)))
         ring_.record(obs::EventType::kPacketSend, packet_trace_id(p.bytes),
@@ -284,10 +308,14 @@ std::size_t Node::pump_incoming(net::Transport& t, double now_us) {
   net::Packet p;
   while (t.recv(id_, p, now_us)) {
     ++moved;
-    if (ring_.enabled() && ring_.should_record(packet_sampled(p.bytes)))
-      ring_.record(obs::EventType::kPacketRecv, packet_trace_id(p.bytes),
-                   p.bytes.size());
-    route(std::move(p), t, now_us);
+    try {
+      if (ring_.enabled() && ring_.should_record(packet_sampled(p.bytes)))
+        ring_.record(obs::EventType::kPacketRecv, packet_trace_id(p.bytes),
+                     p.bytes.size());
+      dispatch(p, t, now_us);
+    } catch (const DecodeError&) {
+      drop_malformed();
+    }
   }
   return moved;
 }

@@ -4,7 +4,10 @@
 // The daemon logic is exposed as pump functions so that the
 // three drivers (sequential, threaded, simulated) can execute it on their
 // own schedule; in the threaded driver a dedicated daemon thread runs
-// them, exactly as in the paper.
+// them, exactly as in the paper. Same-node site-to-site packets never
+// reach the daemon: the sending site's executor hands them straight to
+// the sibling's inbox (Site::send_packet). The daemon carries only
+// name-service frames, transport traffic and PEER-DOWN notices.
 #pragma once
 
 #include <cstdint>
@@ -62,10 +65,11 @@ class Node {
   std::vector<std::unique_ptr<Site>>& sites() { return sites_; }
   const std::vector<std::unique_ptr<Site>>& sites() const { return sites_; }
 
-  /// TyCOd, outbound half: drain one site's outgoing queue. Local
-  /// destinations (same node) are delivered directly — the paper's
-  /// shared-memory optimisation — while remote ones go to the transport.
-  /// Returns packets moved.
+  /// TyCOd, outbound half: drain one site's outgoing queue. It holds
+  /// name-service frames (served here when this node owns the key) and
+  /// packets for other nodes, which go to the transport; same-node
+  /// site packets were already handed off by the sender. Returns
+  /// packets moved.
   std::size_t pump_site_outgoing(net::Transport& t, std::size_t site_idx,
                                  double now_us);
   std::size_t pump_outgoing(net::Transport& t, double now_us);
@@ -74,13 +78,21 @@ class Node {
   /// packets moved.
   std::size_t pump_incoming(net::Transport& t, double now_us);
 
-  /// Route one packet addressed to this node (from the transport or from
-  /// a local site). Needs the transport to forward name-service replies.
+  /// Route one packet addressed to this node (from the transport, or a
+  /// name-service frame from a local site). Needs the transport to
+  /// forward name-service replies. A frame that cannot be routed (empty,
+  /// truncated NS body, unknown destination site) is untrusted input: it
+  /// is dropped, its work token released, and frames_malformed() counts
+  /// it.
   void route(net::Packet p, net::Transport& t, double now_us);
 
   /// Packets delivered site-to-site within this node without touching the
-  /// transport (the shared-memory optimisation of section 5).
-  std::uint64_t local_deliveries() const { return local_deliveries_; }
+  /// transport (the shared-memory optimisation of section 5): the sum of
+  /// the sites' direct handoffs (MobilityStats::local_handoffs).
+  std::uint64_t local_deliveries() const;
+
+  /// Frames the daemon dropped at the route boundary as unroutable.
+  std::uint64_t frames_malformed() const { return frames_malformed_; }
 
   /// The daemon's parking bell: rung by pushes into any of this node's
   /// site outboxes and by the transport when a packet arrives.
@@ -128,22 +140,28 @@ class Node {
   /// Send a packet this node created (NS replies, replicas, copies):
   /// takes its work token, then routes it here or hands it to `t`.
   void emit(net::Packet p, net::Transport& t, double now_us);
+  /// route()'s body; throws DecodeError on an unroutable frame before
+  /// passing its work token on.
+  void dispatch(net::Packet& p, net::Transport& t, double now_us);
+  /// Count an unroutable frame and release its work token.
+  void drop_malformed();
 
-  std::uint64_t local_deliveries_ = 0;
   std::uint32_t id_;
   NameService ns_;
   obs::Registry* metrics_ = nullptr;
+  obs::Counter frames_malformed_;
+  obs::Registry::Registration metrics_reg_;
   ns::ShardRouter* router_;
   // Declared before sites_: sites hold raw pointers to it.
   std::unique_ptr<ns::LeaseCache> ns_cache_;
-  std::vector<std::unique_ptr<Site>> sites_;
+  net::Doorbell bell_;  // before sites_, which ring it
+  Site::Table sites_;
   std::size_t trace_capacity_ = 0;  // 0 = tracing off for new sites
   std::uint64_t sample_every_ = 1, sample_seed_ = 0;
   obs::FlightRecorder* flight_ = nullptr;  // set by set_flight
   obs::SloPlane* slo_ = nullptr;           // set by set_slo
   std::uint64_t prof_period_ = 0;          // 0 = profiling off
   obs::TraceRing ring_;             // daemon-side events
-  net::Doorbell bell_;
   net::WorkCount* work_ = nullptr;  // threaded runs only
 };
 

@@ -52,10 +52,13 @@ class Site::Backend : public vm::RemoteBackend {
 };
 
 Site::Site(std::string name, std::uint32_t node_id, std::uint32_t site_id,
+           const Table& siblings, net::Doorbell& daemon_bell,
            const ns::ShardRouter& router, ns::LeaseCache* cache)
     : name_(std::move(name)),
       node_id_(node_id),
       site_id_(site_id),
+      siblings_(siblings),
+      daemon_bell_(daemon_bell),
       ns_router_(router),
       lease_cache_(cache),
       backend_(std::make_unique<Backend>(*this)),
@@ -106,6 +109,7 @@ void Site::register_metrics(obs::Registry& registry) {
               machine_.gc_stats().credit_written_off);
     c.counter("site_peers_down" + l, mobility_.peers_down);
     c.counter("site_ns_dropped" + l, mobility_.ns_dropped);
+    c.counter("site_local_handoffs" + l, mobility_.local_handoffs);
     c.histogram("site_packet_bytes" + l, packet_bytes_.snapshot());
     c.histogram("site_fetch_rtt_us" + l, fetch_rtt_us_.snapshot());
   });
@@ -193,8 +197,28 @@ void Site::sync_busy() {
     work_->release();
 }
 
-void Site::send_packet(std::uint32_t dst_node,
+void Site::send_packet(std::uint32_t dst_node, std::uint32_t dst_site,
                        std::vector<std::uint8_t> bytes) {
+  if (dst_node != node_id_) {
+    queue_outgoing(dst_node, std::move(bytes));
+    return;
+  }
+  // Same node: hand the frame straight to the sibling's inbox (paper
+  // §5's shared-memory exchange; the heaps stay separate, so it is
+  // still marshalled). The daemon never sees it. The destination comes
+  // from a NetRef, which may be forged: check it, never index with it.
+  if (dst_site >= siblings_.size()) {
+    record_error(name_ + ": packet to unknown site " +
+                 std::to_string(dst_site) + " on this node");
+    return;
+  }
+  if (work_ != nullptr) work_->take();  // passed on with the frame
+  siblings_[dst_site]->push_incoming(std::move(bytes), node_id_);
+  ++mobility_.local_handoffs;
+}
+
+void Site::queue_outgoing(std::uint32_t dst_node,
+                          std::vector<std::uint8_t> bytes) {
   if (dst_node == ns::ShardRouter::kNoNode) {
     // A name-service frame whose key has no live owner (every shard
     // node confirmed dead): nothing can serve it, so it is dropped
@@ -211,7 +235,7 @@ void Site::send_packet(std::uint32_t dst_node,
     std::lock_guard<std::mutex> lk(queue_mu_);
     outgoing_.push_back(std::move(p));
   }
-  if (outbox_bell_ != nullptr) outbox_bell_->ring();
+  daemon_bell_.ring();
 }
 
 std::size_t Site::process_incoming(std::size_t max_packets) {
@@ -296,7 +320,7 @@ void Site::ship_message(const vm::NetRef& target, const std::string& label,
   }
   if (slo_ != nullptr && tid.id != 0)
     slo_->on_depart(tid.id, obs::SloPlane::Op::kMsg, now_ns());
-  send_packet(target.node, std::move(bytes));
+  send_packet(target.node, target.site, std::move(bytes));
   ++mobility_.msgs_shipped;
 }
 
@@ -331,7 +355,7 @@ void Site::ship_object(const vm::NetRef& target, std::uint32_t seg_slot,
   }
   if (slo_ != nullptr && tid.id != 0)
     slo_->on_depart(tid.id, obs::SloPlane::Op::kObj, now_ns());
-  send_packet(target.node, std::move(bytes));
+  send_packet(target.node, target.site, std::move(bytes));
   ++mobility_.objs_shipped;
 }
 
@@ -373,7 +397,7 @@ void Site::fetch_instantiate(const vm::NetRef& cls,
   if (flight_ != nullptr && tid.id != 0) flight_->on_depart(tid.id, now_ns());
   if (slo_ != nullptr && tid.id != 0)
     slo_->on_depart(tid.id, obs::SloPlane::Op::kFetch, now_ns());
-  send_packet(cls.node, std::move(bytes));
+  send_packet(cls.node, cls.site, std::move(bytes));
   ++mobility_.fetch_requests;
 }
 
@@ -403,8 +427,9 @@ void Site::export_id(const std::string& name, const vm::NetRef& ref) {
   exported_names_.emplace_back(name, ref);
   if (ring_.should_record(tid.sampled))
     ring_.record(obs::EventType::kNsExport, tid.id);
-  send_packet(target, NameService::make_export(0, name_, name, ref, sig,
-                                               tid.id, tid.sampled, credit));
+  queue_outgoing(target,
+                 NameService::make_export(0, name_, name, ref, sig, tid.id,
+                                          tid.sampled, credit));
 }
 
 void Site::import_id(const std::string& site, const std::string& name,
@@ -436,9 +461,10 @@ void Site::import_id(const std::string& site, const std::string& name,
       return;
     }
   }
-  send_packet(ns_target(site, name),
-              NameService::make_lookup(site, name, kind, node_id_, site_id_,
-                                       token, tid.id, tid.sampled));
+  queue_outgoing(ns_target(site, name),
+                 NameService::make_lookup(site, name, kind, node_id_,
+                                          site_id_, token, tid.id,
+                                          tid.sampled));
 }
 
 // ---------------------------------------------------------------------
@@ -454,8 +480,8 @@ std::size_t Site::collect(bool final, bool resend) {
     // (the unregister REL-releases the credit the service still holds).
     class_cache_.clear();
     for (const auto& [name, ref] : exported_names_) {
-      send_packet(ns_target(name_, name),
-                  NameService::make_unregister(name_, name));
+      queue_outgoing(ns_target(name_, name),
+                     NameService::make_unregister(name_, name));
       ++queued;
       machine_.unpin_name(ref);
     }
@@ -498,7 +524,7 @@ std::size_t Site::collect(bool final, bool resend) {
     const obs::TraceTag tid = fresh_trace_id();
     if (ring_.should_record(tid.sampled))
       ring_.record(obs::EventType::kRelOut, tid.id, cum);
-    send_packet(ref.node,
+    send_packet(ref.node, ref.site,
                 make_release(ref, node_id_, site_id_, cum, tid.id,
                              tid.sampled));
     ++mobility_.gc_rel_sent;
@@ -589,7 +615,7 @@ void Site::handle_packet(const PacketHeader& h, Reader& r,
       // stage; the requester's e2e closes on the kFetchRep below.
       if (slo_ != nullptr && h.trace_id != 0)
         slo_->on_served(h.trace_id, now_ns());
-      send_packet(req_node, std::move(reply));
+      send_packet(req_node, req_site, std::move(reply));
       ++mobility_.fetch_served;
       return;
     }

@@ -6,8 +6,12 @@
 //
 // Threading contract: the Machine and process_incoming()/run_slice() are
 // owned by exactly one executor thread; push_incoming()/pop_outgoing()
-// are thread-safe and are the only surface touched by the node daemon.
-// The executor parks on doorbell(), which every inbox push rings.
+// are thread-safe and are the only surface other threads touch. The
+// node daemon pops the outbox and pushes transport arrivals and
+// name-service replies; sibling executors on the same node push their
+// same-node packets straight into this site's inbox (the direct
+// handoff of send_packet). The executor parks on doorbell(), which
+// every inbox push rings.
 #pragma once
 
 #include <atomic>
@@ -57,13 +61,22 @@ class Site {
     obs::Counter peers_down;        // PEER-DOWN notices processed
     obs::Counter ns_dropped;        // NS frames whose key had no live
                                     // shard owner (dropped unsent)
+    obs::Counter local_handoffs;    // packets handed off to a site on
+                                    // this node (no daemon, no transport)
   };
 
+  /// A node's site table, indexed by site id.
+  using Table = std::vector<std::unique_ptr<Site>>;
+
+  /// `siblings` is the owning node's site table (this site included):
+  /// same-node packets are handed off straight into its inboxes.
+  /// `daemon_bell` is the node daemon's bell, rung by every outbox push.
   /// Name-service requests go to the owning shard primary in `router`;
   /// `cache`, when non-null, is consulted before lookups cross the wire.
-  /// Both outlive the site (the Network owns the router, the node its
-  /// cache).
+  /// All of them outlive the site (the node owns the table, the bell and
+  /// the cache, the Network the router).
   Site(std::string name, std::uint32_t node_id, std::uint32_t site_id,
+       const Table& siblings, net::Doorbell& daemon_bell,
        const ns::ShardRouter& router, ns::LeaseCache* cache = nullptr);
   ~Site();
 
@@ -112,11 +125,12 @@ class Site {
   /// owner). Returns the number of packets queued (0 once failed).
   std::size_t collect(bool final, bool resend = false);
 
-  // -- daemon-thread operations (thread-safe) --
+  // -- daemon and sibling-executor operations (thread-safe) --
 
   /// `src_node` is the sending node when known (the daemon threads it
-  /// through from the transport packet); it drives GC debtor attribution
-  /// — kUnknownSource deliveries are processed but not attributed.
+  /// through from the transport packet; a same-node handoff passes its
+  /// own node); it drives GC debtor attribution — kUnknownSource
+  /// deliveries are processed but not attributed.
   static constexpr std::uint32_t kUnknownSource = 0xffffffffu;
   void push_incoming(std::vector<std::uint8_t> bytes,
                      std::uint32_t src_node = kUnknownSource);
@@ -126,8 +140,6 @@ class Site {
 
   /// The executor's parking bell (rung by every inbox push).
   net::Doorbell& doorbell() { return bell_; }
-  /// Rung by every outbox push: the owning node's daemon bell.
-  void set_outbox_bell(net::Doorbell* bell) { outbox_bell_ = bell; }
 
   /// Threaded driver, at rest: count into `w` (null detaches) one token
   /// per packet this site sends or applies, plus one while the machine
@@ -219,7 +231,16 @@ class Site {
   /// Take or release the busy token to match wants_busy() (executor
   /// thread; no-op unless attached).
   void sync_busy();
-  void send_packet(std::uint32_t dst_node, std::vector<std::uint8_t> bytes);
+  /// Send a site-addressed frame to (dst_node, dst_site). Same-node
+  /// frames are handed off into the sibling's inbox; the rest are
+  /// queued for the daemon and the transport.
+  void send_packet(std::uint32_t dst_node, std::uint32_t dst_site,
+                   std::vector<std::uint8_t> bytes);
+  /// Take a work token and queue `bytes` in the outbox for the daemon.
+  /// Name-service frames always go this way, even to this node: its
+  /// daemon serves the directory slice.
+  void queue_outgoing(std::uint32_t dst_node,
+                      std::vector<std::uint8_t> bytes);
   void record_error(std::string what);
   /// Fresh trace id + sampling decision when tracing is on; an untraced
   /// site returns id 0 (no trace field on the wire).
@@ -253,6 +274,8 @@ class Site {
 
   std::string name_;
   std::uint32_t node_id_, site_id_;
+  const Table& siblings_;
+  net::Doorbell& daemon_bell_;
   const ns::ShardRouter& ns_router_;
   ns::LeaseCache* lease_cache_;
   // Lookup tokens answered from the lease cache (a synthesized reply
@@ -274,7 +297,6 @@ class Site {
   std::deque<Delivery> incoming_;
   std::deque<net::Packet> outgoing_;
   net::Doorbell bell_;
-  net::Doorbell* outbox_bell_ = nullptr;
   // Threaded runs only: the run's count and this executor's busy token.
   net::WorkCount* work_ = nullptr;
   bool count_parked_ = false;

@@ -352,8 +352,9 @@ bool TcpTransport::post(Packet p) {
   }
   const std::size_t wire = p.bytes.size();
   if (p.dst_node == cfg_.self) {
-    // Loopback: a daemon packet addressed to this very node (rare — the
-    // node's shared-memory fast path catches most) skips the socket.
+    // Loopback: a daemon packet addressed to this very node skips the
+    // socket. Rare: sites hand same-node packets straight to each other
+    // and the daemon serves its own name-service frames.
     std::lock_guard<std::mutex> lk(mu_);
     packets_out_.fetch_add(1, std::memory_order_relaxed);
     bytes_out_.fetch_add(wire, std::memory_order_relaxed);

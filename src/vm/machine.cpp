@@ -315,7 +315,7 @@ std::uint64_t Machine::export_chan(std::uint32_t chan_idx) {
   if (it != chan_to_heapid_.end()) return it->second;
   const std::uint64_t id = next_heap_id_++;
   chan_to_heapid_[chan_idx] = id;
-  chan_exports_[id] = ExportEntry{chan_idx};
+  chan_exports_[id].local = chan_idx;
   return id;
 }
 
@@ -326,7 +326,7 @@ std::uint64_t Machine::export_class_value(Value cls) {
   if (it != class_to_heapid_.end()) return it->second;
   const std::uint64_t id = next_heap_id_++;
   class_to_heapid_[cls.idx] = id;
-  class_exports_[id] = ExportEntry{cls.idx};
+  class_exports_[id].local = cls.idx;
   return id;
 }
 

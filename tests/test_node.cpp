@@ -1,7 +1,9 @@
 // Protocol-level tests for the TyCOd daemon (Node) and the name-service
-// packet formats: header parsing, routing to sites, the shared-memory
-// fast path, and NS request/reply framing.
+// packet formats: header parsing, routing to sites, unroutable frames,
+// the same-node direct handoff, and NS request/reply framing.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/network.hpp"
 #include "core/node.hpp"
@@ -59,42 +61,226 @@ TEST(NodeRouting, RoutesToCorrectSite) {
   EXPECT_EQ(b.incoming_size(), 1u);
 }
 
-TEST(NodeRouting, UnknownSiteRejected) {
+TEST(NodeRouting, UnknownSiteDroppedAndCounted) {
   ns::ShardRouter router(1);
   Node node(0, router);
-  node.add_site("only");
+  Site& only = node.add_site("only");
   net::InProcTransport t(1);
-  EXPECT_THROW(node.route(ship_msg_packet(0, 0, 5, 1, "go"), t, 0),
-               DecodeError);
+  EXPECT_NO_THROW(node.route(ship_msg_packet(0, 0, 5, 1, "go"), t, 0));
+  EXPECT_EQ(node.frames_malformed(), 1u);
+  EXPECT_EQ(only.incoming_size(), 0u);
 }
 
-TEST(NodeRouting, SharedMemoryFastPathCountsLocalDeliveries) {
-  ns::ShardRouter router(1);
-  Node node(0, router);
-  Site& a = node.add_site("a");
-  Site& b = node.add_site("b");
-  net::InProcTransport t(1);
-  // a sends to b on the same node: pump must deliver without transport.
-  const std::uint32_t ch = b.machine().new_channel();
-  const std::uint64_t hid = b.machine().export_chan(ch);
-  {
-    // Put a packet in a's outgoing queue by hand.
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(MsgType::kShipMsg));
-    w.u32(b.site_id());
-    w.u64(hid);
-    w.str("val");
-    w.u32(0);
-    net::Packet p;
-    p.src_node = 0;
-    p.dst_node = 0;
-    p.bytes = w.take();
-    // Site has no public push_outgoing; emulate by routing directly.
-    node.route(std::move(p), t, 0);
+bool has_error(const Network& net, const std::string& what) {
+  const auto errs = net.all_errors();
+  return std::any_of(errs.begin(), errs.end(), [&](const std::string& e) {
+    return e.find(what) != std::string::npos;
+  });
+}
+
+// A transport frame the daemon cannot route (a peer may send anything)
+// is dropped at the route boundary, its work token released and the
+// drop counted: the daemon thread must not die on it, and the threaded
+// run must still terminate exactly. With tracing on, the daemon also
+// peeks each arrival's trace bits before routing it.
+TEST(NodeRouting, UnroutableTransportFramesAreDropped) {
+  for (const bool traced : {false, true}) {
+    for (const auto mode :
+         {Network::Mode::kSequential, Network::Mode::kThreaded}) {
+      SCOPED_TRACE(std::string(mode == Network::Mode::kThreaded
+                                   ? "threaded"
+                                   : "sequential") +
+                   (traced ? ", traced" : ""));
+      Network::Config cfg;
+      cfg.mode = mode;
+      cfg.timeout_ms = 10'000;
+      Network net(cfg);
+      net.add_node();
+      net.add_site(0, "only");
+      if (traced) net.enable_tracing(1 << 10);
+      net::Transport& t = net.transport();
+      t.send({0, 0, {1, 0x7f, 0, 0, 0}}, 0);  // SHIPM to site 127
+      t.send({0, 0, {}}, 0);                   // empty packet
+      // NS lookup whose key claims 9 bytes but carries 1.
+      t.send({0, 0, {6, 0xff, 0xff, 0xff, 0xff, 9, 0, 0, 0, 's'}}, 0);
+      Network::Result res;
+      EXPECT_NO_THROW(res = net.run());
+      EXPECT_FALSE(res.budget_exhausted);
+      EXPECT_EQ(net.nodes()[0]->frames_malformed(), 3u);
+      EXPECT_EQ(t.in_flight(), 0u);
+      EXPECT_FALSE(has_error(net, "stopped early"));
+      // The node still serves its site.
+      net.submit_source("only", "print[\"alive\"]");
+      EXPECT_FALSE(net.run().budget_exhausted);
+      EXPECT_EQ(net.output("only"), std::vector<std::string>{"alive"});
+    }
   }
+}
+
+// ---------------------------------------------------------------------
+// Same-node direct handoff: the sending executor pushes a same-node
+// packet straight into the sibling's inbox; the daemon never sees it.
+// ---------------------------------------------------------------------
+
+TEST(SameNodeHandoff, ShipmSkipsTheDaemon) {
+  Network net;
+  net.add_node();
+  Site& server = net.add_site(0, "server");
+  Site& client = net.add_site(0, "client");
+  Node& node = *net.nodes()[0];
+  net::Transport& t = net.transport();
+  net.submit_source("server", "export new p in p?(v) = print[v]");
+  net.submit_source("client", "import p from server in p![42]");
+  // Name-service frames still go through the outbox to the daemon,
+  // which serves this node's directory slice.
+  server.run_slice(1000);
+  EXPECT_EQ(server.outgoing_size(), 1u) << "the export";
+  EXPECT_EQ(node.pump_outgoing(t, 0), 1u);
+  client.run_slice(1000);
+  EXPECT_EQ(client.outgoing_size(), 1u) << "the lookup";
+  EXPECT_EQ(node.pump_outgoing(t, 0), 1u);
+  EXPECT_EQ(client.incoming_size(), 1u) << "the reply";
+  client.process_incoming();
+  // The resumed import ships the message: after the sender's slice it
+  // is already in the server's inbox, with no daemon pass.
+  client.run_slice(1000);
+  EXPECT_EQ(client.outgoing_size(), 0u);
+  EXPECT_EQ(server.incoming_size(), 1u);
+  EXPECT_EQ(node.local_deliveries(), 1u);
+  EXPECT_EQ(client.mobility().local_handoffs, 1u);
+  EXPECT_EQ(node.pump_outgoing(t, 0), 0u);
+  server.process_incoming();
+  server.run_slice(1000);
+  EXPECT_EQ(net.output("server"), std::vector<std::string>{"42"});
   EXPECT_EQ(t.packets_sent(), 0u);
-  EXPECT_EQ(b.incoming_size(), 1u);
-  (void)a;
+  EXPECT_EQ(node.frames_malformed(), 0u);
+}
+
+// Three sites on one node: client -> relay -> server and back. Every
+// driver prints the same and counts the same handoffs.
+TEST(SameNodeHandoff, RpcChainAgreesAcrossDrivers) {
+  struct Run {
+    std::vector<std::string> output;
+    std::uint64_t local = 0;
+  };
+  const auto run = [](Network::Mode mode) {
+    Network::Config cfg;
+    cfg.mode = mode;
+    cfg.timeout_ms = 10'000;
+    Network net(cfg);
+    net.add_node();
+    net.add_site(0, "server");
+    net.add_site(0, "relay");
+    net.add_site(0, "client");
+    net.submit_source("server",
+                      "export new svc in def Serve(self) = "
+                      "self?{ val(x, r) = (r![x + 1] | Serve[self]) } in "
+                      "Serve[svc]");
+    net.submit_source("relay",
+                      "import svc from server in export new mid in "
+                      "def Relay(self) = self?{ val(x, r) = "
+                      "((let y = svc![x * 2] in r![y]) | Relay[self]) } in "
+                      "Relay[mid]");
+    net.submit_source("client",
+                      "import mid from relay in let a = mid![1] in "
+                      "let b = mid![a] in print[\"chain\", a, b]");
+    const Network::Result res = net.run();
+    EXPECT_TRUE(res.quiescent);
+    EXPECT_FALSE(res.budget_exhausted);
+    EXPECT_EQ(net.all_errors(), std::vector<std::string>{});
+    net.collect_garbage();
+    Run r;
+    for (const char* site : {"server", "relay", "client"})
+      for (const auto& line : net.output(site))
+        r.output.push_back(std::string(site) + ": " + line);
+    r.local = net.nodes()[0]->local_deliveries();
+    EXPECT_EQ(net.transport().packets_sent(), 0u);
+    return r;
+  };
+  const Run seq = run(Network::Mode::kSequential);
+  ASSERT_EQ(seq.output, std::vector<std::string>{"client: chain 3 7"});
+  EXPECT_GE(seq.local, 8u) << "4 requests and 4 replies at least";
+  for (const auto mode : {Network::Mode::kThreaded, Network::Mode::kSim}) {
+    const Run other = run(mode);
+    EXPECT_EQ(other.output, seq.output);
+    EXPECT_EQ(other.local, seq.local);
+  }
+}
+
+// A killed destination drops what is handed to it; the run still ends
+// on its own (no deadline, nothing left queued at the join).
+TEST(SameNodeHandoff, KilledDestinationDropsHandoffs) {
+  Network::Config cfg;
+  cfg.mode = Network::Mode::kThreaded;
+  cfg.timeout_ms = 10'000;
+  Network net(cfg);
+  net.add_node();
+  net.add_site(0, "server");
+  net.add_site(0, "client");
+  net.submit_source("server",
+                    "def S(self) = self?{ val(x, r) = (r![x] | S[self]) } in "
+                    "export new p in S[p]");
+  net.submit_source("client",
+                    "import p from server in new a (p![0, a] | a?(v) = 0)");
+  ASSERT_TRUE(net.run().quiescent);
+  const std::uint64_t local0 = net.nodes()[0]->local_deliveries();
+  EXPECT_GE(local0, 2u);
+  net.find_site("server")->kill();
+  net.submit_source("client",
+                    "import p from server in let z = p![1] in print[z]");
+  const Network::Result res = net.run();
+  EXPECT_FALSE(res.budget_exhausted);
+  EXPECT_FALSE(has_error(net, "stopped early"));
+  EXPECT_GE(net.find_site("server")->mobility().dropped, 1u);
+  EXPECT_GT(net.nodes()[0]->local_deliveries(), local0);
+  EXPECT_TRUE(net.output("client").empty());
+  EXPECT_EQ(net.transport().packets_sent(), 0u);
+}
+
+// A NetRef naming a site that does not exist (forged in a shipped
+// value) never crashes a driver. On the sender's own node it is dropped
+// at the sender with an error: never indexed, never passed to the
+// daemon. On another node, that node's daemon drops it at route().
+TEST(SameNodeHandoff, ForgedRefToMissingSiteIsDropped) {
+  for (const std::uint32_t forged_node : {0u, 1u})
+    for (const auto mode : {Network::Mode::kSequential,
+                            Network::Mode::kThreaded, Network::Mode::kSim}) {
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) +
+                   ", node " + std::to_string(forged_node));
+      Network::Config cfg;
+      cfg.mode = mode;
+      cfg.timeout_ms = 10'000;
+      Network net(cfg);
+      net.add_node();
+      net.add_node();
+      Site& server = net.add_site(0, "server");
+      net.submit_source("server", "export new p in p?{ val(k) = k![1] }");
+      ASSERT_TRUE(net.run().quiescent);
+      const auto p = net.name_service().lookup_id("server", "p");
+      ASSERT_TRUE(p.has_value());
+      // SHIPM p![k] where k names site 9 of `forged_node`.
+      vm::Machine forger("forger");
+      const vm::NetRef forged{vm::NetRef::Kind::kChan, forged_node, 9, 1};
+      Writer w;
+      write_header(w, MsgType::kShipMsg, p->site);
+      w.u64(p->heap_id);
+      w.str("val");
+      marshal_values(
+          forger,
+          {vm::Value::make_netref(forger.intern_netref_credit(forged, 0))},
+          w);
+      server.push_incoming(w.take(), 0);
+      Network::Result res;
+      EXPECT_NO_THROW(res = net.run());
+      EXPECT_FALSE(res.budget_exhausted);
+      EXPECT_FALSE(has_error(net, "stopped early"));
+      EXPECT_EQ(server.outgoing_size(), 0u);
+      EXPECT_EQ(net.nodes()[0]->local_deliveries(), 0u);
+      const bool same_node = forged_node == 0;
+      EXPECT_EQ(has_error(net, "unknown site 9"), same_node);
+      EXPECT_EQ(net.nodes()[forged_node]->frames_malformed(),
+                same_node ? 0u : 1u);
+    }
 }
 
 TEST(NameServicePackets, ExportThenLookupRoundTrip) {

@@ -798,10 +798,12 @@ TEST(Flight, TraceEndpointKeepsItsSampledViewUnderRecordAll) {
   // The rings ran in record-all mode (so the flight recorder could
   // harvest any id), but /trace must still honour 1-in-64 sampling.
   for (const auto& tt : net.collect_traces())
-    for (const auto& ev : tt.events)
-      if (ev.trace_id != 0)
+    for (const auto& ev : tt.events) {
+      if (ev.trace_id != 0) {
         EXPECT_TRUE(obs::trace_id_sampled(ev.trace_id, every, seed))
             << "unsampled id " << ev.trace_id << " leaked into /trace";
+      }
+    }
 }
 
 // ---------------------------------------------------------------------

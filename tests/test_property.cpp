@@ -582,11 +582,13 @@ TEST_P(WireCoalescingProperty, DisconnectAtAnyOffsetRewindsWholeFrames) {
   // connection's dangling tail dies with its socket.
   net::FrameParser parse1, parse2;
   std::vector<std::vector<std::uint8_t>> got;
-  if (!conn1.empty())
+  if (!conn1.empty()) {
     ASSERT_TRUE(parse1.feed(conn1.data(), conn1.size(), got));
+  }
   const std::size_t from_conn1 = got.size();
-  if (!conn2.empty())
+  if (!conn2.empty()) {
     ASSERT_TRUE(parse2.feed(conn2.data(), conn2.size(), got));
+  }
   // Exactly once, in order, never torn: complete frames of connection 1
   // plus the retransmitted-whole remainder reassemble the original
   // sequence with no gap and no duplicate at the boundary.

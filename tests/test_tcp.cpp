@@ -45,9 +45,9 @@ using net::TcpTransport;
 // ---------------------------------------------------------------------
 
 std::vector<std::uint8_t> payload_of(char kind, const std::string& body) {
-  std::vector<std::uint8_t> p;
-  p.push_back(static_cast<std::uint8_t>(kind));
-  p.insert(p.end(), body.begin(), body.end());
+  std::vector<std::uint8_t> p(1 + body.size());
+  p[0] = static_cast<std::uint8_t>(kind);
+  std::copy(body.begin(), body.end(), p.begin() + 1);
   return p;
 }
 
@@ -237,7 +237,9 @@ TEST(Framing, FuzzGarbageNeverCrashesAndPoisonSticks) {
       std::vector<std::uint8_t> junk(1 + rng() % 64);
       for (auto& b : junk) b = static_cast<std::uint8_t>(rng());
       const bool ok = parser.feed(junk.data(), junk.size(), out);
-      if (poisoned) EXPECT_FALSE(ok);
+      if (poisoned) {
+        EXPECT_FALSE(ok);
+      }
       if (!ok) {
         EXPECT_TRUE(parser.error());
         poisoned = true;
