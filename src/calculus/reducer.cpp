@@ -4,6 +4,7 @@
 
 #include "calculus/subst.hpp"
 #include "support/fmt.hpp"
+#include "support/int64.hpp"
 
 namespace dityco::calc {
 
@@ -123,7 +124,7 @@ RVal Reducer::eval(const Expr& e, const EnvPtr& env, const std::string& site) {
         } else if constexpr (std::is_same_v<T, Expr::Unop>) {
           RVal v = eval(*n.e, env, site);
           if (n.op == "-") {
-            if (auto* i = std::get_if<std::int64_t>(&v)) return -*i;
+            if (auto* i = std::get_if<std::int64_t>(&v)) return i64::neg(*i);
             if (auto* f = std::get_if<double>(&v)) return -*f;
           } else if (n.op == "!") {
             if (auto* b = std::get_if<bool>(&v)) return !*b;
@@ -155,16 +156,16 @@ RVal Reducer::eval(const Expr& e, const EnvPtr& env, const std::string& site) {
           auto* ri = std::get_if<std::int64_t>(&r);
           if (li && ri) {
             std::int64_t a = *li, b = *ri;
-            if (op == "+") return a + b;
-            if (op == "-") return a - b;
-            if (op == "*") return a * b;
+            if (op == "+") return i64::add(a, b);
+            if (op == "-") return i64::sub(a, b);
+            if (op == "*") return i64::mul(a, b);
             if (op == "/") {
               if (b == 0) throw EvalError{"integer division by zero"};
-              return a / b;
+              return i64::div(a, b);
             }
             if (op == "%") {
               if (b == 0) throw EvalError{"integer modulo by zero"};
-              return a % b;
+              return i64::mod(a, b);
             }
             if (op == "<") return a < b;
             if (op == "<=") return a <= b;

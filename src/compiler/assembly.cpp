@@ -5,6 +5,8 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "vm/verify.hpp"
+
 namespace dityco::comp {
 
 using vm::Op;
@@ -26,58 +28,17 @@ const char* kind_name(SegKind k) {
   return "?";
 }
 
-/// Classify every segment by how it is referenced: kTrObj dependencies
-/// carry an object method table, kMkBlock dependencies a class table.
+/// Each segment's kind, from how it is referenced (the verifier's
+/// classification: kTrObj dependencies carry an object method table,
+/// kMkBlock dependencies a class table).
 std::vector<SegKind> classify(const Program& p) {
-  std::vector<SegKind> kinds(p.segments.size(), SegKind::kPlain);
-  if (p.root < kinds.size()) kinds[p.root] = SegKind::kRoot;
-  // A segment's code starts after its table, and we only know whether it
-  // *has* a table once we know how it is referenced — so classify to a
-  // fixpoint: walk the code of segments whose kind (and hence code start)
-  // is known, discovering the kinds of their dependencies.
-  std::vector<bool> visited(p.segments.size(), false);
-  bool changed = true;
-  auto code_start = [&](std::size_t s) -> std::size_t {
-    const auto& code = p.segments[s].code;
-    switch (kinds[s]) {
-      case SegKind::kRoot:
-      case SegKind::kPlain:
-        return 0;
-      case SegKind::kObject:
-        return 1 + 3 * static_cast<std::size_t>(code.at(0));
-      case SegKind::kClass:
-        return 1 + 2 * static_cast<std::size_t>(code.at(0));
-    }
-    return 0;
-  };
-  while (changed) {
-    changed = false;
-    for (std::size_t s = 0; s < p.segments.size(); ++s) {
-      if (visited[s]) continue;
-      if (kinds[s] == SegKind::kPlain && s != p.root) {
-        // Not yet referenced: postpone until a referrer classifies it —
-        // unless nothing will (orphan), handled after the loop.
-        bool referenced = false;
-        for (const auto& other : p.segments)
-          for (const auto& d : other.deps)
-            if (d.index == s) referenced = true;
-        if (referenced && s != p.root) continue;
-      }
-      visited[s] = true;
-      changed = true;
-      const auto& seg = p.segments[s];
-      for (std::size_t i = code_start(s); i < seg.code.size();) {
-        const Op op = static_cast<Op>(seg.code[i]);
-        const int arity = vm::op_arity(op);
-        if (op == Op::kTrObj) {
-          const std::uint32_t dep = seg.code.at(i + 1);
-          kinds.at(seg.deps.at(dep).index) = SegKind::kObject;
-        } else if (op == Op::kMkBlock) {
-          const std::uint32_t dep = seg.code.at(i + 1);
-          kinds.at(seg.deps.at(dep).index) = SegKind::kClass;
-        }
-        i += 1 + static_cast<std::size_t>(arity);
-      }
+  std::vector<SegKind> kinds;
+  for (const vm::SegmentRole r : vm::classify_roles(p)) {
+    switch (r) {
+      case vm::SegmentRole::kEntry: kinds.push_back(SegKind::kRoot); break;
+      case vm::SegmentRole::kObject: kinds.push_back(SegKind::kObject); break;
+      case vm::SegmentRole::kClass: kinds.push_back(SegKind::kClass); break;
+      case vm::SegmentRole::kAny: kinds.push_back(SegKind::kPlain); break;
     }
   }
   return kinds;

@@ -1,5 +1,6 @@
 #include "compiler/codegen.hpp"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -8,6 +9,7 @@
 #include "calculus/subst.hpp"
 #include "compiler/parser.hpp"
 #include "compiler/peephole.hpp"
+#include "vm/verify.hpp"
 
 namespace dityco::comp {
 
@@ -494,6 +496,9 @@ Program compile_source(std::string_view src, bool optimize) {
 
 std::string disassemble(const Program& p) {
   std::ostringstream os;
+  // A segment's table layout follows from how it is referenced (the
+  // verifier's classification); unreferenced segments decode from 0.
+  const auto roles = vm::classify_roles(p);
   for (std::size_t s = 0; s < p.segments.size(); ++s) {
     const Segment& seg = p.segments[s];
     os << "segment " << s << " (guid " << seg.guid.node << "." << seg.guid.site
@@ -505,44 +510,30 @@ std::string disassemble(const Program& p) {
       os << "]";
     }
     os << "\n";
-    // Heuristic: a segment whose first word is small and whose second
-    // word cannot be an opcode is a table; we cannot reliably distinguish
-    // object/class tables from code here, so the disassembler relies on
-    // how the segment is referenced. For debugging we simply decode from
-    // offset 0 for the root segment and print raw table headers for
-    // dependency segments.
-    std::size_t i = 0;
-    if (s != p.root) {
-      // Table header: we print it raw; real decoding starts after it.
-      const std::uint32_t n = seg.code.at(0);
-      os << "  table entries: " << n << "\n";
-      // Entries are (3 words) for objects, (2 words) for class blocks;
-      // detect by checking whether treating entries as 3-word rows yields
-      // in-range offsets.
-      bool obj = true;
-      if (1 + 3 * static_cast<std::size_t>(n) > seg.code.size()) obj = false;
-      std::size_t hdr = obj ? 1 + 3 * static_cast<std::size_t>(n)
-                            : 1 + 2 * static_cast<std::size_t>(n);
-      if (obj) {
-        for (std::uint32_t k = 0; k < n; ++k) {
-          const std::uint32_t off = seg.code.at(3 + 3 * k);
-          if (off < hdr || off >= seg.code.size()) {
-            obj = false;
-            break;
-          }
-        }
+    const vm::SegmentRole role = roles[s];
+    const std::size_t start =
+        std::min(vm::code_start(seg, role), seg.code.size());
+    if (role == vm::SegmentRole::kObject || role == vm::SegmentRole::kClass) {
+      const bool object = role == vm::SegmentRole::kObject;
+      const std::size_t row = object ? 3 : 2;
+      for (std::size_t k = 0; (k + 1) * row < start; ++k) {
+        const std::uint32_t* e = seg.code.data() + 1 + k * row;
+        if (object)
+          os << "  method "
+             << (e[0] < seg.labels.size() ? seg.labels[e[0]] : "?") << "/"
+             << e[1] << " @" << e[2] << "\n";
+        else
+          os << "  class " << k << "/" << e[0] << " @" << e[1] << "\n";
       }
-      hdr = obj ? 1 + 3 * static_cast<std::size_t>(n)
-                : 1 + 2 * static_cast<std::size_t>(n);
-      i = hdr;
     }
-    while (i < seg.code.size()) {
+    for (std::size_t i = start; i < seg.code.size();) {
       const Op op = static_cast<Op>(seg.code[i]);
+      const auto arity = static_cast<std::size_t>(vm::op_arity(op));
       os << "  " << i << ": " << vm::op_name(op);
-      for (int k = 0; k < vm::op_arity(op); ++k)
-        os << " " << seg.code[i + 1 + static_cast<std::size_t>(k)];
+      for (std::size_t k = 1; k <= arity && i + k < seg.code.size(); ++k)
+        os << " " << seg.code[i + k];
       os << "\n";
-      i += 1 + static_cast<std::size_t>(vm::op_arity(op));
+      i += 1 + arity;
     }
   }
   return os.str();

@@ -5,6 +5,7 @@
 #include <set>
 #include <vector>
 
+#include "support/int64.hpp"
 #include "vm/verify.hpp"
 
 namespace dityco::comp {
@@ -47,22 +48,21 @@ void set_bool(Instr& in, bool v) {
   in.operands = {v ? 1u : 0u};
 }
 
-/// Fold two integer constants through an operator. Wrapping arithmetic
-/// (via uint64) matches the interpreter; div/mod by zero is not folded.
+/// Fold two integer constants through an operator. The arithmetic is the
+/// interpreter's own (support/int64.hpp, wrapping); div/mod by zero is
+/// not folded.
 bool fold_int(Op op, std::int64_t a, std::int64_t b, Instr& out) {
-  const auto ua = static_cast<std::uint64_t>(a);
-  const auto ub = static_cast<std::uint64_t>(b);
   switch (op) {
-    case Op::kAdd: set_int(out, static_cast<std::int64_t>(ua + ub)); return true;
-    case Op::kSub: set_int(out, static_cast<std::int64_t>(ua - ub)); return true;
-    case Op::kMul: set_int(out, static_cast<std::int64_t>(ua * ub)); return true;
+    case Op::kAdd: set_int(out, i64::add(a, b)); return true;
+    case Op::kSub: set_int(out, i64::sub(a, b)); return true;
+    case Op::kMul: set_int(out, i64::mul(a, b)); return true;
     case Op::kDiv:
       if (b == 0) return false;
-      set_int(out, a / b);
+      set_int(out, i64::div(a, b));
       return true;
     case Op::kMod:
       if (b == 0) return false;
-      set_int(out, a % b);
+      set_int(out, i64::mod(a, b));
       return true;
     case Op::kLt: set_bool(out, a < b); return true;
     case Op::kLe: set_bool(out, a <= b); return true;
@@ -141,7 +141,7 @@ class SegOptimizer {
         if (!p || is_target(in)) continue;
         if (in.op == Op::kNeg) {
           if (auto v = as_int(*p)) {
-            set_int(*p, -*v);
+            set_int(*p, i64::neg(*v));
             in.removed = true;
             progress = true;
           }

@@ -574,7 +574,8 @@ void Site::handle_packet(const PacketHeader& h, Reader& r,
       const std::uint64_t heap_id = r.u64();
       vm::SegmentGuid root{};
       auto pool = read_closure(r, root);
-      const std::uint32_t slot = machine_.link(root, pool);
+      const std::uint32_t slot =
+          machine_.link(root, pool, vm::SegmentRole::kObject);
       auto env = unmarshal_values(machine_, r);
       if (ring_.should_record(h.sampled))
         ring_.record(obs::EventType::kShipObjIn, h.trace_id, size);
@@ -640,7 +641,8 @@ void Site::handle_packet(const PacketHeader& h, Reader& r,
       if (slo_ != nullptr && h.trace_id != 0)
         slo_->on_complete(h.trace_id, arrived);
       fetch_by_req_.erase(rit);
-      const std::uint32_t slot = machine_.link(root, pool);
+      const std::uint32_t slot =
+          machine_.link(root, pool, vm::SegmentRole::kClass);
       const std::uint32_t block = machine_.make_block(slot, std::move(env));
       const vm::Value cls = machine_.make_class_value(block, cls_idx);
       if (fetch_cache_enabled_) class_cache_[ref] = cls;

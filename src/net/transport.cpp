@@ -53,7 +53,9 @@ void InProcTransport::send(Packet p, double /*now_us*/) {
   Doorbell* bell = nullptr;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (drop_ && drop_(p)) {
+    // A node outside the fleet (a forged NetRef) is dropped like a lossy
+    // link's packet, never indexed.
+    if (p.dst_node >= inboxes_.size() || (drop_ && drop_(p))) {
       ++dropped_;
       if (work_ != nullptr) work_->release();
       return;
@@ -109,6 +111,10 @@ LinkModel myrinet() { return LinkModel{10.0, 1000.0, 1.0}; }
 LinkModel fast_ethernet() { return LinkModel{100.0, 100.0, 1.0}; }
 
 void SimTransport::send(Packet p, double now_us) {
+  if (p.dst_node >= inboxes_.size()) {  // a forged NetRef: no such node
+    ++dropped_;
+    return;
+  }
   double arrival = now_us + model_.cost_us(p.bytes.size());
   if (extra_cost_) arrival += extra_cost_(p);
   bytes_ += p.bytes.size();

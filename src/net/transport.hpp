@@ -157,6 +157,8 @@ class InProcTransport : public Transport {
   /// at send time (a lossy link). The filter runs under the transport
   /// mutex, so it must not call back into the transport.
   void set_drop_filter(std::function<bool(const Packet&)> f);
+  /// Packets discarded at send: filtered, or addressed to a node
+  /// outside the fleet.
   std::uint64_t dropped() const;
 
  private:
@@ -218,6 +220,9 @@ class SimTransport : public Transport {
     extra_cost_ = std::move(f);
   }
 
+  /// Packets discarded at send, addressed to a node outside the fleet.
+  std::uint64_t dropped() const { return dropped_; }
+
  private:
   struct Timed {
     double arrival_us;
@@ -230,6 +235,7 @@ class SimTransport : public Transport {
   std::size_t in_flight_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t packets_ = 0;
+  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace dityco::net

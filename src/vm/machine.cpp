@@ -1,10 +1,10 @@
 #include "vm/machine.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 
 #include "support/fmt.hpp"
+#include "support/int64.hpp"
 #include "vm/verify.hpp"
 
 namespace dityco::vm {
@@ -34,15 +34,22 @@ Machine::Machine(std::string name, std::uint32_t node_id, std::uint32_t site_id,
 // ---------------------------------------------------------------------
 
 std::uint32_t Machine::link_loaded(std::shared_ptr<const Segment> seg,
-                                   std::vector<std::uint32_t> dep_map) {
+                                   std::vector<std::uint32_t> ids,
+                                   const SegmentFacts& facts) {
   LinkedSegment ls;
-  ls.label_map.reserve(seg->labels.size());
-  for (const auto& l : seg->labels) ls.label_map.push_back(labels_.intern(l));
-  ls.string_map.reserve(seg->strings.size());
-  for (const auto& s : seg->strings)
-    ls.string_map.push_back(strings_.intern(s));
-  ls.dep_map = std::move(dep_map);
+  ls.ids = std::move(ids);
+  ls.ids.reserve(ls.ids.size() + seg->labels.size() + seg->strings.size());
+  ls.labels_at = static_cast<std::uint32_t>(ls.ids.size());
+  for (const auto& l : seg->labels) ls.ids.push_back(labels_.intern(l));
+  ls.strings_at = static_cast<std::uint32_t>(ls.ids.size());
+  for (const auto& s : seg->strings) ls.ids.push_back(strings_.intern(s));
   ls.seg = std::move(seg);
+  ls.entry_base = static_cast<std::uint32_t>(entry_locals_.size());
+  entry_locals_.insert(entry_locals_.end(), facts.entry_locals.begin(),
+                       facts.entry_locals.end());
+  ls.max_locals = facts.max_locals;
+  ls.roles = facts.roles;
+  if (stack_.size() < facts.max_stack) stack_.resize(facts.max_stack);
   const auto slot = static_cast<std::uint32_t>(linked_.size());
   guid_to_slot_[ls.seg->guid] = slot;
   linked_.push_back(std::move(ls));
@@ -52,59 +59,83 @@ std::uint32_t Machine::link_loaded(std::shared_ptr<const Segment> seg,
 }
 
 std::uint32_t Machine::load_program(const Program& p) {
+  // Verify the whole program before linking any of it. The results'
+  // storage is kept per thread, warm for the next program.
+  thread_local std::vector<SegmentFacts> facts;
+  if (auto problems = verify_program(p, &facts); !problems.empty())
+    throw DecodeError("program failed verification: " + problems[0]);
   // Stamp fresh, globally-unique GUIDs. Compiled programs reference their
   // own segments with placeholder GUIDs {0, 0, k} where k is the index
-  // within the program.
+  // within the program, so slots are pre-assigned and dependencies may
+  // point forward.
   std::vector<SegmentGuid> fresh(p.segments.size());
-  std::vector<std::uint32_t> slots(p.segments.size());
   for (std::size_t k = 0; k < p.segments.size(); ++k)
     fresh[k] = SegmentGuid{node_id_, site_id_, next_guid_index_++};
-  // Segments are emitted in dependency-safe order by the code generator?
-  // Not necessarily — link in two passes: pre-assign slots, then build.
   const auto base = static_cast<std::uint32_t>(linked_.size());
-  for (std::size_t k = 0; k < p.segments.size(); ++k)
-    slots[k] = base + static_cast<std::uint32_t>(k);
   for (std::size_t k = 0; k < p.segments.size(); ++k) {
     auto seg = std::make_shared<Segment>(p.segments[k]);
     seg->guid = fresh[k];
-    std::vector<std::uint32_t> dep_map;
-    dep_map.reserve(seg->deps.size());
+    std::vector<std::uint32_t> ids;
+    ids.reserve(seg->deps.size() + seg->labels.size() + seg->strings.size());
     for (auto& d : seg->deps) {
-      // Placeholder deps point inside this program by index.
-      dep_map.push_back(slots.at(d.index));
+      ids.push_back(base + d.index);
       d = fresh[d.index];  // rewrite to the real GUID for future shipping
     }
-    [[maybe_unused]] std::uint32_t got = link_loaded(std::move(seg),
-                                                     std::move(dep_map));
-    assert(got == slots[k]);
+    link_loaded(std::move(seg), std::move(ids), facts[k]);
   }
-  return slots.at(p.root);
+  return base + p.root;
 }
 
 void Machine::spawn_program(const Program& p) {
   const std::uint32_t root = load_program(p);
+  // The entry reading verified with no locals given.
   Frame f;
   f.seg = root;
   f.pc = 0;
+  f.locals = values({}, {}, linked_[root].max_locals);
   spawn_frame(std::move(f));
 }
 
 std::uint32_t Machine::link(const SegmentGuid& guid,
-                            const std::map<SegmentGuid, Segment>& pool) {
+                            const std::map<SegmentGuid, Segment>& pool,
+                            SegmentRole role) {
+  return link_shipped(guid, pool,
+                      role == SegmentRole::kAny ? 0 : role_bit(role), 0);
+}
+
+std::uint32_t Machine::link_shipped(const SegmentGuid& guid,
+                                    const std::map<SegmentGuid, Segment>& pool,
+                                    std::uint8_t uses, std::size_t depth) {
   auto it = guid_to_slot_.find(guid);
-  if (it != guid_to_slot_.end()) return it->second;  // dynamic-link cache
+  if (it != guid_to_slot_.end()) {  // dynamic-link cache
+    if ((linked_[it->second].roles & uses) != uses)
+      throw DecodeError("shipped segment is linked here in another role");
+    return it->second;
+  }
+  if (depth > pool.size())
+    throw DecodeError("cyclic dependencies in shipped closure");
   auto pit = pool.find(guid);
   if (pit == pool.end())
     throw DecodeError("missing segment in shipped closure");
   const Segment& seg = pit->second;
-  // Shipped code is untrusted input: verify before linking.
-  if (auto problems = verify_segment(seg, SegmentRole::kAny);
-      !problems.empty())
+  // Shipped code is untrusted input: verify it in the role it will be
+  // used in before linking (any reading when nothing references it).
+  SegmentRole role = SegmentRole::kAny;
+  for (const SegmentRole r :
+       {SegmentRole::kEntry, SegmentRole::kObject, SegmentRole::kClass})
+    if (uses == role_bit(r)) role = r;
+  SegmentFacts facts;
+  if (auto problems = verify_segment(seg, role, &facts); !problems.empty())
     throw DecodeError("shipped segment failed verification: " + problems[0]);
-  std::vector<std::uint32_t> dep_map;
-  dep_map.reserve(seg.deps.size());
-  for (const auto& d : seg.deps) dep_map.push_back(link(d, pool));
-  return link_loaded(std::make_shared<Segment>(seg), std::move(dep_map));
+  if ((facts.roles & uses) != uses)
+    throw DecodeError("shipped segment is not valid in the roles it is "
+                      "used in");
+  std::vector<std::uint32_t> ids;
+  ids.reserve(seg.deps.size() + seg.labels.size() + seg.strings.size());
+  for (std::size_t d = 0; d < seg.deps.size(); ++d)
+    ids.push_back(
+        link_shipped(seg.deps[d], pool, facts.dep_uses[d], depth + 1));
+  return link_loaded(std::make_shared<Segment>(seg), std::move(ids), facts);
 }
 
 void Machine::collect_closure(std::uint32_t slot,
@@ -113,7 +144,8 @@ void Machine::collect_closure(std::uint32_t slot,
   for (const auto& s : out)
     if (s.guid == ls.seg->guid) return;  // already collected
   out.push_back(*ls.seg);
-  for (std::uint32_t dep : ls.dep_map) collect_closure(dep, out);
+  for (std::size_t d = 0; d < ls.seg->deps.size(); ++d)
+    collect_closure(ls.ids[d], out);
 }
 
 // ---------------------------------------------------------------------
@@ -136,23 +168,33 @@ void Machine::reduce(std::uint32_t chan, std::uint32_t seg_slot,
                      std::span<const Value> env, std::uint32_t label,
                      std::span<const Value> args) {
   const LinkedSegment& ls = linked_.at(seg_slot);
-  const Segment& seg = *ls.seg;
-  // Method table: [nmethods, (labelidx, nparams, offset)*]
-  const std::uint32_t nmethods = seg.code.at(0);
+  if ((ls.roles & role_bit(SegmentRole::kObject)) == 0) {
+    // Never a method table: the object can meet no message, so it goes.
+    error("object code does not verify as a method table");
+    return;
+  }
+  // Method table: [nmethods, (labelidx, nparams, offset)*], verified.
+  const std::uint32_t* table = ls.seg->code.data();
+  const std::uint32_t nmethods = table[0];
   const char* failure = "method not understood: ";
   for (std::uint32_t k = 0; k < nmethods; ++k) {
-    const std::uint32_t labelidx = seg.code.at(1 + 3 * k);
-    const std::uint32_t nparams = seg.code.at(2 + 3 * k);
-    const std::uint32_t off = seg.code.at(3 + 3 * k);
-    if (ls.label_map.at(labelidx) != label) continue;
+    const std::uint32_t labelidx = table[1 + 3 * k];
+    const std::uint32_t nparams = table[2 + 3 * k];
+    const std::uint32_t off = table[3 + 3 * k];
+    if (ls.label(labelidx) != label) continue;
     if (nparams != args.size()) {
       failure = "arity mismatch on method ";
       break;
     }
+    if (env.size() + args.size() < entry_locals_[ls.entry_base + k]) {
+      // A closure whose environment is shorter than its code reads.
+      error("object environment too short for method " + labels_.name(label));
+      return;
+    }
     Frame f;
     f.seg = seg_slot;
     f.pc = off;
-    f.locals = values(env, args);
+    f.locals = values(env, args, ls.max_locals);
     ++stats_.comm_reductions;
     if (ring_) ring_->record(obs::EventType::kComm, 0, label);
     spawn_frame(std::move(f));
@@ -208,15 +250,17 @@ constexpr std::size_t kSpareCapacity = 64;
 }  // namespace
 
 std::vector<Value> Machine::values(std::span<const Value> a,
-                                   std::span<const Value> b) {
+                                   std::span<const Value> b,
+                                   std::size_t size) {
   std::vector<Value> v;
   if (!spare_.empty()) {
     v = std::move(spare_.back());
     spare_.pop_back();
   }
-  v.reserve(a.size() + b.size());
+  v.reserve(std::max(a.size() + b.size(), size));
   v.insert(v.end(), a.begin(), a.end());
   v.insert(v.end(), b.begin(), b.end());
+  if (v.size() < size) v.resize(size);
   return v;
 }
 
@@ -246,24 +290,32 @@ void Machine::instantiate_class(Value cls, std::span<const Value> args) {
   }
   const ClassEntry& entry = classes_.at(cls.idx);
   const Block& blk = blocks_.at(entry.block);
-  const Segment& seg = *linked_.at(blk.seg).seg;
-  // Class table: [nclasses, (nparams, offset)*]
-  const std::uint32_t nclasses = seg.code.at(0);
-  if (entry.cls >= nclasses) {
+  const LinkedSegment& ls = linked_.at(blk.seg);
+  if ((ls.roles & role_bit(SegmentRole::kClass)) == 0) {
+    error("block code does not verify as a class table");
+    return;
+  }
+  // Class table: [nclasses, (nparams, offset)*], verified.
+  const std::uint32_t* table = ls.seg->code.data();
+  if (entry.cls >= table[0]) {
     error("class index out of range");
     return;
   }
-  const std::uint32_t nparams = seg.code.at(1 + 2 * entry.cls);
-  const std::uint32_t off = seg.code.at(2 + 2 * entry.cls);
+  const std::uint32_t nparams = table[1 + 2 * entry.cls];
+  const std::uint32_t off = table[2 + 2 * entry.cls];
   if (nparams != args.size()) {
     error("arity mismatch instantiating class");
+    return;
+  }
+  if (blk.env.size() + args.size() < entry_locals_[ls.entry_base + entry.cls]) {
+    error("block environment too short for its class");
     return;
   }
   Frame f;
   f.seg = blk.seg;
   f.pc = off;
   f.block = entry.block;
-  f.locals = values(blk.env, args);
+  f.locals = values(blk.env, args, ls.max_locals);
   ++stats_.inst_reductions;
   if (ring_) ring_->record(obs::EventType::kInst, 0, entry.cls);
   spawn_frame(std::move(f));
@@ -301,8 +353,7 @@ void Machine::resume_import(std::uint64_t token, Value v) {
   }
   ParkedFrame pf = std::move(it->second);
   parked_.erase(it);
-  if (pf.frame.locals.size() <= pf.dst) pf.frame.locals.resize(pf.dst + 1);
-  pf.frame.locals[pf.dst] = v;
+  pf.frame.locals[pf.dst] = v;  // a verified slot of a sized frame
   spawn_frame(std::move(pf.frame));
 }
 
@@ -872,100 +923,91 @@ std::uint64_t Machine::run(std::uint64_t max_instructions) {
 }
 
 std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
+  // The frame's code verified when it was linked and its locals were
+  // sized when it was made (DESIGN.md "Verification"): operands are read
+  // per case at the instruction pointer, pushes and pops need no bounds
+  // check, and locals are read and written directly. What stays checked
+  // here is the language's dynamic semantics: value tags, division by
+  // zero, loadsib outside a block, mkblock's class count.
   std::uint64_t n = 0;
-  const LinkedSegment* ls = &linked_.at(f.seg);
-  const std::vector<std::uint32_t>* code = &ls->seg->code;
+  const LinkedSegment* ls = &linked_[f.seg];
+  const std::uint32_t* const code = ls->seg->code.data();
+  const std::uint32_t* ip = code + f.pc;
+  Value* const locals = f.locals.data();
 
-  // Operands live on the machine's stack while the frame runs; a frame
+  // Operands live in the machine's buffer while the frame runs; a frame
   // that left mid-expression brings its saved operands back.
-  std::vector<Value>& st = stack_;
-  if (!f.stack.empty()) {
-    st.assign(f.stack.begin(), f.stack.end());
-    f.stack.clear();
-  }
-  // Leaving mid-expression (preempted or parked): the operands go with
-  // the frame, so the stack is empty again for the next frame and gc().
-  auto save_operands = [&] {
-    f.stack.assign(st.begin(), st.end());
-    st.clear();
+  Value* base = stack_.data();
+  Value* sp = std::copy(f.stack.begin(), f.stack.end(), base);
+  f.stack.clear();
+  // Leaving mid-expression (preempted or parked): the operands and the
+  // pc go with the frame.
+  auto leave = [&](const std::uint32_t* resume) {
+    f.pc = static_cast<std::uint32_t>(resume - code);
+    f.stack.assign(base, sp);
   };
-
-  auto pop = [&]() -> Value {
-    if (st.empty()) throw VmError{"operand stack underflow"};
-    const Value v = st.back();
-    st.pop_back();
-    return v;
-  };
-  // The top k operands as one range, with one underflow check. The range
-  // stays valid until the next push; drop(k) then pops it.
+  // The top k operands as one range. It stays valid until the next push.
   auto top = [&](std::uint32_t k) -> std::span<const Value> {
-    if (st.size() < k) throw VmError{"operand stack underflow"};
-    return {st.data() + (st.size() - k), k};
-  };
-  auto drop = [&](std::uint32_t k) { st.resize(st.size() - k); };
-  auto store = [&](std::uint32_t slot, Value v) {
-    if (f.locals.size() <= slot) f.locals.resize(slot + 1);
-    f.locals[slot] = v;
+    return {sp - k, k};
   };
   // Backend calls may re-enter the machine and link new segments, which
-  // can reallocate linked_; refresh the cached pointers afterwards.
+  // can reallocate linked_ and grow the operand buffer; the code itself
+  // is shared and does not move.
   auto refresh = [&] {
-    ls = &linked_.at(f.seg);
-    code = &ls->seg->code;
+    ls = &linked_[f.seg];
+    const std::ptrdiff_t depth = sp - base;
+    base = stack_.data();
+    sp = base + depth;
+  };
+  // Instruction width: the opcode word plus its operand words.
+  constexpr auto width = [](Op o) {
+    return 1 + detail::kOpArity[static_cast<std::uint32_t>(o)];
   };
 
   try {
     for (;;) {
       if (n >= budget) {
         requeue = true;  // preempted: resume this frame next time
-        save_operands();
+        leave(ip);
         return n;
       }
-      // One bounds check per instruction; operand words read unchecked.
-      if (f.pc >= code->size()) throw VmError{"pc out of range"};
-      const std::uint32_t* cp = code->data() + f.pc;
-      const Op op = static_cast<Op>(cp[0]);
+      const Op op = static_cast<Op>(ip[0]);
       // Sampled profiler: prof_countdown_ stays 0 while profiling is
       // off, so the common case is a single not-taken branch.
       if (prof_countdown_ != 0 && --prof_countdown_ == 0) {
         prof_countdown_ = prof_.period();
         prof_.sample(static_cast<std::uint32_t>(op), f.seg);
       }
-      const int arity = op_arity(op);
-      if (f.pc + 1 + static_cast<std::uint32_t>(arity) > code->size())
-        throw VmError{"truncated instruction"};
-      const std::uint32_t a = arity >= 1 ? cp[1] : 0;
-      const std::uint32_t b = arity >= 2 ? cp[2] : 0;
-      const std::uint32_t c = arity >= 3 ? cp[3] : 0;
-      const std::uint32_t d = arity >= 4 ? cp[4] : 0;
-      f.pc += 1 + static_cast<std::uint32_t>(arity);
       ++n;
 
       switch (op) {
         case Op::kHalt:
-          st.clear();
           return n;
         case Op::kPushInt: {
-          const std::uint64_t lo = a, hi = b;
-          st.push_back(Value::make_int(
-              static_cast<std::int64_t>(lo | (hi << 32))));
+          const std::uint64_t lo = ip[1], hi = ip[2];
+          *sp++ = Value::make_int(static_cast<std::int64_t>(lo | (hi << 32)));
+          ip += width(Op::kPushInt);
           break;
         }
         case Op::kPushFloat:
-          st.push_back(Value::make_float(ls->seg->floats.at(a)));
+          *sp++ = Value::make_float(ls->seg->floats[ip[1]]);
+          ip += width(Op::kPushFloat);
           break;
         case Op::kPushStr:
-          st.push_back(Value::make_str(ls->string_map.at(a)));
+          *sp++ = Value::make_str(ls->string(ip[1]));
+          ip += width(Op::kPushStr);
           break;
         case Op::kPushBool:
-          st.push_back(Value::make_bool(a != 0));
+          *sp++ = Value::make_bool(ip[1] != 0);
+          ip += width(Op::kPushBool);
           break;
         case Op::kLoad:
-          if (a >= f.locals.size()) throw VmError{"load of unset local"};
-          st.push_back(f.locals[a]);
+          *sp++ = locals[ip[1]];
+          ip += width(Op::kLoad);
           break;
         case Op::kStore:
-          store(a, pop());
+          locals[ip[1]] = *--sp;
+          ip += width(Op::kStore);
           break;
 
         case Op::kAdd:
@@ -977,50 +1019,51 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
         case Op::kLe:
         case Op::kGt:
         case Op::kGe: {
-          Value r = pop(), l = pop();
+          const Value r = *--sp, l = *--sp;
           if (l.tag == Value::Tag::kInt && r.tag == Value::Tag::kInt) {
             const std::int64_t x = l.i, y = r.i;
             switch (op) {
-              case Op::kAdd: st.push_back(Value::make_int(x + y)); break;
-              case Op::kSub: st.push_back(Value::make_int(x - y)); break;
-              case Op::kMul: st.push_back(Value::make_int(x * y)); break;
+              case Op::kAdd: *sp++ = Value::make_int(i64::add(x, y)); break;
+              case Op::kSub: *sp++ = Value::make_int(i64::sub(x, y)); break;
+              case Op::kMul: *sp++ = Value::make_int(i64::mul(x, y)); break;
               case Op::kDiv:
                 if (y == 0) throw VmError{"integer division by zero"};
-                st.push_back(Value::make_int(x / y));
+                *sp++ = Value::make_int(i64::div(x, y));
                 break;
               case Op::kMod:
                 if (y == 0) throw VmError{"integer modulo by zero"};
-                st.push_back(Value::make_int(x % y));
+                *sp++ = Value::make_int(i64::mod(x, y));
                 break;
-              case Op::kLt: st.push_back(Value::make_bool(x < y)); break;
-              case Op::kLe: st.push_back(Value::make_bool(x <= y)); break;
-              case Op::kGt: st.push_back(Value::make_bool(x > y)); break;
-              case Op::kGe: st.push_back(Value::make_bool(x >= y)); break;
+              case Op::kLt: *sp++ = Value::make_bool(x < y); break;
+              case Op::kLe: *sp++ = Value::make_bool(x <= y); break;
+              case Op::kGt: *sp++ = Value::make_bool(x > y); break;
+              case Op::kGe: *sp++ = Value::make_bool(x >= y); break;
               default: break;
             }
           } else if (is_num(l) && is_num(r)) {
             const double x = as_f(l), y = as_f(r);
             switch (op) {
-              case Op::kAdd: st.push_back(Value::make_float(x + y)); break;
-              case Op::kSub: st.push_back(Value::make_float(x - y)); break;
-              case Op::kMul: st.push_back(Value::make_float(x * y)); break;
-              case Op::kDiv: st.push_back(Value::make_float(x / y)); break;
+              case Op::kAdd: *sp++ = Value::make_float(x + y); break;
+              case Op::kSub: *sp++ = Value::make_float(x - y); break;
+              case Op::kMul: *sp++ = Value::make_float(x * y); break;
+              case Op::kDiv: *sp++ = Value::make_float(x / y); break;
               case Op::kMod: throw VmError{"modulo on floats"};
-              case Op::kLt: st.push_back(Value::make_bool(x < y)); break;
-              case Op::kLe: st.push_back(Value::make_bool(x <= y)); break;
-              case Op::kGt: st.push_back(Value::make_bool(x > y)); break;
-              case Op::kGe: st.push_back(Value::make_bool(x >= y)); break;
+              case Op::kLt: *sp++ = Value::make_bool(x < y); break;
+              case Op::kLe: *sp++ = Value::make_bool(x <= y); break;
+              case Op::kGt: *sp++ = Value::make_bool(x > y); break;
+              case Op::kGe: *sp++ = Value::make_bool(x >= y); break;
               default: break;
             }
           } else {
             throw VmError{std::string("non-numeric operands for ") +
                           op_name(op)};
           }
+          ip += width(Op::kAdd);
           break;
         }
         case Op::kEq:
         case Op::kNe: {
-          Value r = pop(), l = pop();
+          const Value r = *--sp, l = *--sp;
           bool eq = false;
           if (l.tag == r.tag) {
             switch (l.tag) {
@@ -1039,71 +1082,79 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
           } else if (is_num(l) && is_num(r)) {
             eq = as_f(l) == as_f(r);
           }
-          st.push_back(Value::make_bool(op == Op::kEq ? eq : !eq));
+          *sp++ = Value::make_bool(op == Op::kEq ? eq : !eq);
+          ip += width(Op::kEq);
           break;
         }
         case Op::kAndB:
         case Op::kOrB: {
-          Value r = pop(), l = pop();
+          const Value r = *--sp, l = *--sp;
           if (l.tag != Value::Tag::kBool || r.tag != Value::Tag::kBool)
             throw VmError{"non-boolean operands for logical operator"};
-          st.push_back(Value::make_bool(op == Op::kAndB ? (l.b && r.b)
-                                                        : (l.b || r.b)));
+          *sp++ = Value::make_bool(op == Op::kAndB ? (l.b && r.b)
+                                                   : (l.b || r.b));
+          ip += width(Op::kAndB);
           break;
         }
         case Op::kConcat: {
-          Value r = pop(), l = pop();
+          const Value r = *--sp, l = *--sp;
           if (l.tag != Value::Tag::kStr || r.tag != Value::Tag::kStr)
             throw VmError{"non-string operands for ++"};
-          st.push_back(Value::make_str(
-              strings_.intern(strings_.name(l.idx) + strings_.name(r.idx))));
+          *sp++ = Value::make_str(
+              strings_.intern(strings_.name(l.idx) + strings_.name(r.idx)));
+          ip += width(Op::kConcat);
           break;
         }
         case Op::kNeg: {
-          Value v = pop();
+          const Value v = *--sp;
           if (v.tag == Value::Tag::kInt)
-            st.push_back(Value::make_int(-v.i));
+            *sp++ = Value::make_int(i64::neg(v.i));
           else if (v.tag == Value::Tag::kFloat)
-            st.push_back(Value::make_float(-v.f));
+            *sp++ = Value::make_float(-v.f);
           else
             throw VmError{"non-numeric operand for negation"};
+          ip += width(Op::kNeg);
           break;
         }
         case Op::kNot: {
-          Value v = pop();
+          const Value v = *--sp;
           if (v.tag != Value::Tag::kBool)
             throw VmError{"non-boolean operand for !"};
-          st.push_back(Value::make_bool(!v.b));
+          *sp++ = Value::make_bool(!v.b);
+          ip += width(Op::kNot);
           break;
         }
 
         case Op::kJmp:
-          f.pc = a;
+          ip = code + ip[1];
           break;
         case Op::kJmpIfFalse: {
-          Value v = pop();
+          const Value v = *--sp;
           if (v.tag != Value::Tag::kBool)
             throw VmError{"non-boolean condition"};
-          if (!v.b) f.pc = a;
+          ip = v.b ? ip + width(Op::kJmpIfFalse) : code + ip[1];
           break;
         }
 
         case Op::kNewChan:
-          store(a, Value::make_chan(new_channel()));
+          locals[ip[1]] = Value::make_chan(new_channel());
+          ip += width(Op::kNewChan);
           break;
         case Op::kGlobal: {
-          const std::string& nm = ls->seg->strings.at(b);
+          const std::string& nm = ls->seg->strings[ip[2]];
           auto [it, inserted] = globals_.try_emplace(nm, 0);
           if (inserted) it->second = new_channel();
-          store(a, Value::make_chan(it->second));
+          locals[ip[1]] = Value::make_chan(it->second);
+          ip += width(Op::kGlobal);
           break;
         }
 
         case Op::kTrMsg: {
-          const Value target = pop();
+          const std::uint32_t a = ip[1], b = ip[2];
+          const Value target = *--sp;
           const auto args = top(b);
           if (target.tag == Value::Tag::kChan) {
-            const std::uint32_t label = ls->label_map.at(a);
+            const std::uint32_t label = ls->label(a);
             if (!meet_object(target.idx, label, args)) {
               heap_[target.idx].msgs.push_back(
                   PendingMsg{label, values(args)});
@@ -1112,20 +1163,22 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
           } else if (target.tag == Value::Tag::kNetRef) {
             if (!backend_) throw VmError{"remote message without a backend"};
             backend_->ship_message(*this, netrefs_.at(target.idx),
-                                   ls->seg->labels.at(a),
+                                   ls->seg->labels[a],
                                    {args.begin(), args.end()});
             refresh();
           } else {
             throw VmError{std::string("message target is a ") +
                           tag_name(target.tag)};
           }
-          drop(b);
+          sp -= b;
+          ip += width(Op::kTrMsg);
           break;
         }
         case Op::kTrObj: {
-          const Value target = pop();
+          const std::uint32_t b = ip[2];
+          const Value target = *--sp;
           const auto env = top(b);
-          const std::uint32_t seg_slot = ls->dep_map.at(a);
+          const std::uint32_t seg_slot = ls->dep(ip[1]);
           if (target.tag == Value::Tag::kChan) {
             if (!meet_message(target.idx, seg_slot, env)) {
               heap_[target.idx].objs.push_back(
@@ -1141,11 +1194,13 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
             throw VmError{std::string("object location is a ") +
                           tag_name(target.tag)};
           }
-          drop(b);
+          sp -= b;
+          ip += width(Op::kTrObj);
           break;
         }
         case Op::kInstOf: {
-          const Value cls = pop();
+          const std::uint32_t a = ip[1];
+          const Value cls = *--sp;
           const auto args = top(a);
           if (cls.tag == Value::Tag::kClass) {
             instantiate_class(cls, args);
@@ -1159,77 +1214,87 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
             throw VmError{std::string("instantiation of a ") +
                           tag_name(cls.tag)};
           }
-          drop(a);
+          sp -= a;
+          ip += width(Op::kInstOf);
           break;
         }
         case Op::kFork: {
-          const auto captures = top(b);
+          // The target verified to read no local beyond the captures.
+          const std::uint32_t b = ip[2];
           Frame g;
           g.seg = f.seg;
-          g.pc = a;
+          g.pc = ip[1];
           g.block = f.block;
-          g.locals = values(captures);
-          drop(b);
+          g.locals = values(top(b), {}, ls->max_locals);
+          sp -= b;
           ++stats_.forks;
           spawn_frame(std::move(g));
+          ip += width(Op::kFork);
           break;
         }
         case Op::kMkBlock: {
-          const std::uint32_t seg_slot = ls->dep_map.at(a);
+          // The dependency verified as a class table when it was linked.
+          const std::uint32_t b = ip[2], c = ip[3], d = ip[4];
+          const std::uint32_t seg_slot = ls->dep(ip[1]);
           const auto env = top(b);
           const std::uint32_t blk =
               make_block(seg_slot, {env.begin(), env.end()});
-          drop(b);
-          const Segment& bseg = *linked_.at(seg_slot).seg;
-          if (bseg.code.at(0) != c) throw VmError{"class count mismatch"};
+          sp -= b;
+          if (linked_[seg_slot].seg->code[0] != c)
+            throw VmError{"class count mismatch"};
           for (std::uint32_t k = 0; k < c; ++k)
-            store(d + k, make_class_value(blk, k));
+            locals[d + k] = make_class_value(blk, k);
+          ip += width(Op::kMkBlock);
           break;
         }
         case Op::kLoadSibling: {
           if (f.block == Frame::kNoBlock)
             throw VmError{"sibling class reference outside a def block"};
-          st.push_back(make_class_value(f.block, a));
+          *sp++ = make_class_value(f.block, ip[1]);
+          ip += width(Op::kLoadSibling);
           break;
         }
         case Op::kPrint: {
+          const std::uint32_t a = ip[1];
           const auto args = top(a);
           std::string line;
           for (std::size_t i = 0; i < args.size(); ++i) {
             if (i) line += ' ';
             line += display(args[i]);
           }
-          drop(a);
+          sp -= a;
           output_.push_back(std::move(line));
           ++stats_.prints;
+          ip += width(Op::kPrint);
           break;
         }
-        case Op::kExportName: {
-          if (!backend_) throw VmError{"export without a backend"};
-          if (a >= f.locals.size() ||
-              f.locals[a].tag != Value::Tag::kChan)
-            throw VmError{"export of a non-channel"};
-          backend_->export_name(*this, ls->seg->strings.at(b), f.locals[a]);
-          refresh();
-          break;
-        }
+        case Op::kExportName:
         case Op::kExportClass: {
           if (!backend_) throw VmError{"export without a backend"};
-          if (a >= f.locals.size() ||
-              f.locals[a].tag != Value::Tag::kClass)
-            throw VmError{"export of a non-class"};
-          backend_->export_class(*this, ls->seg->strings.at(b), f.locals[a]);
+          const Value v = locals[ip[1]];
+          const std::string& nm = ls->seg->strings[ip[2]];
+          if (op == Op::kExportName) {
+            if (v.tag != Value::Tag::kChan)
+              throw VmError{"export of a non-channel"};
+            backend_->export_name(*this, nm, v);
+          } else {
+            if (v.tag != Value::Tag::kClass)
+              throw VmError{"export of a non-class"};
+            backend_->export_class(*this, nm, v);
+          }
           refresh();
+          ip += width(Op::kExportName);
           break;
         }
         case Op::kImportName:
         case Op::kImportClass: {
           if (!backend_) throw VmError{"import without a backend"};
-          const std::string& site = ls->seg->strings.at(b);
-          const std::string& nm = ls->seg->strings.at(c);
+          const std::uint32_t dst = ip[1];
+          const std::string& site = ls->seg->strings[ip[2]];
+          const std::string& nm = ls->seg->strings[ip[3]];
           const std::uint64_t token = next_token_++;
-          save_operands();
-          parked_[token] = ParkedFrame{std::move(f), a};
+          leave(ip + width(Op::kImportName));
+          parked_[token] = ParkedFrame{std::move(f), dst};
           // NOTE: `f` is moved from; we must not touch it again. The
           // backend may resume synchronously (re-entrantly) — that is
           // safe because resume only touches the parked table and queue.
@@ -1242,14 +1307,11 @@ std::uint64_t Machine::exec(Frame& f, std::uint64_t budget, bool& requeue) {
       }
     }
   } catch (const VmError& e) {
-    st.clear();
     error(e.what);
     return n;
   } catch (const std::exception& e) {
-    // DecodeError from linking, out_of_range from a hostile segment that
-    // slipped past verification, bad_alloc-adjacent failures: the frame
-    // dies, the machine survives.
-    st.clear();
+    // DecodeError from a backend call, bad_alloc-adjacent failures: the
+    // frame dies, the machine survives.
     error(e.what());
     return n;
   }

@@ -26,6 +26,7 @@
 #include "support/intern.hpp"
 #include "vm/segment.hpp"
 #include "vm/value.hpp"
+#include "vm/verify.hpp"
 
 namespace dityco::vm {
 
@@ -141,10 +142,13 @@ struct ClassEntry {
 /// A runnable thread: a small byte-code block with its bindings. Threads
 /// are "a few tens of byte-code instructions" (paper, section 1), so the
 /// scheduler runs each to completion and context switches are cheap.
-/// While a frame executes, its operands live on the machine's one
-/// operand stack; `stack` holds them only while the frame is out of the
-/// interpreter mid-expression (preempted at the slice budget, or parked
-/// on an import), and is empty otherwise.
+/// `locals` is sized once, when the frame is made, to the larger of what
+/// it is given (env ++ args, or a fork's captures) and its segment's
+/// verified max_locals, so the interpreter reads and writes slots
+/// without a check. While a frame executes, its operands live in the
+/// machine's operand buffer; `stack` holds them only while the frame is
+/// out of the interpreter mid-expression (preempted at the slice budget,
+/// or parked on an import), and is empty otherwise.
 struct Frame {
   std::uint32_t seg = 0;
   std::uint32_t pc = 0;
@@ -180,17 +184,22 @@ class Machine {
 
   // ---- program loading and linking -----------------------------------
 
-  /// Load a compiled program: stamps fresh GUIDs, links every segment.
-  /// Returns the site segment slot of the program's root segment.
+  /// Load a compiled program: verifies every segment (throws DecodeError
+  /// on a problem, linking nothing), stamps fresh GUIDs, links every
+  /// segment. Returns the site segment slot of the program's root segment.
   std::uint32_t load_program(const Program& p);
 
   /// Load a program and enqueue a frame at its entry point.
   void spawn_program(const Program& p);
 
-  /// Link a shipped segment (and, recursively, its dependencies, looked
-  /// up in `pool`). Deduplicates by GUID. Returns the site slot.
+  /// Link a shipped segment that will be used in `role` (and,
+  /// recursively, its dependencies, looked up in `pool`, each in the
+  /// role its referrer uses it in), verifying each before it is linked.
+  /// Deduplicates by GUID; a segment already linked must have verified
+  /// in `role`. Throws DecodeError. Returns the site slot.
   std::uint32_t link(const SegmentGuid& guid,
-                     const std::map<SegmentGuid, Segment>& pool);
+                     const std::map<SegmentGuid, Segment>& pool,
+                     SegmentRole role);
 
   /// Serialise the segment closure rooted at `slot` (for SHIPO/FETCH).
   void collect_closure(std::uint32_t slot, std::vector<Segment>& out) const;
@@ -210,11 +219,6 @@ class Machine {
   std::size_t parked() const { return parked_.size(); }
   std::uint64_t pending_messages() const { return pending_msgs_; }
   std::uint64_t pending_objects() const { return pending_objs_; }
-
-  void spawn_frame(Frame f) {
-    if (prof_.enabled()) f.enq_ns = clock_ns();
-    queue_.push_back(std::move(f));
-  }
 
   // ---- channel operations (shared by local execution and deliveries) --
 
@@ -496,9 +500,23 @@ class Machine {
  private:
   struct LinkedSegment {
     std::shared_ptr<const Segment> seg;
-    std::vector<std::uint32_t> label_map;   // seg label idx -> site label id
-    std::vector<std::uint32_t> string_map;  // seg string idx -> site str id
-    std::vector<std::uint32_t> dep_map;     // seg dep idx -> site seg slot
+    // The segment's tables mapped to site ids, in one array: dependency
+    // slots, then label ids from labels_at, then string ids from
+    // strings_at (a linked segment is kept for the site's lifetime).
+    std::vector<std::uint32_t> ids;
+    std::uint32_t labels_at = 0;
+    std::uint32_t strings_at = 0;
+    // What verification proved (SegmentFacts): the locals table entry k
+    // must be given is entry_locals_[entry_base + k].
+    std::uint32_t entry_base = 0;
+    std::uint16_t max_locals = 0;
+    std::uint8_t roles = 0;
+
+    std::uint32_t dep(std::uint32_t i) const { return ids[i]; }
+    std::uint32_t label(std::uint32_t i) const { return ids[labels_at + i]; }
+    std::uint32_t string(std::uint32_t i) const {
+      return ids[strings_at + i];
+    }
   };
 
   struct ParkedFrame {
@@ -538,8 +556,21 @@ class Machine {
     }
   };
 
+  /// Link a verified segment; `ids` holds its dependency slots (and
+  /// should have room for its label and string ids, appended here).
   std::uint32_t link_loaded(std::shared_ptr<const Segment> seg,
-                            std::vector<std::uint32_t> dep_map);
+                            std::vector<std::uint32_t> ids,
+                            const SegmentFacts& facts);
+  /// link() for a segment its referrers use in the roles `uses` (0: not
+  /// referenced, any reading); `depth` bounds the recursion.
+  std::uint32_t link_shipped(const SegmentGuid& guid,
+                             const std::map<SegmentGuid, Segment>& pool,
+                             std::uint8_t uses, std::size_t depth);
+  /// Enqueue a frame made at a verified entry, its locals already sized.
+  void spawn_frame(Frame f) {
+    if (prof_.enabled()) f.enq_ns = clock_ns();
+    queue_.push_back(std::move(f));
+  }
   ExportEntry* find_export(NetRef::Kind kind, std::uint64_t heap_id);
   /// Mint kMintCredit against `e` (debtor and trace attribution as set);
   /// returns the credit to put on the wire.
@@ -567,9 +598,11 @@ class Machine {
   bool meet_message(std::uint32_t chan, std::uint32_t seg,
                     std::span<const Value> env);
   /// A value vector for a new frame's locals or a queued entry, holding
-  /// a copy of `a` ++ `b`; reuses a recycled vector when one is spare.
+  /// a copy of `a` ++ `b` padded to at least `size` values; reuses a
+  /// recycled vector when one is spare.
   std::vector<Value> values(std::span<const Value> a,
-                            std::span<const Value> b = {});
+                            std::span<const Value> b = {},
+                            std::size_t size = 0);
   /// Keeps a dead frame's locals or a consumed entry's vector for reuse.
   void recycle(std::vector<Value>&& v);
   void error(const std::string& what) { errors_.push_back(name_ + ": " + what); }
@@ -587,9 +620,13 @@ class Machine {
   std::vector<Block> blocks_;
   std::vector<ClassEntry> classes_;
   SlotQueue<Frame> queue_;
-  // The operand stack of the frame inside exec(). Empty between frames
-  // (a frame leaving mid-expression takes its operands along), so gc()
-  // — which runs only between slices — finds every operand in a frame.
+  // Per-entry locals counts of every linked segment (see LinkedSegment).
+  std::vector<std::uint16_t> entry_locals_;
+  // The operand buffer of the frame inside exec(): link_loaded grows it
+  // to the largest verified max_stack, so exec pushes without a check.
+  // Nothing in it is live between frames (a frame leaving mid-expression
+  // takes its operands along), so gc() — which runs only between slices
+  // — finds every operand in a frame.
   std::vector<Value> stack_;
   // Recycled value vectors (see values()/recycle()): bounded in count
   // and per-vector capacity, so the pool holds at most 64 KiB.

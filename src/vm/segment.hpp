@@ -33,72 +33,91 @@ struct SegmentGuid {
 };
 
 /// The opcode table of the extended TyCO virtual machine: one row per
-/// opcode, V(enumerator, mnemonic, operand words). Every opcode is one
-/// 32-bit word followed by its operand words. Jump targets and code
-/// offsets are segment-relative (position independence). Constant/label/
-/// dep operands index the segment's own tables, mapped to site-global ids
-/// at link time. `Op`, `op_name`, `op_arity` and `kOpCount` are generated
-/// from this list, so adding an opcode touches this table (and the
+/// opcode, V(enumerator, mnemonic, operand words, stack effect). Every
+/// opcode is one 32-bit word followed by its operand words. Jump targets
+/// and code offsets are segment-relative (position independence).
+/// Constant/label/dep operands index the segment's own tables, mapped to
+/// site-global ids at link time. The stack effect (pops, n, pushes) pops
+/// `pops` operands plus as many as operand word `n` says (n is 1-based,
+/// 0 for none), then pushes `pushes`. `Op`, `op_name`, `op_arity`,
+/// `op_effect` and `kOpCount` are generated from this list, so the
+/// verifier's depth analysis reads the same table the interpreter is
+/// written against, and adding an opcode touches this table (and the
 /// interpreter's switch) only.
 #define DITYCO_OPCODES(V)                                                   \
-  V(kHalt, "halt", 0)          /* end of thread */                         \
-  V(kPushInt, "pushi", 2)      /* [lo, hi] push int64 immediate */         \
-  V(kPushFloat, "pushf", 1)    /* [fidx] push float constant */            \
-  V(kPushStr, "pushs", 1)      /* [sidx] push string constant */           \
-  V(kPushBool, "pushb", 1)     /* [0|1] */                                 \
-  V(kLoad, "load", 1)          /* [slot] push locals[slot] */              \
-  V(kStore, "store", 1)        /* [slot] locals[slot] = pop */             \
+  V(kHalt, "halt", 0, (0, 0, 0))          /* end of thread */              \
+  V(kPushInt, "pushi", 2, (0, 0, 1))      /* [lo, hi] int64 immediate */   \
+  V(kPushFloat, "pushf", 1, (0, 0, 1))    /* [fidx] float constant */      \
+  V(kPushStr, "pushs", 1, (0, 0, 1))      /* [sidx] string constant */     \
+  V(kPushBool, "pushb", 1, (0, 0, 1))     /* [0|1] */                      \
+  V(kLoad, "load", 1, (0, 0, 1))          /* [slot] push locals[slot] */   \
+  V(kStore, "store", 1, (1, 0, 0))        /* [slot] locals[slot] = pop */  \
   /* Builtin expression operators (on the operand stack). */              \
-  V(kAdd, "add", 0)                                                         \
-  V(kSub, "sub", 0)                                                         \
-  V(kMul, "mul", 0)                                                         \
-  V(kDiv, "div", 0)                                                         \
-  V(kMod, "mod", 0)                                                         \
-  V(kLt, "lt", 0)                                                           \
-  V(kLe, "le", 0)                                                           \
-  V(kGt, "gt", 0)                                                           \
-  V(kGe, "ge", 0)                                                           \
-  V(kEq, "eq", 0)                                                           \
-  V(kNe, "ne", 0)                                                           \
-  V(kAndB, "and", 0)                                                        \
-  V(kOrB, "or", 0)                                                          \
-  V(kConcat, "concat", 0)                                                   \
-  V(kNeg, "neg", 0)                                                         \
-  V(kNot, "not", 0)                                                         \
-  V(kJmp, "jmp", 1)            /* [target] */                              \
-  V(kJmpIfFalse, "jmpf", 1)    /* [target] pops a bool */                  \
-  V(kNewChan, "newc", 1)       /* [slot] new channel into locals[slot] */  \
+  V(kAdd, "add", 0, (2, 0, 1))                                              \
+  V(kSub, "sub", 0, (2, 0, 1))                                              \
+  V(kMul, "mul", 0, (2, 0, 1))                                              \
+  V(kDiv, "div", 0, (2, 0, 1))                                              \
+  V(kMod, "mod", 0, (2, 0, 1))                                              \
+  V(kLt, "lt", 0, (2, 0, 1))                                                \
+  V(kLe, "le", 0, (2, 0, 1))                                                \
+  V(kGt, "gt", 0, (2, 0, 1))                                                \
+  V(kGe, "ge", 0, (2, 0, 1))                                                \
+  V(kEq, "eq", 0, (2, 0, 1))                                                \
+  V(kNe, "ne", 0, (2, 0, 1))                                                \
+  V(kAndB, "and", 0, (2, 0, 1))                                             \
+  V(kOrB, "or", 0, (2, 0, 1))                                               \
+  V(kConcat, "concat", 0, (2, 0, 1))                                        \
+  V(kNeg, "neg", 0, (1, 0, 1))                                              \
+  V(kNot, "not", 0, (1, 0, 1))                                              \
+  V(kJmp, "jmp", 1, (0, 0, 0))            /* [target] */                   \
+  V(kJmpIfFalse, "jmpf", 1, (1, 0, 0))    /* [target] pops a bool */       \
+  V(kNewChan, "newc", 1, (0, 0, 0))       /* [slot] new channel */         \
   /* [slot, name_sidx] site-wide named channel (free names are     */     \
   /* implicitly located at the site)                               */     \
-  V(kGlobal, "global", 2)                                                   \
-  V(kTrMsg, "trmsg", 2)        /* [labelidx, nargs] pop target, args */    \
-  V(kTrObj, "trobj", 2)        /* [depidx, nfree] pop target, captures */  \
-  V(kInstOf, "instof", 1)      /* [nargs] pop class value, then args */    \
-  V(kFork, "fork", 2)          /* [target, nfree] spawn with captures */   \
-  V(kMkBlock, "mkblock", 4)    /* [depidx, nfree, nclasses, firstdst] */   \
-  V(kLoadSibling, "loadsib", 1) /* [classidx] sibling class of block */    \
-  V(kPrint, "print", 1)        /* [nargs] */                               \
-  V(kExportName, "exportn", 2) /* [slot, name_sidx] */                     \
-  V(kExportClass, "exportc", 2) /* [slot, name_sidx] */                    \
-  V(kImportName, "importn", 3) /* [dst, site, name] parks the frame */     \
-  V(kImportClass, "importc", 3) /* [dst, site, name] parks the frame */
+  V(kGlobal, "global", 2, (0, 0, 0))                                        \
+  V(kTrMsg, "trmsg", 2, (1, 2, 0))        /* [labelidx, nargs] */          \
+  V(kTrObj, "trobj", 2, (1, 2, 0))        /* [depidx, nfree] */            \
+  V(kInstOf, "instof", 1, (1, 1, 0))      /* [nargs] class, then args */   \
+  V(kFork, "fork", 2, (0, 2, 0))          /* [target, nfree] */            \
+  V(kMkBlock, "mkblock", 4, (0, 2, 0))    /* [depidx, nfree, ncls, dst] */ \
+  V(kLoadSibling, "loadsib", 1, (0, 0, 1)) /* [classidx] block sibling */  \
+  V(kPrint, "print", 1, (0, 1, 0))        /* [nargs] */                    \
+  V(kExportName, "exportn", 2, (0, 0, 0)) /* [slot, name_sidx] */          \
+  V(kExportClass, "exportc", 2, (0, 0, 0)) /* [slot, name_sidx] */         \
+  V(kImportName, "importn", 3, (0, 0, 0)) /* [dst, site, name] parks */    \
+  V(kImportClass, "importc", 3, (0, 0, 0)) /* [dst, site, name] parks */
 
 enum class Op : std::uint32_t {
-#define DITYCO_OP_ENUM(id, mnemonic, arity) id,
+#define DITYCO_OP_ENUM(id, mnemonic, arity, effect) id,
   DITYCO_OPCODES(DITYCO_OP_ENUM)
 #undef DITYCO_OP_ENUM
 };
 
+/// An opcode's operand-stack effect (see DITYCO_OPCODES).
+struct StackEffect {
+  std::uint8_t pops = 0;
+  std::uint8_t pops_operand = 0;  // 1-based operand word adding pops; 0 none
+  std::uint8_t pushes = 0;
+};
+
 namespace detail {
 inline constexpr std::uint8_t kOpArity[] = {
-#define DITYCO_OP_ARITY(id, mnemonic, arity) arity,
+#define DITYCO_OP_ARITY(id, mnemonic, arity, effect) arity,
     DITYCO_OPCODES(DITYCO_OP_ARITY)
 #undef DITYCO_OP_ARITY
 };
 inline constexpr const char* kOpName[] = {
-#define DITYCO_OP_NAME(id, mnemonic, arity) mnemonic,
+#define DITYCO_OP_NAME(id, mnemonic, arity, effect) mnemonic,
     DITYCO_OPCODES(DITYCO_OP_NAME)
 #undef DITYCO_OP_NAME
+};
+inline constexpr StackEffect kOpEffect[] = {
+#define DITYCO_OP_EFFECT_ROW(pops, operand, pushes) {pops, operand, pushes},
+#define DITYCO_OP_EFFECT(id, mnemonic, arity, effect) \
+  DITYCO_OP_EFFECT_ROW effect
+    DITYCO_OPCODES(DITYCO_OP_EFFECT)
+#undef DITYCO_OP_EFFECT
+#undef DITYCO_OP_EFFECT_ROW
 };
 }  // namespace detail
 
@@ -115,6 +134,10 @@ inline int op_arity(Op op) {
 inline const char* op_name(Op op) {
   const auto i = static_cast<std::uint32_t>(op);
   return i < kOpCount ? detail::kOpName[i] : "?";
+}
+/// Precondition: op < kOpCount.
+inline const StackEffect& op_effect(Op op) {
+  return detail::kOpEffect[static_cast<std::uint32_t>(op)];
 }
 
 /// A position-independent code block.

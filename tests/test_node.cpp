@@ -283,6 +283,49 @@ TEST(SameNodeHandoff, ForgedRefToMissingSiteIsDropped) {
     }
 }
 
+// A NetRef naming a node outside the fleet is dropped by the transport
+// at send and counted there, and its work token is released, so the
+// run still ends at quiescence instead of throwing in the daemon.
+TEST(SameNodeHandoff, ForgedRefToMissingNodeIsDroppedAtSend) {
+  for (const auto mode : {Network::Mode::kSequential, Network::Mode::kThreaded,
+                          Network::Mode::kSim}) {
+    SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+    Network::Config cfg;
+    cfg.mode = mode;
+    cfg.timeout_ms = 10'000;
+    Network net(cfg);
+    net.add_node();
+    net.add_node();
+    Site& server = net.add_site(0, "server");
+    net.submit_source("server", "export new p in p?{ val(k) = k![1] }");
+    ASSERT_TRUE(net.run().quiescent);
+    const auto p = net.name_service().lookup_id("server", "p");
+    ASSERT_TRUE(p.has_value());
+    // SHIPM p![k] where k names site 0 of node 7 (the fleet has 2).
+    vm::Machine forger("forger");
+    const vm::NetRef forged{vm::NetRef::Kind::kChan, 7, 0, 1};
+    Writer w;
+    write_header(w, MsgType::kShipMsg, p->site);
+    w.u64(p->heap_id);
+    w.str("val");
+    marshal_values(
+        forger,
+        {vm::Value::make_netref(forger.intern_netref_credit(forged, 0))}, w);
+    server.push_incoming(w.take(), 0);
+    Network::Result res;
+    EXPECT_NO_THROW(res = net.run());
+    EXPECT_TRUE(res.quiescent);
+    EXPECT_FALSE(res.budget_exhausted);
+    EXPECT_FALSE(has_error(net, "stopped early"));
+    net::Transport& t = net.transport();
+    const std::uint64_t dropped =
+        mode == Network::Mode::kSim
+            ? dynamic_cast<net::SimTransport&>(t).dropped()
+            : dynamic_cast<net::InProcTransport&>(t).dropped();
+    EXPECT_EQ(dropped, 1u);
+  }
+}
+
 TEST(NameServicePackets, ExportThenLookupRoundTrip) {
   NameService ns(0);
   std::vector<net::Packet> replies;

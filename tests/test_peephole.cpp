@@ -32,6 +32,22 @@ TEST(Peephole, FoldsConstantArithmetic) {
   EXPECT_TRUE(vm::verify_program(prog).empty());
 }
 
+// Folding INT64_MIN / -1 used to kill the compiler with SIGFPE; the
+// folder now computes what the interpreter computes.
+TEST(Peephole, FoldsInt64EdgesLikeTheInterpreter) {
+  const char* src =
+      "print[(0 - 9223372036854775807 - 1) / (0 - 1), "
+      "(0 - 9223372036854775807 - 1) % (0 - 1), "
+      "(0 - 9223372036854775807 - 1) * (0 - 1), "
+      "-(0 - 9223372036854775807 - 1)]";
+  auto folded = compile_source(src, false);
+  EXPECT_GT(peephole(folded), 0u);
+  const std::vector<std::string> want{
+      "-9223372036854775808 0 -9223372036854775808 -9223372036854775808"};
+  EXPECT_EQ(run_prog(folded), want);
+  EXPECT_EQ(run_prog(compile_source(src, false)), want);
+}
+
 TEST(Peephole, FoldsBooleansAndComparisons) {
   auto prog = compile_source(
       "print[1 < 2, true && false, !(3 == 3), -(4 - 9)]", false);

@@ -25,6 +25,18 @@ TEST(Reducer, PrintOnly) {
   EXPECT_EQ(red.output("main")[0], "1 true hi 2.5");
 }
 
+TEST(Reducer, Int64EdgesWrapInsteadOfTrapping) {
+  Reducer red;
+  auto res = run_net(
+      red, "new x (x?{ d(a, b) = print[a / b, a % b, a * b, -a, a + a] } | "
+           "x!d[0 - 9223372036854775807 - 1, 0 - 1])");
+  EXPECT_TRUE(res.errors.empty()) << res.errors[0];
+  ASSERT_EQ(red.output("main").size(), 1u);
+  EXPECT_EQ(red.output("main")[0],
+            "-9223372036854775808 0 -9223372036854775808 "
+            "-9223372036854775808 0");
+}
+
 TEST(Reducer, PrintContinuationOrder) {
   Reducer red;
   run_net(red, "print[1]; print[2]; print[3]");

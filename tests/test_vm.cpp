@@ -35,6 +35,23 @@ TEST(Vm, PrintLiterals) {
   EXPECT_EQ(m.output(), std::vector<std::string>{"1 true hi 2.5"});
 }
 
+// INT64_MIN / -1 and INT64_MIN % -1 used to raise SIGFPE, and a message
+// can carry the operands; + - * and unary - wrap in two's complement.
+TEST(Vm, Int64EdgesWrapInsteadOfTrapping) {
+  auto m = run_local(
+      "new x (x?{ d(a, b) = print[a / b, a % b, a * b, a - 1, -a, a + a] } "
+      "| x!d[0 - 9223372036854775807 - 1, 0 - 1])");
+  EXPECT_TRUE(m.errors().empty()) << m.errors()[0];
+  EXPECT_EQ(m.output(),
+            std::vector<std::string>{"-9223372036854775808 0 "
+                                     "-9223372036854775808 "
+                                     "9223372036854775807 "
+                                     "-9223372036854775808 0"});
+  auto z = run_local("new x (x?{ d(a, b) = print[a / b] } | x!d[1, 0])");
+  ASSERT_EQ(z.errors().size(), 1u);
+  EXPECT_NE(z.errors()[0].find("division by zero"), std::string::npos);
+}
+
 TEST(Vm, PrintContinuation) {
   auto m = run_local("print[1]; print[2]; print[3]");
   EXPECT_EQ(m.output(), (std::vector<std::string>{"1", "2", "3"}));
@@ -619,6 +636,15 @@ TEST(Segments, DisassemblerCoversAllOps) {
   EXPECT_NE(dis.find("trobj"), std::string::npos);
   EXPECT_NE(dis.find("fork"), std::string::npos);
   EXPECT_NE(dis.find("jmpf"), std::string::npos);
+  // Tables decode by how the segment is referenced: a def block's class
+  // table is not read as a method table (nor as code).
+  const std::string cell = comp::disassemble(compile_source(
+      "def Cell(self, v) = self?{ read(r) = (r![v] | Cell[self, v]) } in "
+      "new x Cell[x, 1]"));
+  EXPECT_NE(cell.find("  class 0/2 @3\n  3: load 0"), std::string::npos)
+      << cell;
+  EXPECT_NE(cell.find("  method read/1 @4\n  4: load 0"), std::string::npos)
+      << cell;
 }
 
 TEST(Segments, ClosureCollection) {
@@ -671,7 +697,9 @@ INSTANTIATE_TEST_SUITE_P(
         "new a, b (a![1] | b![2] | a?(x) = b?(y) = print[x + y])",
         "print[\"s\" ++ \"t\", 1.5 * 2, 7 % 4, -(3 - 5)]",
         "if 2 > 1 then (if false then print[0] else print[1]) else print[2]",
-        "let z = c![] in print[z] | c?(r) = r![99]"));
+        "let z = c![] in print[z] | c?(r) = r![99]",
+        "new x (x?{ d(a, b) = print[a / b, a % b, a * b, -a, a - 1] } | "
+        "x!d[0 - 9223372036854775807 - 1, 0 - 1])"));
 
 }  // namespace
 }  // namespace dityco::vm
