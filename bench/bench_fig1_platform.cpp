@@ -11,12 +11,13 @@ using namespace dityco::benchutil;
 
 namespace {
 
+/// A SHIPM frame of `size` bytes: the 5-byte header, then padding.
 net::Packet mk(std::uint32_t src, std::uint32_t dst, std::size_t size) {
-  net::Packet p;
-  p.src_node = src;
-  p.dst_node = dst;
-  p.bytes.assign(size, 0);
-  return p;
+  Writer w;
+  net::write_header(w, net::MsgType::kShipMsg, 0);
+  auto bytes = w.take();
+  bytes.resize(size);
+  return net::Packet::parse(src, dst, std::move(bytes));
 }
 
 double all_pairs_makespan(const net::LinkModel& link, int nodes,

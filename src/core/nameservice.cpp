@@ -7,7 +7,6 @@
 namespace dityco::core {
 
 namespace {
-constexpr std::uint32_t kNsDstSite = 0xffffffffu;
 // Releaser site id the name service uses in its RELs (it is not a site;
 // the id only needs to be unique per releasing node).
 constexpr std::uint32_t kNsReleaserSite = 0xfffffffeu;
@@ -43,11 +42,7 @@ void NameService::reply_to(const Waiter& w, Entry& e, bool ok,
   write_netref(out, e.ref);
   out.str(e.type_sig);
   out.u64(share);
-  net::Packet p;
-  p.src_node = home_node_;
-  p.dst_node = w.node;
-  p.bytes = out.take();
-  replies.push_back(std::move(p));
+  replies.push_back(net::Packet::parse(home_node_, w.node, out.take()));
   ++stats_.replies;
   if (lease_tracking_ && ok &&
       std::find(e.lease_holders.begin(), e.lease_holders.end(), w.node) ==
@@ -57,11 +52,8 @@ void NameService::reply_to(const Waiter& w, Entry& e, bool ok,
     // CREDIT-MOVED: the owner minted this credit against the name
     // service (unattributed); tell it the share now lives at the
     // importer's node so a failure write-off there can forgive it.
-    net::Packet cm;
-    cm.src_node = home_node_;
-    cm.dst_node = e.ref.node;
-    cm.bytes = make_credit_moved(e.ref, w.node, share);
-    replies.push_back(std::move(cm));
+    replies.push_back(net::Packet::parse(
+        home_node_, e.ref.node, make_credit_moved(e.ref, w.node, share)));
     ++stats_.credit_moves;
   }
 }
@@ -71,24 +63,20 @@ void NameService::release_entry(const Entry& e, std::vector<net::Packet>& out) {
   std::uint64_t& cum = released_cum_[e.ref];
   cum += e.credit;
   ++mutations_;
-  net::Packet p;
-  p.src_node = home_node_;
-  p.dst_node = e.ref.node;
-  p.bytes = make_release(e.ref, home_node_, kNsReleaserSite, cum);
-  out.push_back(std::move(p));
+  out.push_back(net::Packet::parse(
+      home_node_, e.ref.node,
+      make_release(e.ref, home_node_, kNsReleaserSite, cum)));
   ++stats_.releases;
 }
 
 void NameService::push_invalidations(const Key& key, Entry& e,
                                      std::vector<net::Packet>& out) {
   if (e.lease_holders.empty()) return;
-  const auto bytes = make_ns_invalidate(key.first, key.second);
+  const net::Packet inv = net::Packet::parse(
+      home_node_, 0, make_ns_invalidate(key.first, key.second));
   for (const std::uint32_t holder : e.lease_holders) {
-    net::Packet p;
-    p.src_node = home_node_;
-    p.dst_node = holder;
-    p.bytes = bytes;
-    out.push_back(std::move(p));
+    out.push_back(inv);
+    out.back().dst_node = holder;
     ++stats_.invalidations;
   }
   e.lease_holders.clear();
@@ -303,12 +291,11 @@ void NameService::register_metrics(obs::Registry& registry,
 }
 
 std::vector<std::uint8_t> NameService::make_export(
-    std::uint32_t /*dst_site_unused*/, const std::string& site,
-    const std::string& name, const vm::NetRef& ref,
+    const std::string& site, const std::string& name, const vm::NetRef& ref,
     const std::string& type_sig, std::uint64_t trace_id, bool sampled,
     std::uint64_t credit) {
   Writer w;
-  write_header(w, MsgType::kNsExport, kNsDstSite, trace_id, sampled);
+  write_header(w, MsgType::kNsExport, net::kNoSite, trace_id, sampled);
   w.str(site);
   w.str(name);
   write_netref(w, ref);
@@ -320,7 +307,7 @@ std::vector<std::uint8_t> NameService::make_export(
 std::vector<std::uint8_t> NameService::make_unregister(
     const std::string& site, const std::string& name) {
   Writer w;
-  write_header(w, MsgType::kNsUnregister, kNsDstSite);
+  write_header(w, MsgType::kNsUnregister, net::kNoSite);
   w.str(site);
   w.str(name);
   return w.take();
@@ -331,7 +318,7 @@ std::vector<std::uint8_t> NameService::make_lookup(
     std::uint32_t req_node, std::uint32_t req_site, std::uint64_t token,
     std::uint64_t trace_id, bool sampled) {
   Writer w;
-  write_header(w, MsgType::kNsLookup, kNsDstSite, trace_id, sampled);
+  write_header(w, MsgType::kNsLookup, net::kNoSite, trace_id, sampled);
   w.str(site);
   w.str(name);
   w.u8(static_cast<std::uint8_t>(kind));

@@ -163,8 +163,7 @@ class NameService {
 
   // -- payload builders (used by sites) --
   static std::vector<std::uint8_t> make_export(
-      std::uint32_t dst_site_unused, const std::string& site,
-      const std::string& name, const vm::NetRef& ref,
+      const std::string& site, const std::string& name, const vm::NetRef& ref,
       const std::string& type_sig, std::uint64_t trace_id = 0,
       bool sampled = true, std::uint64_t credit = 0);
   static std::vector<std::uint8_t> make_unregister(const std::string& site,

@@ -1460,11 +1460,11 @@ Network::Result Network::run_sim() {
         double arrival = 0;
         const net::Packet* head = t.peek(n->id(), arrival);
         if (!head) break;
-        const bool ns = packet_is_ns(*head);
+        const bool ns = head->hdr.for_daemon();
         std::size_t idx = SIZE_MAX;
         // The NS daemon is modelled as always ready; site packets wait
         // until the receiving site's virtual clock reaches the arrival.
-        if (!ns) idx = site_index(n->id(), packet_dst_site(*head));
+        if (!ns) idx = site_index(n->id(), head->hdr.dst_site);
         if (idx != SIZE_MAX) {
           // An idle receiver is simply waiting: its clock may jump to the
           // arrival. A busy receiver only sees the packet once its own

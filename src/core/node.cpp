@@ -1,26 +1,9 @@
 #include "core/node.hpp"
 
-#include <cstring>
-
 #include "ns/cache.hpp"
 #include "ns/shard.hpp"
 
 namespace dityco::core {
-
-std::uint32_t packet_dst_site(const net::Packet& p) {
-  if (p.bytes.size() < 5) throw DecodeError("short packet");
-  std::uint32_t v;
-  std::memcpy(&v, p.bytes.data() + 1, sizeof v);
-  return v;
-}
-
-bool packet_is_ns(const net::Packet& p) {
-  // packet_type masks the flag bits, so traced frames route the same as
-  // untraced ones.
-  const MsgType t = packet_type(p.bytes);
-  return t == MsgType::kNsExport || t == MsgType::kNsLookup ||
-         t == MsgType::kNsUnregister || t == MsgType::kNsInvalidate;
-}
 
 Node::Node(std::uint32_t id, ns::ShardRouter& router, std::uint64_t lease_ns,
            obs::Registry* metrics)
@@ -118,15 +101,11 @@ void Node::route(net::Packet p, net::Transport& t, double now_us) {
   try {
     dispatch(p, t, now_us);
   } catch (const DecodeError&) {
-    drop_malformed();
+    // The route boundary is where frames from the transport enter the
+    // daemon: an unroutable one is dropped, never fatal to the node.
+    ++frames_malformed_;
+    if (work_ != nullptr) work_->release();
   }
-}
-
-void Node::drop_malformed() {
-  // The route boundary is where frames from the transport enter the
-  // daemon: an unroutable one is dropped, never fatal to the node.
-  ++frames_malformed_;
-  if (work_ != nullptr) work_->release();
 }
 
 void Node::dispatch(net::Packet& p, net::Transport& t, double now_us) {
@@ -137,9 +116,9 @@ void Node::dispatch(net::Packet& p, net::Transport& t, double now_us) {
   const auto consume = [this] {
     if (work_ != nullptr) work_->release();
   };
-  if (packet_is_ns(p)) {
-    Reader r(p.bytes);
-    const PacketHeader h = read_header(r);
+  const net::PacketHeader& h = p.hdr;
+  if (h.for_daemon()) {
+    Reader r(p.payload());
     if (h.type == MsgType::kNsInvalidate) {
       // Lease invalidation pushed by a shard primary: drop the cached
       // binding so the next import re-resolves authoritatively.
@@ -160,11 +139,9 @@ void Node::dispatch(net::Packet& p, net::Transport& t, double now_us) {
       if (owners.primary != id_ && owners.primary != ns::ShardRouter::kNoNode) {
         // Not ours: forward to the owning shard. The reply goes
         // straight to the requester carried in the payload.
-        net::Packet fwd;
-        fwd.src_node = id_;
-        fwd.dst_node = owners.primary;
-        fwd.bytes = std::move(p.bytes);
-        t.send(std::move(fwd), now_us);
+        p.src_node = id_;
+        p.dst_node = owners.primary;
+        t.send(std::move(p), now_us);
         return;
       }
     } else {
@@ -173,24 +150,22 @@ void Node::dispatch(net::Packet& p, net::Transport& t, double now_us) {
       if (!primary_here && !replica_here) {
         // Stale client map or in-flight handoff: bounce to the
         // current primary, which re-replicates as needed.
-        net::Packet fwd;
-        fwd.src_node = id_;
-        fwd.dst_node = owners.primary;
-        fwd.bytes = std::move(p.bytes);
-        if (owners.primary != ns::ShardRouter::kNoNode)
-          t.send(std::move(fwd), now_us);
-        else
+        if (owners.primary == ns::ShardRouter::kNoNode) {
           consume();
+          return;
+        }
+        p.src_node = id_;
+        p.dst_node = owners.primary;
+        t.send(std::move(p), now_us);
         return;
       }
       if (primary_here && owners.replica != ns::ShardRouter::kNoNode &&
           owners.replica != id_ && !router_->is_dead(owners.replica)) {
         // Primary replicates byte-identically to its follower; the
         // follower classifies itself as replica and keeps no credit.
-        net::Packet copy;
+        net::Packet copy = p;
         copy.src_node = id_;
         copy.dst_node = owners.replica;
-        copy.bytes = p.bytes;
         emit(std::move(copy), t, now_us);
       }
       // Exactly one credit holder per minted unit: the primary.
@@ -213,24 +188,22 @@ void Node::dispatch(net::Packet& p, net::Transport& t, double now_us) {
     consume();
     return;
   }
-  if (packet_type(p.bytes) == MsgType::kPeerDown) {
+  if (h.type == MsgType::kPeerDown) {
     // A synthetic death notice injected by the transport's failure
     // detector: every site on this node writes off the dead holder's
     // export credit, and this node's directory slice drops the dead
     // node's registrations so lookups stop resolving to it.
-    Reader r(p.bytes);
-    read_header(r);
+    Reader r(p.payload());
     ns_handle_dead(read_peer_down(r), t, now_us);
     for (auto& s : sites_) {
       if (work_ != nullptr) work_->take();
-      s->push_incoming(p.bytes, p.src_node);
+      s->push_incoming(p);
     }
     consume();
     return;
   }
-  const std::uint32_t dst_site = packet_dst_site(p);
-  if (dst_site >= sites_.size()) throw DecodeError("packet to unknown site");
-  sites_[dst_site]->push_incoming(std::move(p.bytes), p.src_node);
+  if (h.dst_site >= sites_.size()) throw DecodeError("packet to unknown site");
+  sites_[h.dst_site]->push_incoming(std::move(p));
 }
 
 void Node::ns_handle_dead(std::uint32_t dead, net::Transport& t,
@@ -260,12 +233,11 @@ void Node::ns_reshard(net::Transport& t, double now_us) {
     const std::uint32_t rep = owners.replica;
     if (rep == ns::ShardRouter::kNoNode || rep == id_ || router_->is_dead(rep))
       continue;
-    net::Packet copy;
-    copy.src_node = id_;
-    copy.dst_node = rep;
-    copy.bytes = NameService::make_export(0, rec.site, rec.name, rec.ref,
-                                          rec.type_sig, 0, true, /*credit=*/0);
-    emit(std::move(copy), t, now_us);
+    emit(net::Packet::parse(id_, rep,
+                            NameService::make_export(rec.site, rec.name,
+                                                     rec.ref, rec.type_sig, 0,
+                                                     true, /*credit=*/0)),
+         t, now_us);
   }
 }
 
@@ -287,8 +259,8 @@ std::size_t Node::pump_site_outgoing(net::Transport& t, std::size_t site_idx,
     if (p.dst_node == id_) {
       route(std::move(p), t, now_us);  // a key this node's slice owns
     } else {
-      if (ring_.enabled() && ring_.should_record(packet_sampled(p.bytes)))
-        ring_.record(obs::EventType::kPacketSend, packet_trace_id(p.bytes),
+      if (ring_.enabled() && ring_.should_record(p.hdr.sampled))
+        ring_.record(obs::EventType::kPacketSend, p.hdr.trace_id,
                      p.bytes.size());
       t.send(std::move(p), now_us);
     }
@@ -308,14 +280,10 @@ std::size_t Node::pump_incoming(net::Transport& t, double now_us) {
   net::Packet p;
   while (t.recv(id_, p, now_us)) {
     ++moved;
-    try {
-      if (ring_.enabled() && ring_.should_record(packet_sampled(p.bytes)))
-        ring_.record(obs::EventType::kPacketRecv, packet_trace_id(p.bytes),
-                     p.bytes.size());
-      dispatch(p, t, now_us);
-    } catch (const DecodeError&) {
-      drop_malformed();
-    }
+    if (ring_.enabled() && ring_.should_record(p.hdr.sampled))
+      ring_.record(obs::EventType::kPacketRecv, p.hdr.trace_id,
+                   p.bytes.size());
+    route(std::move(p), t, now_us);
   }
   return moved;
 }

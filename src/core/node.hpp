@@ -28,12 +28,6 @@ class ShardRouter;
 
 namespace dityco::core {
 
-/// Destination site id encoded in a packet header (for routing and for
-/// the sim driver's clock accounting).
-std::uint32_t packet_dst_site(const net::Packet& p);
-/// True for packets addressed to the name service rather than a site.
-bool packet_is_ns(const net::Packet& p);
-
 class Node {
  public:
   /// `router` is the fleet's shard map (it outlives the node); this node
@@ -80,8 +74,8 @@ class Node {
 
   /// Route one packet addressed to this node (from the transport, or a
   /// name-service frame from a local site). Needs the transport to
-  /// forward name-service replies. A frame that cannot be routed (empty,
-  /// truncated NS body, unknown destination site) is untrusted input: it
+  /// forward name-service replies. A frame that cannot be routed
+  /// (truncated NS body, unknown destination site) is untrusted input: it
   /// is dropped, its work token released, and frames_malformed() counts
   /// it.
   void route(net::Packet p, net::Transport& t, double now_us);
@@ -143,8 +137,6 @@ class Node {
   /// route()'s body; throws DecodeError on an unroutable frame before
   /// passing its work token on.
   void dispatch(net::Packet& p, net::Transport& t, double now_us);
-  /// Count an unroutable frame and release its work token.
-  void drop_malformed();
 
   std::uint32_t id_;
   NameService ns_;

@@ -146,11 +146,10 @@ void Site::record_error(std::string what) {
 // Queues
 // ---------------------------------------------------------------------
 
-void Site::push_incoming(std::vector<std::uint8_t> bytes,
-                         std::uint32_t src_node) {
+void Site::push_incoming(net::Packet p) {
   {
     std::lock_guard<std::mutex> lk(queue_mu_);
-    incoming_.push_back(Delivery{std::move(bytes), src_node});
+    incoming_.push_back(std::move(p));
   }
   bell_.ring();
 }
@@ -197,7 +196,7 @@ void Site::sync_busy() {
     work_->release();
 }
 
-void Site::send_packet(std::uint32_t dst_node, std::uint32_t dst_site,
+void Site::send_packet(std::uint32_t dst_node,
                        std::vector<std::uint8_t> bytes) {
   if (dst_node != node_id_) {
     queue_outgoing(dst_node, std::move(bytes));
@@ -207,13 +206,15 @@ void Site::send_packet(std::uint32_t dst_node, std::uint32_t dst_site,
   // §5's shared-memory exchange; the heaps stay separate, so it is
   // still marshalled). The daemon never sees it. The destination comes
   // from a NetRef, which may be forged: check it, never index with it.
+  net::Packet p = net::Packet::parse(node_id_, node_id_, std::move(bytes));
+  const std::uint32_t dst_site = p.hdr.dst_site;
   if (dst_site >= siblings_.size()) {
     record_error(name_ + ": packet to unknown site " +
                  std::to_string(dst_site) + " on this node");
     return;
   }
   if (work_ != nullptr) work_->take();  // passed on with the frame
-  siblings_[dst_site]->push_incoming(std::move(bytes), node_id_);
+  siblings_[dst_site]->push_incoming(std::move(p));
   ++mobility_.local_handoffs;
 }
 
@@ -226,10 +227,7 @@ void Site::queue_outgoing(std::uint32_t dst_node,
     ++mobility_.ns_dropped;
     return;
   }
-  net::Packet p;
-  p.src_node = node_id_;
-  p.dst_node = dst_node;
-  p.bytes = std::move(bytes);
+  net::Packet p = net::Packet::parse(node_id_, dst_node, std::move(bytes));
   if (work_ != nullptr) work_->take();
   {
     std::lock_guard<std::mutex> lk(queue_mu_);
@@ -241,7 +239,7 @@ void Site::queue_outgoing(std::uint32_t dst_node,
 std::size_t Site::process_incoming(std::size_t max_packets) {
   std::size_t n = 0;
   while (n < max_packets) {
-    Delivery d;
+    net::Packet d;
     {
       std::lock_guard<std::mutex> lk(queue_mu_);
       if (incoming_.empty()) break;
@@ -259,19 +257,17 @@ std::size_t Site::process_incoming(std::size_t max_packets) {
     // sender's debt slot (a self-delivery attributes to ourselves, which
     // is equally correct — our own node is never written off).
     machine_.set_credit_peer(d.src_node);
-    PacketHeader h;  // trace id 0 until the header parses
+    machine_.set_credit_trace(d.hdr.trace_id);
     try {
-      Reader r(d.bytes);
-      h = read_header(r);
-      machine_.set_credit_trace(h.trace_id);
-      handle_packet(h, r, d.bytes.size());
+      Reader r(d.payload());
+      handle_packet(d.hdr, r, d.bytes.size());
     } catch (const std::exception& e) {
       // The packet boundary is where untrusted bytes enter: any failure
-      // (malformed frame, verification, forged reference) poisons only
+      // (malformed payload, verification, forged reference) poisons only
       // this delivery, never the site.
       record_error(name_ + ": malformed packet: " + e.what());
-      if (flight_ != nullptr && h.trace_id != 0)
-        flight_->promote(h.trace_id, obs::FlightRecorder::Reason::kError);
+      if (flight_ != nullptr && d.hdr.trace_id != 0)
+        flight_->promote(d.hdr.trace_id, obs::FlightRecorder::Reason::kError);
     }
     machine_.set_credit_peer(vm::Machine::kNoPeer);
     machine_.set_credit_trace(0);
@@ -320,7 +316,7 @@ void Site::ship_message(const vm::NetRef& target, const std::string& label,
   }
   if (slo_ != nullptr && tid.id != 0)
     slo_->on_depart(tid.id, obs::SloPlane::Op::kMsg, now_ns());
-  send_packet(target.node, target.site, std::move(bytes));
+  send_packet(target.node, std::move(bytes));
   ++mobility_.msgs_shipped;
 }
 
@@ -355,7 +351,7 @@ void Site::ship_object(const vm::NetRef& target, std::uint32_t seg_slot,
   }
   if (slo_ != nullptr && tid.id != 0)
     slo_->on_depart(tid.id, obs::SloPlane::Op::kObj, now_ns());
-  send_packet(target.node, target.site, std::move(bytes));
+  send_packet(target.node, std::move(bytes));
   ++mobility_.objs_shipped;
 }
 
@@ -397,7 +393,7 @@ void Site::fetch_instantiate(const vm::NetRef& cls,
   if (flight_ != nullptr && tid.id != 0) flight_->on_depart(tid.id, now_ns());
   if (slo_ != nullptr && tid.id != 0)
     slo_->on_depart(tid.id, obs::SloPlane::Op::kFetch, now_ns());
-  send_packet(cls.node, cls.site, std::move(bytes));
+  send_packet(cls.node, std::move(bytes));
   ++mobility_.fetch_requests;
 }
 
@@ -428,7 +424,7 @@ void Site::export_id(const std::string& name, const vm::NetRef& ref) {
   if (ring_.should_record(tid.sampled))
     ring_.record(obs::EventType::kNsExport, tid.id);
   queue_outgoing(target,
-                 NameService::make_export(0, name_, name, ref, sig, tid.id,
+                 NameService::make_export(name_, name, ref, sig, tid.id,
                                           tid.sampled, credit));
 }
 
@@ -457,7 +453,7 @@ void Site::import_id(const std::string& site, const std::string& name,
       write_netref(w, ref);
       w.str(sig);
       w.u64(0);
-      push_incoming(w.take(), node_id_);
+      push_incoming(net::Packet::parse(node_id_, node_id_, w.take()));
       return;
     }
   }
@@ -524,9 +520,8 @@ std::size_t Site::collect(bool final, bool resend) {
     const obs::TraceTag tid = fresh_trace_id();
     if (ring_.should_record(tid.sampled))
       ring_.record(obs::EventType::kRelOut, tid.id, cum);
-    send_packet(ref.node, ref.site,
-                make_release(ref, node_id_, site_id_, cum, tid.id,
-                             tid.sampled));
+    send_packet(ref.node, make_release(ref, node_id_, site_id_, cum, tid.id,
+                                       tid.sampled));
     ++mobility_.gc_rel_sent;
     ++queued;
   }
@@ -553,7 +548,7 @@ std::shared_ptr<const vm::Machine::GcSnapshot> Site::gc_snapshot() const {
 // Inbound packets
 // ---------------------------------------------------------------------
 
-void Site::handle_packet(const PacketHeader& h, Reader& r,
+void Site::handle_packet(const net::PacketHeader& h, Reader& r,
                          std::size_t size) {
   switch (h.type) {
     case MsgType::kShipMsg: {
@@ -616,7 +611,7 @@ void Site::handle_packet(const PacketHeader& h, Reader& r,
       // stage; the requester's e2e closes on the kFetchRep below.
       if (slo_ != nullptr && h.trace_id != 0)
         slo_->on_served(h.trace_id, now_ns());
-      send_packet(req_node, req_site, std::move(reply));
+      send_packet(req_node, std::move(reply));
       ++mobility_.fetch_served;
       return;
     }

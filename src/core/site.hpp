@@ -127,13 +127,9 @@ class Site {
 
   // -- daemon and sibling-executor operations (thread-safe) --
 
-  /// `src_node` is the sending node when known (the daemon threads it
-  /// through from the transport packet; a same-node handoff passes its
-  /// own node); it drives GC debtor attribution — kUnknownSource
-  /// deliveries are processed but not attributed.
-  static constexpr std::uint32_t kUnknownSource = 0xffffffffu;
-  void push_incoming(std::vector<std::uint8_t> bytes,
-                     std::uint32_t src_node = kUnknownSource);
+  /// Queue a delivery. Its `src_node` (the transport's sender, or this
+  /// node for a same-node handoff) drives GC debtor attribution.
+  void push_incoming(net::Packet p);
   bool pop_outgoing(net::Packet& out);
   std::size_t incoming_size() const;
   std::size_t outgoing_size() const;
@@ -223,19 +219,18 @@ class Site {
  private:
   class Backend;
 
-  /// Apply one delivery; `r` is positioned after the parsed header `h`
-  /// and `size` is the whole frame's byte count.
-  void handle_packet(const PacketHeader& h, Reader& r, std::size_t size);
+  /// Apply one delivery; `r` reads the payload after the header `h` and
+  /// `size` is the whole frame's byte count.
+  void handle_packet(const net::PacketHeader& h, Reader& r, std::size_t size);
   /// Runnable frames, or (count_parked_) imports awaiting a reply.
   bool wants_busy() const;
   /// Take or release the busy token to match wants_busy() (executor
   /// thread; no-op unless attached).
   void sync_busy();
-  /// Send a site-addressed frame to (dst_node, dst_site). Same-node
-  /// frames are handed off into the sibling's inbox; the rest are
-  /// queued for the daemon and the transport.
-  void send_packet(std::uint32_t dst_node, std::uint32_t dst_site,
-                   std::vector<std::uint8_t> bytes);
+  /// Send a site-addressed frame to `dst_node`. Same-node frames are
+  /// handed off into the inbox of the sibling their header names; the
+  /// rest are queued for the daemon and the transport.
+  void send_packet(std::uint32_t dst_node, std::vector<std::uint8_t> bytes);
   /// Take a work token and queue `bytes` in the outbox for the daemon.
   /// Name-service frames always go this way, even to this node: its
   /// daemon serves the directory slice.
@@ -289,12 +284,8 @@ class Site {
   std::unique_ptr<Backend> backend_;
   vm::Machine machine_;
 
-  struct Delivery {
-    std::vector<std::uint8_t> bytes;
-    std::uint32_t src_node = kUnknownSource;
-  };
   mutable std::mutex queue_mu_;
-  std::deque<Delivery> incoming_;
+  std::deque<net::Packet> incoming_;
   std::deque<net::Packet> outgoing_;
   net::Doorbell bell_;
   // Threaded runs only: the run's count and this executor's busy token.

@@ -1,7 +1,5 @@
 #include "core/wire.hpp"
 
-#include <cstring>
-
 namespace dityco::core {
 
 namespace {
@@ -14,79 +12,7 @@ enum class WireTag : std::uint8_t {
   kNetRef,
 };
 
-constexpr std::uint8_t kHeaderFlags = kTraceFlag | kSampledFlag;
-
-/// The one check of a type byte's message kind: only MsgType values pass.
-MsgType checked_type(std::uint8_t t) {
-  switch (static_cast<MsgType>(t)) {
-    case MsgType::kShipMsg:
-    case MsgType::kShipObj:
-    case MsgType::kFetchReq:
-    case MsgType::kFetchRep:
-    case MsgType::kNsExport:
-    case MsgType::kNsLookup:
-    case MsgType::kNsReply:
-    case MsgType::kRelease:
-    case MsgType::kNsUnregister:
-    case MsgType::kPeerDown:
-    case MsgType::kCreditMoved:
-    case MsgType::kNsInvalidate:
-      return static_cast<MsgType>(t);
-  }
-  throw DecodeError("unknown packet type");
-}
-
 }  // namespace
-
-void write_header(Writer& w, MsgType t, std::uint32_t dst_site,
-                  std::uint64_t trace_id, bool sampled) {
-  std::uint8_t b = static_cast<std::uint8_t>(t);
-  if (trace_id == 0) {
-    w.u8(b);
-    w.u32(dst_site);
-    return;
-  }
-  b |= kTraceFlag;
-  if (sampled) b |= kSampledFlag;
-  w.u8(b);
-  w.u32(dst_site);
-  w.u64(trace_id);
-}
-
-PacketHeader read_header(Reader& r) {
-  const std::uint8_t b = r.u8();
-  PacketHeader h;
-  h.type = checked_type(b & static_cast<std::uint8_t>(~kHeaderFlags));
-  if ((b & kTraceFlag) == 0 && (b & kSampledFlag) != 0)
-    throw DecodeError("sampled flag on an untraced frame");
-  h.dst_site = r.u32();
-  if (b & kTraceFlag) {
-    h.trace_id = r.u64();
-    h.sampled = (b & kSampledFlag) != 0;
-  }
-  return h;
-}
-
-MsgType packet_type(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.empty()) throw DecodeError("empty packet");
-  return static_cast<MsgType>(bytes[0] &
-                              static_cast<std::uint8_t>(~kHeaderFlags));
-}
-
-std::uint64_t packet_trace_id(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.empty()) throw DecodeError("empty packet");
-  if (!(bytes[0] & kTraceFlag)) return 0;
-  if (bytes.size() < 13) throw DecodeError("short traced packet");
-  std::uint64_t id;
-  std::memcpy(&id, bytes.data() + 5, sizeof id);
-  return id;
-}
-
-bool packet_sampled(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.empty()) throw DecodeError("empty packet");
-  if (!(bytes[0] & kTraceFlag)) return true;  // untraced: record it
-  return (bytes[0] & kSampledFlag) != 0;
-}
 
 void write_netref(Writer& w, const vm::NetRef& r) {
   w.u8(static_cast<std::uint8_t>(r.kind));
@@ -214,15 +140,9 @@ std::vector<std::uint8_t> make_release(const vm::NetRef& ref,
   return w.take();
 }
 
-namespace {
-// PEER-DOWN is node-wide, not addressed to any site; the broadcast
-// sentinel keeps it clear of every real dst_site.
-constexpr std::uint32_t kBroadcastSite = 0xffffffffu;
-}  // namespace
-
 std::vector<std::uint8_t> make_peer_down(std::uint32_t dead_node) {
   Writer w;
-  write_header(w, MsgType::kPeerDown, kBroadcastSite);
+  write_header(w, MsgType::kPeerDown, net::kNoSite);
   w.u32(dead_node);
   return w.take();
 }
@@ -251,7 +171,7 @@ CreditMoved read_credit_moved(Reader& r) {
 std::vector<std::uint8_t> make_ns_invalidate(const std::string& site,
                                              const std::string& name) {
   Writer w;
-  write_header(w, MsgType::kNsInvalidate, kBroadcastSite);
+  write_header(w, MsgType::kNsInvalidate, net::kNoSite);
   w.str(site);
   w.str(name);
   return w.take();

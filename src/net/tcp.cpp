@@ -101,25 +101,6 @@ sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
   return addr;
 }
 
-// Peek at a daemon packet's trace header without decoding it. This
-// mirrors core/wire.hpp — which net/ cannot include (packets are opaque
-// at this layer) — so the socket hops of a traced operation carry the
-// same id and sampling decision as every other hop.
-constexpr std::uint8_t kPeekTraceFlag = 0x80;
-constexpr std::uint8_t kPeekSampledFlag = 0x40;
-
-std::uint64_t peek_trace_id(const std::vector<std::uint8_t>& b) {
-  if (b.size() < 13 || !(b[0] & kPeekTraceFlag)) return 0;
-  std::uint64_t id;
-  std::memcpy(&id, b.data() + 5, sizeof id);
-  return id;
-}
-
-bool peek_sampled(const std::vector<std::uint8_t>& b) {
-  // Untraced packets count as sampled, like packet_sampled.
-  return b.empty() || !(b[0] & kPeekTraceFlag) || (b[0] & kPeekSampledFlag);
-}
-
 void append_u32(Buf& b, std::uint32_t v) {
   b.push_back(static_cast<std::uint8_t>(v));
   b.push_back(static_cast<std::uint8_t>(v >> 8));
@@ -358,13 +339,10 @@ bool TcpTransport::post(Packet p) {
     std::lock_guard<std::mutex> lk(mu_);
     packets_out_.fetch_add(1, std::memory_order_relaxed);
     bytes_out_.fetch_add(wire, std::memory_order_relaxed);
-    if (ring_.should_record(peek_sampled(p.bytes)))
-      ring_.record(obs::EventType::kTcpSend, peek_trace_id(p.bytes),
-                   p.dst_node);
-    if (slo_hook_) {
-      const std::uint64_t tid = peek_trace_id(p.bytes);
-      if (tid != 0) slo_hook_(tid, true, obs::trace_now_ns());
-    }
+    if (ring_.should_record(p.hdr.sampled))
+      ring_.record(obs::EventType::kTcpSend, p.hdr.trace_id, p.dst_node);
+    if (slo_hook_ && p.hdr.trace_id != 0)
+      slo_hook_(p.hdr.trace_id, true, obs::trace_now_ns());
     inbox_.push_back(std::move(p));
     if (bell_ != nullptr) bell_->ring();
     return true;
@@ -426,13 +404,10 @@ bool TcpTransport::post(Packet p) {
   ++peer.queued_frames;
   stats_.send_queue_bytes.observe(
       static_cast<double>(peer.out_bytes - peer.wr_off));
-  if (ring_.should_record(peek_sampled(p.bytes)))
-    ring_.record(obs::EventType::kTcpSend, peek_trace_id(p.bytes),
-                 p.dst_node);
-  if (slo_hook_) {
-    const std::uint64_t tid = peek_trace_id(p.bytes);
-    if (tid != 0) slo_hook_(tid, true, obs::trace_now_ns());
-  }
+  if (ring_.should_record(p.hdr.sampled))
+    ring_.record(obs::EventType::kTcpSend, p.hdr.trace_id, p.dst_node);
+  if (slo_hook_ && p.hdr.trace_id != 0)
+    slo_hook_(p.hdr.trace_id, true, obs::trace_now_ns());
   packets_out_.fetch_add(1, std::memory_order_relaxed);
   bytes_out_.fetch_add(wire, std::memory_order_relaxed);
   stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
@@ -455,13 +430,10 @@ bool TcpTransport::recv(std::uint32_t node, Packet& out, double /*now_us*/) {
   if (node != cfg_.self || inbox_.empty()) return false;
   out = std::move(inbox_.front());
   inbox_.pop_front();
-  if (ring_.should_record(peek_sampled(out.bytes)))
-    ring_.record(obs::EventType::kTcpRecv, peek_trace_id(out.bytes),
-                 out.src_node);
-  if (slo_hook_) {
-    const std::uint64_t tid = peek_trace_id(out.bytes);
-    if (tid != 0) slo_hook_(tid, false, obs::trace_now_ns());
-  }
+  if (ring_.should_record(out.hdr.sampled))
+    ring_.record(obs::EventType::kTcpRecv, out.hdr.trace_id, out.src_node);
+  if (slo_hook_ && out.hdr.trace_id != 0)
+    slo_hook_(out.hdr.trace_id, false, obs::trace_now_ns());
   return true;
 }
 
@@ -623,11 +595,7 @@ void TcpTransport::mark_dead(std::uint32_t node, Peer& p) {
     if (peer_event_hook_) peer_event_hook_(PeerEvent::kDead, node, id);
   }
   if (death_frame_) {
-    Packet obit;
-    obit.src_node = node;
-    obit.dst_node = cfg_.self;
-    obit.bytes = death_frame_(node);
-    inbox_.push_back(std::move(obit));
+    inbox_.push_back(Packet::parse(node, cfg_.self, death_frame_(node)));
     if (WorkCount* w = work_.load(std::memory_order_acquire)) w->take();
   }
   // The daemon also folds the advisory set into its shard map.
@@ -712,10 +680,10 @@ bool TcpTransport::handle_payload(int fd, std::uint32_t tagged_node,
     case FrameKind::kData: {
       const std::uint32_t src = r.u32();
       const std::uint32_t dst = r.u32();
-      Packet p;
-      p.src_node = src;
-      p.dst_node = dst;
-      p.bytes.assign(payload + 9, payload + len);
+      // The packet's header is validated here, once: a frame whose
+      // header does not parse is an undecodable body like any other.
+      Packet p = Packet::parse(
+          src, dst, std::vector<std::uint8_t>(payload + 9, payload + len));
       stats_.frames_in.fetch_add(1, std::memory_order_relaxed);
       stats_.bytes_in.fetch_add(p.bytes.size(), std::memory_order_relaxed);
       const std::uint32_t liveness_node =

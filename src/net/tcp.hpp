@@ -6,9 +6,9 @@
 //
 //   * length-prefixed framing over nonblocking sockets — a frame is
 //     [len u32][kind u8][body]; kData bodies carry a daemon packet
-//     (the wire format of core/wire.hpp, completely opaque here, so
-//     SHIPM/SHIPO/FETCH/REL, the trace flags and GC credit cross process
-//     boundaries verbatim);
+//     (net/packet.hpp), whose header is parsed once on arrival and whose
+//     payload is opaque here, so SHIPM/SHIPO/FETCH/REL, the trace flags
+//     and GC credit cross process boundaries verbatim;
 //   * a poll()-based I/O loop thread owning every socket;
 //   * per-peer outbound queues with byte-bounded backpressure
 //     (`send` blocks once a peer's queue exceeds max_queue_bytes);
@@ -393,8 +393,9 @@ class TcpTransport : public Transport {
   /// pump paths, tcp-reconnect/tcp-peer-dead from the I/O loop) into a
   /// transport-owned ring. All record sites hold mu_, so the ring's
   /// single-producer contract holds even though two threads record.
-  /// Sampling mirrors the wire bit (kSampledFlag peeked from the packet
-  /// header), so a sampled operation is captured at the socket hop too.
+  /// Sampling mirrors the wire bit (the sampled flag of the packet's
+  /// parsed header), so a sampled operation is captured at the socket
+  /// hop too.
   void enable_trace(std::size_t capacity, std::uint64_t sample_every = 1,
                     std::uint64_t sample_seed = 0);
   /// Tail-retention support: record every traced hop regardless of the
@@ -431,8 +432,9 @@ class TcpTransport : public Transport {
 
   /// Factory for the synthetic packet injected into the local inbox when
   /// a peer is confirmed dead (the node routes it like any delivery, so
-  /// GC write-off runs on an executor thread, not the I/O thread). The
-  /// packet's src_node is the dead peer. Set before traffic starts.
+  /// GC write-off runs on an executor thread, not the I/O thread). `f`
+  /// returns the frame, which must carry a valid header; the packet's
+  /// src_node is the dead peer. Set before traffic starts.
   void set_death_frame(
       std::function<std::vector<std::uint8_t>(std::uint32_t)> f) {
     std::lock_guard<std::mutex> lk(mu_);

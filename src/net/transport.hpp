@@ -22,13 +22,9 @@
 #include <optional>
 #include <vector>
 
-namespace dityco::net {
+#include "net/packet.hpp"
 
-struct Packet {
-  std::uint32_t src_node = 0;
-  std::uint32_t dst_node = 0;
-  std::vector<std::uint8_t> bytes;
-};
+namespace dityco::net {
 
 /// A futex wakeup for one parked thread. Any thread may ring(); the
 /// owner takes a ticket *before* it looks for work and parks with

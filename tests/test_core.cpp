@@ -301,19 +301,17 @@ TEST(Core, KindMismatchRejectedByNameService) {
   ns.register_id("server", "x",
                  vm::NetRef{vm::NetRef::Kind::kChan, 0, 0, 1}, "", replies,
                  /*credit=*/vm::kMintCredit);
-  Writer lookup;
   {
-    auto bytes = NameService::make_lookup("server", "x",
-                                          vm::NetRef::Kind::kClass, 1, 0, 77);
-    Reader r(bytes);
-    r.u8();   // type
-    r.u32();  // dst_site
+    const auto lookup = net::Packet::parse(
+        1, 0,
+        NameService::make_lookup("server", "x", vm::NetRef::Kind::kClass, 1,
+                                 0, 77));
+    Reader r(lookup.payload());
     ns.handle_lookup(r, replies);
   }
   ASSERT_EQ(replies.size(), 1u);
-  Reader r(replies[0].bytes);
-  EXPECT_EQ(static_cast<MsgType>(r.u8()), MsgType::kNsReply);
-  r.u32();  // dst site
+  EXPECT_EQ(replies[0].hdr.type, MsgType::kNsReply);
+  Reader r(replies[0].payload());
   EXPECT_EQ(r.u64(), 77u);  // token
   EXPECT_FALSE(r.boolean()) << "kind mismatch must be flagged not-ok";
   EXPECT_EQ(read_netref(r).kind, vm::NetRef::Kind::kChan);

@@ -327,8 +327,7 @@ void run_with_first_rel_dropped(bool resend, Network::GcReport& rep_out,
   auto& tr = dynamic_cast<net::InProcTransport&>(net.transport());
   auto first = std::make_shared<std::atomic<bool>>(true);
   tr.set_drop_filter([first](const net::Packet& p) {
-    return packet_type(p.bytes) == MsgType::kRelease &&
-           first->exchange(false);
+    return p.hdr.type == MsgType::kRelease && first->exchange(false);
   });
   net.submit_source("server",
                     "def S(self) = self?{ val(x, r) = (r![x] | S[self]) } in "
@@ -417,11 +416,7 @@ TEST(Fault, KillPrimaryShardFailsOverToReplica) {
   // Confirmed death, delivered to the follower: it promotes itself and
   // re-replicates its slice to the post-death follower.
   auto& tr = dynamic_cast<net::InProcTransport&>(net.transport());
-  net::Packet down;
-  down.src_node = follower;
-  down.dst_node = follower;
-  down.bytes = make_peer_down(dead);
-  tr.send(std::move(down), 0);
+  tr.send(net::Packet::parse(follower, follower, make_peer_down(dead)), 0);
   auto rf = net.run();  // pump the failover before new traffic
   EXPECT_FALSE(rf.budget_exhausted);
   EXPECT_TRUE(router->is_dead(dead));
@@ -478,7 +473,7 @@ TEST(Fault, DroppedInvalidationServesStaleUntilLeaseExpiry) {
   }
   auto& tr = dynamic_cast<net::InProcTransport&>(net.transport());
   tr.set_drop_filter([](const net::Packet& p) {
-    return packet_type(p.bytes) == MsgType::kNsInvalidate;
+    return p.hdr.type == MsgType::kNsInvalidate;
   });
 
   net.submit_source("server", "export new " + name + " in " + name +

@@ -410,7 +410,7 @@ TEST(GcAudit, DroppedRelIsFlaggedThenHealed) {
   auto& tr = dynamic_cast<net::InProcTransport&>(net.transport());
   auto first = std::make_shared<std::atomic<bool>>(true);
   tr.set_drop_filter([first](const net::Packet& p) {
-    return packet_type(p.bytes) == MsgType::kRelease && first->exchange(false);
+    return p.hdr.type == MsgType::kRelease && first->exchange(false);
   });
   net.submit_source("server",
                     "def S(self) = self?{ val(x, r) = (r![x] | S[self]) } in "

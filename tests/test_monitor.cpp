@@ -12,7 +12,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -554,13 +553,9 @@ TEST(Fleet, FederatedScrapeMergesTracesAndLabelsMetrics) {
   // set, a fresh id. The send span lands in n1's transport ring; the
   // recv span lands in n0's when the packet is popped.
   const std::uint64_t id = obs::next_trace_id();
-  net::Packet p;
-  p.src_node = 1;
-  p.dst_node = 0;
-  p.bytes.push_back(0x01 | 0x80 | 0x40);
-  p.bytes.resize(13);
-  std::memcpy(p.bytes.data() + 5, &id, sizeof id);
-  n1.tcp->send(std::move(p), 0);
+  Writer w;
+  net::write_header(w, net::MsgType::kShipMsg, 0, id, /*sampled=*/true);
+  n1.tcp->send(net::Packet::parse(1, 0, w.take()), 0);
   net::Packet got;
   ASSERT_TRUE(wait_for([&] { return n0.tcp->recv(0, got, 0); }));
 

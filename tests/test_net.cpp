@@ -15,27 +15,24 @@
 namespace dityco::net {
 namespace {
 
+/// A SHIPM frame of `size` bytes: the 5-byte header, then padding.
 Packet mk(std::uint32_t src, std::uint32_t dst, std::size_t size = 8) {
-  Packet p;
-  p.src_node = src;
-  p.dst_node = dst;
-  p.bytes.assign(size, 0xab);
-  return p;
+  Writer w;
+  write_header(w, MsgType::kShipMsg, 0);
+  auto bytes = w.take();
+  bytes.resize(std::max(size, bytes.size()), 0xab);
+  return Packet::parse(src, dst, std::move(bytes));
 }
 
 TEST(InProc, FifoPerNode) {
   InProcTransport t(2);
-  auto a = mk(0, 1);
-  a.bytes[0] = 1;
-  auto b = mk(0, 1);
-  b.bytes[0] = 2;
-  t.send(std::move(a), 0);
-  t.send(std::move(b), 0);
+  t.send(mk(0, 1, 8), 0);
+  t.send(mk(0, 1, 9), 0);
   Packet out;
   ASSERT_TRUE(t.recv(1, out, 0));
-  EXPECT_EQ(out.bytes[0], 1);
+  EXPECT_EQ(out.bytes.size(), 8u);
   ASSERT_TRUE(t.recv(1, out, 0));
-  EXPECT_EQ(out.bytes[0], 2);
+  EXPECT_EQ(out.bytes.size(), 9u);
   EXPECT_FALSE(t.recv(1, out, 0));
 }
 
@@ -88,38 +85,34 @@ TEST(LinkModel, MyrinetBeatsFastEthernet) {
 
 TEST(Sim, DeliveryRespectsVirtualTime) {
   SimTransport t(2, LinkModel{10.0, 1000.0, 0.0});
-  t.send(mk(0, 1, 0), /*now=*/5.0);  // arrival = 15
+  t.send(mk(0, 1, 5), /*now=*/5.0);  // arrival = 15 + 5 B at 1 Gb/s
   Packet out;
-  EXPECT_FALSE(t.recv(1, out, 14.9));
+  EXPECT_FALSE(t.recv(1, out, 15.0));
   EXPECT_EQ(t.in_flight(), 1u);
-  EXPECT_TRUE(t.recv(1, out, 15.0));
+  EXPECT_TRUE(t.recv(1, out, 5.0 + t.model().cost_us(5)));
   EXPECT_EQ(t.in_flight(), 0u);
 }
 
 TEST(Sim, NextArrivalAndPeek) {
   SimTransport t(2, LinkModel{10.0, 1000.0, 0.0});
   EXPECT_FALSE(t.next_arrival(1).has_value());
-  t.send(mk(0, 1, 0), 100.0);
+  t.send(mk(0, 1, 5), 100.0);
   ASSERT_TRUE(t.next_arrival(1).has_value());
-  EXPECT_DOUBLE_EQ(*t.next_arrival(1), 110.0);
+  EXPECT_DOUBLE_EQ(*t.next_arrival(1), 100.0 + t.model().cost_us(5));
   double arr = 0;
   const Packet* head = t.peek(1, arr);
   ASSERT_NE(head, nullptr);
-  EXPECT_DOUBLE_EQ(arr, 110.0);
+  EXPECT_DOUBLE_EQ(arr, 100.0 + t.model().cost_us(5));
   EXPECT_EQ(head->src_node, 0u);
 }
 
 TEST(Sim, ArrivalOrderingAcrossSenders) {
   SimTransport t(3, LinkModel{10.0, 1000.0, 0.0});
-  auto late = mk(0, 2, 0);
-  late.bytes.assign(1, 1);
-  auto early = mk(1, 2, 0);
-  early.bytes.assign(1, 2);
-  t.send(std::move(late), 50.0);   // arrival ~60
-  t.send(std::move(early), 10.0);  // arrival ~20
+  t.send(mk(0, 2), 50.0);  // arrival ~60
+  t.send(mk(1, 2), 10.0);  // arrival ~20
   Packet out;
   ASSERT_TRUE(t.recv(2, out, 1000.0));
-  EXPECT_EQ(out.bytes[0], 2) << "earlier arrival first";
+  EXPECT_EQ(out.src_node, 1u) << "earlier arrival first";
 }
 
 TEST(Sim, BandwidthMatters) {
@@ -148,8 +141,7 @@ TEST(Wire, V1HeaderBytesUnchanged) {
     write_header(w, static_cast<MsgType>(t), 7);
     const auto bytes = w.take();
     EXPECT_EQ(bytes, (std::vector<std::uint8_t>{t, 7, 0, 0, 0}));
-    Reader r(bytes);
-    const PacketHeader h = read_header(r);
+    const net::PacketHeader h = net::Packet::parse(0, 0, bytes).hdr;
     EXPECT_EQ(h.type, static_cast<MsgType>(t));
     EXPECT_EQ(h.dst_site, 7u);
     EXPECT_EQ(h.trace_id, 0u);
@@ -158,8 +150,9 @@ TEST(Wire, V1HeaderBytesUnchanged) {
   Writer w;
   write_header(w, MsgType::kShipObj, 3, /*trace_id=*/0x0102030405060708ull,
                /*sampled=*/false);
-  EXPECT_EQ(w.take(), (std::vector<std::uint8_t>{0x02 | kTraceFlag, 3, 0, 0,
-                                                 0, 8, 7, 6, 5, 4, 3, 2, 1}));
+  EXPECT_EQ(w.take(),
+            (std::vector<std::uint8_t>{0x02 | net::kTraceFlag, 3, 0, 0, 0, 8,
+                                       7, 6, 5, 4, 3, 2, 1}));
 }
 
 TEST(Wire, NetrefCarriesCreditField) {
@@ -219,45 +212,62 @@ TEST(Wire, TruncatedCreditFieldIsRejected) {
     return w.take();
   };
   const auto torn = [](std::vector<std::uint8_t> bytes) {
-    bytes.resize(bytes.size() - 3);
+    bytes.erase(bytes.end() - 3, bytes.end());
     return bytes;
   };
   const auto type_byte = [](std::vector<std::uint8_t> bytes, std::uint8_t b) {
     bytes[0] = b;
     return bytes;
   };
+  // A REL for {chan, node 0, site 0, heap_id} with the trace flag set:
+  // the netref's leading zeros fill the trace id field with 0. Read as
+  // untraced, the same bytes would be a well-formed REL.
+  const auto zero_trace_id = [&] {
+    auto bytes = make_release(
+        {vm::NetRef::Kind::kChan, 0, site.site_id(), heap_id}, 1, 0, 1);
+    bytes[0] |= net::kTraceFlag | net::kSampledFlag;
+    return bytes;
+  };
   const std::vector<DecodeCase> cases = {
       {"SHIPM, torn credit", torn(shipm(false)), Receiver::kSite, true},
       {"NS export, torn credit",
-       torn(NameService::make_export(0, "s", "x",
-                                     {vm::NetRef::Kind::kChan, 1, 0, 9}, "",
-                                     0, true, vm::kMintCredit)),
+       torn(NameService::make_export("s", "x",
+                                     {vm::NetRef::Kind::kChan, 1, 0, 9}, "", 0,
+                                     true, vm::kMintCredit)),
        Receiver::kNameService, true},
       {"NS reply, torn credit", torn(ns_reply()), Receiver::kSite, true},
       {"type byte with 0x20 set", type_byte(shipm(false), 0x01 | 0x20),
        Receiver::kSite, true},
       {"unknown type", type_byte(shipm(false), 13), Receiver::kSite, true},
       {"sampled bit on an untraced frame",
-       type_byte(shipm(false), 0x01 | kSampledFlag), Receiver::kSite, true},
+       type_byte(shipm(false), 0x01 | net::kSampledFlag), Receiver::kSite,
+       true},
+      {"traced frame with trace id 0", zero_trace_id(), Receiver::kSite,
+       true},
+      {"traced frame under 13 bytes",
+       {0x01 | net::kTraceFlag, 0, 0, 0, 0, 1, 2, 3}, Receiver::kSite, true},
+      {"empty packet", {}, Receiver::kSite, true},
       {"zero-credit netref", shipm(true), Receiver::kSite, false},
   };
+  // Every row enters through the Packet factory, as a frame off the
+  // transport does; a header it refuses never reaches a receiver.
   NameService ns(0);
   for (const DecodeCase& c : cases) {
     bool rejected = false;
-    if (c.at == Receiver::kSite) {
-      const std::size_t errors = site.errors().size();
-      site.push_incoming(c.bytes);
-      site.process_incoming();
-      rejected = site.errors().size() > errors;
-    } else {
-      std::vector<net::Packet> replies;
-      Reader r(c.bytes);
-      try {
-        read_header(r);
+    try {
+      net::Packet p = net::Packet::parse(1, 0, c.bytes);
+      if (c.at == Receiver::kSite) {
+        const std::size_t errors = site.errors().size();
+        site.push_incoming(std::move(p));
+        site.process_incoming();
+        rejected = site.errors().size() > errors;
+      } else {
+        std::vector<net::Packet> replies;
+        Reader r(p.payload());
         ns.handle_export(r, replies);
-      } catch (const DecodeError&) {
-        rejected = true;
       }
+    } catch (const DecodeError&) {
+      rejected = true;
     }
     EXPECT_EQ(rejected, c.rejected) << c.what;
   }
@@ -291,10 +301,11 @@ TEST(Wire, ReleaseFrameRoundTrip) {
                        /*heap_id=*/4242};
   const auto bytes = make_release(ref, /*rel_node=*/3, /*rel_site=*/1,
                                   /*cum=*/vm::kMintCredit / 2);
-  Reader r(bytes);
-  const PacketHeader h = read_header(r);
+  const net::Packet p = net::Packet::parse(0, ref.node, bytes);
+  const net::PacketHeader& h = p.hdr;
   EXPECT_EQ(h.type, MsgType::kRelease);
   EXPECT_EQ(h.dst_site, ref.site) << "REL routes to the owning site";
+  Reader r(p.payload());
   const vm::NetRef got = read_netref(r);
   EXPECT_EQ(got, ref);
   EXPECT_EQ(r.u32(), 3u);

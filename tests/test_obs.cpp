@@ -222,38 +222,33 @@ TEST(Sampling, RingCountsSampledAndUnsampledDecisions) {
 
 TEST(WireTrace, HeaderRoundTripWithTraceId) {
   Writer w;
-  core::write_header(w, core::MsgType::kShipObj, 7, 0xdeadbeefull);
+  net::write_header(w, net::MsgType::kShipObj, 7, 0xdeadbeefull);
   w.u64(123);
-  auto bytes = w.take();
-  net::Packet p;
-  p.bytes = bytes;
-  // Routing helpers must see through the trace flag.
-  EXPECT_EQ(core::packet_dst_site(p), 7u);
-  EXPECT_EQ(core::packet_type(bytes), core::MsgType::kShipObj);
-  EXPECT_EQ(core::packet_trace_id(bytes), 0xdeadbeefull);
-
-  Reader r(bytes);
-  const core::PacketHeader h = core::read_header(r);
-  EXPECT_EQ(h.type, core::MsgType::kShipObj);
-  EXPECT_EQ(h.dst_site, 7u);
-  EXPECT_EQ(h.trace_id, 0xdeadbeefull);
+  const net::Packet p = net::Packet::parse(0, 1, w.take());
+  // The parsed header sees through the trace flag.
+  EXPECT_EQ(p.hdr.type, net::MsgType::kShipObj);
+  EXPECT_EQ(p.hdr.dst_site, 7u);
+  EXPECT_EQ(p.hdr.trace_id, 0xdeadbeefull);
+  EXPECT_EQ(p.hdr.size(), 13u);
+  Reader r(p.payload());
   EXPECT_EQ(r.u64(), 123u) << "payload follows the header";
+  EXPECT_TRUE(r.done());
 }
 
 TEST(WireTrace, UntracedHeaderIsByteIdenticalToV1) {
   // The one layout, written by hand: [type u8][dst u32], and with a trace
   // id [type|kTraceFlag|kSampledFlag u8][dst u32][trace_id u64].
   Writer untraced;
-  core::write_header(untraced, core::MsgType::kShipMsg, 3, /*trace_id=*/0);
+  net::write_header(untraced, net::MsgType::kShipMsg, 3, /*trace_id=*/0);
   Writer want;
-  want.u8(static_cast<std::uint8_t>(core::MsgType::kShipMsg));
+  want.u8(static_cast<std::uint8_t>(net::MsgType::kShipMsg));
   want.u32(3);
   EXPECT_EQ(untraced.take(), want.take());
 
   Writer traced;
-  core::write_header(traced, core::MsgType::kShipMsg, 3, 0xabcdull);
-  want.u8(static_cast<std::uint8_t>(core::MsgType::kShipMsg) |
-          core::kTraceFlag | core::kSampledFlag);
+  net::write_header(traced, net::MsgType::kShipMsg, 3, 0xabcdull);
+  want.u8(static_cast<std::uint8_t>(net::MsgType::kShipMsg) |
+          net::kTraceFlag | net::kSampledFlag);
   want.u32(3);
   want.u64(0xabcdull);
   EXPECT_EQ(traced.take(), want.take());
@@ -262,66 +257,53 @@ TEST(WireTrace, UntracedHeaderIsByteIdenticalToV1) {
 TEST(WireTrace, OldFormatPacketStillDecodes) {
   // An untraced frame written by hand (no flag, no trace id).
   Writer w;
-  w.u8(static_cast<std::uint8_t>(core::MsgType::kFetchReq));
+  w.u8(static_cast<std::uint8_t>(net::MsgType::kFetchReq));
   w.u32(9);
-  auto bytes = w.take();
-  Reader r(bytes);
-  const core::PacketHeader h = core::read_header(r);
-  EXPECT_EQ(h.type, core::MsgType::kFetchReq);
-  EXPECT_EQ(h.dst_site, 9u);
-  EXPECT_EQ(h.trace_id, 0u);
-  EXPECT_EQ(core::packet_trace_id(bytes), 0u);
+  const net::Packet p = net::Packet::parse(0, 1, w.take());
+  EXPECT_EQ(p.hdr.type, net::MsgType::kFetchReq);
+  EXPECT_EQ(p.hdr.dst_site, 9u);
+  EXPECT_EQ(p.hdr.trace_id, 0u);
+  EXPECT_TRUE(p.payload().empty());
 }
 
 TEST(WireTrace, SampledBitRoundTrip) {
   // Sampled traced frame (the default).
   Writer ws;
-  core::write_header(ws, core::MsgType::kShipMsg, 4, 0xabcdull,
-                     /*sampled=*/true);
-  auto sb = ws.take();
-  EXPECT_EQ(sb[0], 0x01 | core::kTraceFlag | core::kSampledFlag);
-  EXPECT_TRUE(core::packet_sampled(sb));
-  Reader rs(sb);
-  const core::PacketHeader hs = core::read_header(rs);
-  EXPECT_TRUE(hs.sampled);
-  EXPECT_EQ(hs.trace_id, 0xabcdull);
+  net::write_header(ws, net::MsgType::kShipMsg, 4, 0xabcdull,
+                    /*sampled=*/true);
+  const net::Packet sp = net::Packet::parse(0, 1, ws.take());
+  EXPECT_EQ(sp.bytes[0], 0x01 | net::kTraceFlag | net::kSampledFlag);
+  EXPECT_TRUE(sp.hdr.sampled);
+  EXPECT_EQ(sp.hdr.trace_id, 0xabcdull);
 
   // Unsampled traced frame: the id is still carried (causality survives)
   // but the bit tells every hop to skip recording.
   Writer wu;
-  core::write_header(wu, core::MsgType::kShipMsg, 4, 0xabcdull,
-                     /*sampled=*/false);
-  auto ub = wu.take();
-  EXPECT_EQ(ub[0], 0x01 | core::kTraceFlag);
-  EXPECT_FALSE(core::packet_sampled(ub));
-  EXPECT_EQ(core::packet_type(ub), core::MsgType::kShipMsg)
-      << "routing helpers see through both flag bits";
-  EXPECT_EQ(core::packet_trace_id(ub), 0xabcdull);
-  Reader ru(ub);
-  const core::PacketHeader hu = core::read_header(ru);
-  EXPECT_FALSE(hu.sampled);
-  EXPECT_EQ(hu.trace_id, 0xabcdull);
-  EXPECT_EQ(hu.dst_site, 4u);
+  net::write_header(wu, net::MsgType::kShipMsg, 4, 0xabcdull,
+                    /*sampled=*/false);
+  const net::Packet up = net::Packet::parse(0, 1, wu.take());
+  EXPECT_EQ(up.bytes[0], 0x01 | net::kTraceFlag);
+  EXPECT_FALSE(up.hdr.sampled);
+  EXPECT_EQ(up.hdr.type, net::MsgType::kShipMsg)
+      << "the parsed type sees through both flag bits";
+  EXPECT_EQ(up.hdr.trace_id, 0xabcdull);
+  EXPECT_EQ(up.hdr.dst_site, 4u);
 
   // Untraced frames carry no decision: the sampled argument is not
   // written, and they decode as sampled so nothing suppresses recording.
   Writer wn;
-  core::write_header(wn, core::MsgType::kShipMsg, 4, /*trace_id=*/0,
-                     /*sampled=*/false);
-  auto nb = wn.take();
-  EXPECT_EQ(nb, (std::vector<std::uint8_t>{0x01, 4, 0, 0, 0}));
-  EXPECT_TRUE(core::packet_sampled(nb));
-  Reader rn(nb);
-  EXPECT_TRUE(core::read_header(rn).sampled);
+  net::write_header(wn, net::MsgType::kShipMsg, 4, /*trace_id=*/0,
+                    /*sampled=*/false);
+  const net::Packet np = net::Packet::parse(0, 1, wn.take());
+  EXPECT_EQ(np.bytes, (std::vector<std::uint8_t>{0x01, 4, 0, 0, 0}));
+  EXPECT_TRUE(np.hdr.sampled);
 }
 
 TEST(WireTrace, UnknownTypeRejected) {
   Writer w;
   w.u8(0x7f);  // not a MsgType even with the flag masked off
   w.u32(0);
-  auto bytes = w.take();
-  Reader r(bytes);
-  EXPECT_THROW(core::read_header(r), DecodeError);
+  EXPECT_THROW(net::Packet::parse(0, 1, w.take()), DecodeError);
 }
 
 // ---------------------------------------------------------------------
@@ -748,9 +730,7 @@ TEST(Flight, SlowFetchIsPromotedWithEveryHopDeterministically) {
   // +50ms of virtual wire time on the FETCH reply only.
   auto& sim = dynamic_cast<net::SimTransport&>(net.transport());
   sim.set_extra_cost([](const net::Packet& pkt) {
-    return core::packet_type(pkt.bytes) == core::MsgType::kFetchRep
-               ? 50'000.0
-               : 0.0;
+    return pkt.hdr.type == core::MsgType::kFetchRep ? 50'000.0 : 0.0;
   });
   ASSERT_TRUE(net.run().quiescent);
 

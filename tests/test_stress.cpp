@@ -125,7 +125,7 @@ TEST(Termination, DropFilterEatsRelsAndShipms) {
         net.add_site(2, "sink");
         auto& tr = dynamic_cast<net::InProcTransport&>(net.transport());
         tr.set_drop_filter([](const net::Packet& p) {
-          const MsgType t = packet_type(p.bytes);
+          const MsgType t = p.hdr.type;
           return t == MsgType::kRelease ||
                  (t == MsgType::kShipMsg && p.dst_node == 2);
         });

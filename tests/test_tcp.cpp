@@ -380,13 +380,18 @@ TEST(PhiAccrual, MinIntervalFloorGuardsBursts) {
 // Loopback TcpTransport pairs
 // ---------------------------------------------------------------------
 
+/// A SHIPM frame to site 0 whose payload is `body`.
 net::Packet make_packet(std::uint32_t src, std::uint32_t dst,
                         const std::string& body) {
-  net::Packet p;
-  p.src_node = src;
-  p.dst_node = dst;
-  p.bytes.assign(body.begin(), body.end());
-  return p;
+  Writer w;
+  net::write_header(w, net::MsgType::kShipMsg, 0);
+  w.raw(body.data(), body.size());
+  return net::Packet::parse(src, dst, w.take());
+}
+
+std::string body_of(const net::Packet& p) {
+  const auto b = p.payload();
+  return std::string(b.begin(), b.end());
 }
 
 bool recv_wait(net::Transport& t, std::uint32_t node, net::Packet& out,
@@ -415,12 +420,12 @@ TEST(TcpTransport, LoopbackPairExchanges) {
   a.send(make_packet(0, 1, "ping"), 0);
   net::Packet got;
   ASSERT_TRUE(recv_wait(b, 1, got));
-  EXPECT_EQ(std::string(got.bytes.begin(), got.bytes.end()), "ping");
+  EXPECT_EQ(body_of(got), "ping");
   EXPECT_EQ(got.src_node, 0u);
 
   b.send(make_packet(1, 0, "pong"), 0);
   ASSERT_TRUE(recv_wait(a, 0, got));
-  EXPECT_EQ(std::string(got.bytes.begin(), got.bytes.end()), "pong");
+  EXPECT_EQ(body_of(got), "pong");
   EXPECT_GE(a.stats().connects.load(), 1u);
   EXPECT_GE(b.stats().accepts.load(), 0u);
   EXPECT_EQ(a.in_flight() + b.in_flight(), 0u);
@@ -436,7 +441,7 @@ TEST(TcpTransport, SelfSendStaysLocal) {
   t.send(make_packet(3, 3, "loop"), 0);
   net::Packet got;
   ASSERT_TRUE(recv_wait(t, 3, got));
-  EXPECT_EQ(std::string(got.bytes.begin(), got.bytes.end()), "loop");
+  EXPECT_EQ(body_of(got), "loop");
 }
 
 TEST(TcpTransport, QueuedFramesSurviveLateConnect) {
@@ -471,8 +476,7 @@ TEST(TcpTransport, QueuedFramesSurviveLateConnect) {
   net::Packet got;
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(recv_wait(b, 1, got)) << "frame " << i;
-    EXPECT_EQ(std::string(got.bytes.begin(), got.bytes.end()),
-              "m" + std::to_string(i));
+    EXPECT_EQ(body_of(got), "m" + std::to_string(i));
   }
   a.shutdown();
   b.shutdown();
@@ -510,7 +514,7 @@ TEST(TcpTransport, ReconnectAfterPeerRestart) {
     TcpTransport b2(cb);
     net::Packet got;
     ASSERT_TRUE(recv_wait(b2, 1, got));
-    EXPECT_EQ(std::string(got.bytes.begin(), got.bytes.end()), "after");
+    EXPECT_EQ(body_of(got), "after");
     b2.shutdown();
   }
   EXPECT_GE(a.stats().reconnects.load() + a.stats().connects.load(), 2u);
@@ -549,6 +553,25 @@ TEST(TcpTransport, BackpressureBlocksAndShutdownReleases) {
   sender.join();
 }
 
+/// A raw client socket connected to 127.0.0.1:`port` (-1 on failure).
+/// Reads time out after 5 s, so a connection the transport wrongly keeps
+/// open fails a test instead of hanging it.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 TEST(TcpTransport, MalformedFrameDropsConnectionNotProcess) {
   TcpConfig ca;
   ca.self = 0;
@@ -558,14 +581,8 @@ TEST(TcpTransport, MalformedFrameDropsConnectionNotProcess) {
   // truncated (needs node u32 + port u16, carries one byte). Decoding
   // it must not let DecodeError escape the I/O thread and terminate
   // the process — the connection is dropped like any framing error.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_raw(a.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(a.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-            0);
   const auto bad = net::encode_frame(
       {static_cast<std::uint8_t>(FrameKind::kHello), 0x01});
   ASSERT_EQ(::write(fd, bad.data(), bad.size()),
@@ -585,7 +602,45 @@ TEST(TcpTransport, MalformedFrameDropsConnectionNotProcess) {
   b.send(make_packet(1, 0, "still alive"), 0);
   net::Packet got;
   ASSERT_TRUE(recv_wait(a, 0, got));
-  EXPECT_EQ(std::string(got.bytes.begin(), got.bytes.end()), "still alive");
+  EXPECT_EQ(body_of(got), "still alive");
+  a.shutdown();
+  b.shutdown();
+}
+
+TEST(TcpTransport, UndecodablePacketHeaderDropsConnection) {
+  // A well-framed kData frame whose packet is empty: its header cannot
+  // parse, so the body is undecodable, exactly like a truncated kHello.
+  // It is counted, costs its connection and never reaches the node.
+  TcpConfig ca;
+  ca.self = 0;
+  ca.detect_failures = false;
+  TcpTransport a(ca);
+  const int fd = connect_raw(a.port());
+  ASSERT_GE(fd, 0);
+  Writer body;
+  body.u8(static_cast<std::uint8_t>(FrameKind::kData));
+  body.u32(1);  // src node
+  body.u32(0);  // dst node; no packet bytes follow
+  const auto bad = net::encode_frame(body.take());
+  ASSERT_EQ(::write(fd, bad.data(), bad.size()),
+            static_cast<ssize_t>(bad.size()));
+  char byte;
+  EXPECT_EQ(::read(fd, &byte, 1), 0);  // transport dropped us
+  ::close(fd);
+  EXPECT_EQ(a.stats().frames_malformed.load(), 1u);
+  EXPECT_EQ(a.stats().frames_in.load(), 0u);
+  net::Packet got;
+  EXPECT_FALSE(a.recv(0, got, 0)) << "the frame reached the node";
+  EXPECT_EQ(a.in_flight(), 0u);
+  // And the transport still serves well-formed traffic afterwards.
+  TcpConfig cb;
+  cb.self = 1;
+  cb.detect_failures = false;
+  cb.peers[0] = "127.0.0.1:" + std::to_string(a.port());
+  TcpTransport b(cb);
+  b.send(make_packet(1, 0, "still alive"), 0);
+  ASSERT_TRUE(recv_wait(a, 0, got));
+  EXPECT_EQ(body_of(got), "still alive");
   a.shutdown();
   b.shutdown();
 }
@@ -598,14 +653,8 @@ TEST(TcpTransport, GarbageFramingCountsMalformedAndDropsConnection) {
   ca.self = 0;
   ca.detect_failures = false;
   TcpTransport a(ca);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_raw(a.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(a.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-            0);
   const std::uint8_t zero[4] = {0, 0, 0, 0};
   ASSERT_EQ(::write(fd, zero, sizeof zero), 4);
   char byte;
@@ -702,15 +751,14 @@ TEST(TcpTransport, NeverConnectedPeerDeclaredDeadAfterDeadline) {
 
   TcpTransport a(ca);
   a.set_death_frame([](std::uint32_t dead) {
-    return std::vector<std::uint8_t>{0xDD, static_cast<std::uint8_t>(dead)};
+    return core::make_peer_down(dead);
   });
   a.add_peer(1, "127.0.0.1:" + std::to_string(dead_port));
   a.send(make_packet(0, 1, "anyone there?"), 0);
   net::Packet got;
   ASSERT_TRUE(recv_wait(a, 0, got, 5000)) << "no death frame";
   EXPECT_EQ(got.src_node, 1u);
-  ASSERT_EQ(got.bytes.size(), 2u);
-  EXPECT_EQ(got.bytes[0], 0xDD);
+  EXPECT_EQ(got.hdr.type, net::MsgType::kPeerDown);
   EXPECT_TRUE(a.peer_dead(1));
   // Later sends drop instead of queueing toward a dead address.
   const auto dropped_before = a.stats().frames_dropped.load();
@@ -749,7 +797,7 @@ TEST(TcpTransport, FailureDetectorInjectsDeathFrame) {
   ca.phi.first_interval_ms = 50.0;
   TcpTransport a(ca);
   a.set_death_frame([](std::uint32_t dead) {
-    return std::vector<std::uint8_t>{0xDE, static_cast<std::uint8_t>(dead)};
+    return core::make_peer_down(dead);
   });
 
   TcpConfig cb;
@@ -770,9 +818,9 @@ TEST(TcpTransport, FailureDetectorInjectsDeathFrame) {
   b.reset();
   ASSERT_TRUE(recv_wait(a, 0, got, 5000)) << "no death frame";
   EXPECT_EQ(got.src_node, 1u);  // the obituary names the dead peer
-  ASSERT_EQ(got.bytes.size(), 2u);
-  EXPECT_EQ(got.bytes[0], 0xDE);
-  EXPECT_EQ(got.bytes[1], 1u);
+  ASSERT_EQ(got.hdr.type, net::MsgType::kPeerDown);
+  Reader obit(got.payload());
+  EXPECT_EQ(core::read_peer_down(obit), 1u);
   EXPECT_TRUE(a.peer_dead(1));
   EXPECT_GE(a.stats().peers_suspected.load(), 1u);
   EXPECT_EQ(a.stats().peers_dead.load(), 1u);
@@ -787,16 +835,14 @@ TEST(TcpTransport, FailureDetectorInjectsDeathFrame) {
 // Socket-level trace spans (tcp-send / tcp-recv, trace-id propagation)
 // ---------------------------------------------------------------------
 
-/// Daemon-packet bytes in the v2 wire header: [type|flags][dst_site u32]
-/// [trace_id u64][payload]. The transport treats packets as opaque but
-/// peeks exactly these fields for its span events.
+/// A traced SHIPM frame, [type|flags][dst_site u32][trace_id u64]
+/// [payload]. The transport's span events read these header fields from
+/// the packet's parsed header, on both sides of the socket.
 std::vector<std::uint8_t> traced_bytes(std::uint64_t id, bool sampled) {
-  std::vector<std::uint8_t> b;
-  b.push_back(static_cast<std::uint8_t>(0x01 | 0x80 | (sampled ? 0x40 : 0)));
-  b.resize(13);  // dst_site u32 (zero) + trace_id u64
-  std::memcpy(b.data() + 5, &id, sizeof id);
-  b.push_back(0x7f);  // payload
-  return b;
+  Writer w;
+  net::write_header(w, net::MsgType::kShipMsg, 0, id, sampled);
+  w.u8(0x7f);  // payload
+  return w.take();
 }
 
 bool ring_has(const obs::TraceRing& r, obs::EventType t, std::uint64_t id,
@@ -824,16 +870,12 @@ TEST(TcpTrace, SendRecvSpansCarryThePropagatedTraceId) {
   a.add_peer(1, "127.0.0.1:" + std::to_string(b.port()));
 
   const std::uint64_t id = obs::next_trace_id();
-  net::Packet p;
-  p.src_node = 0;
-  p.dst_node = 1;
-  p.bytes = traced_bytes(id, /*sampled=*/true);
-  a.send(std::move(p), 0);
+  a.send(net::Packet::parse(0, 1, traced_bytes(id, /*sampled=*/true)), 0);
   net::Packet got;
   ASSERT_TRUE(recv_wait(b, 1, got));
 
   // The sender recorded the socket hop out, the receiver the hop in,
-  // both under the id peeked from the packet's v2 header — this is what
+  // both under the id parsed from the packet's header — this is what
   // lets the exporter draw one flow arrow across the process boundary.
   std::uint64_t arg = 0;
   EXPECT_TRUE(ring_has(a.trace_ring(), obs::EventType::kTcpSend, id, &arg));
@@ -861,11 +903,8 @@ TEST(TcpTrace, UnsampledFramesCrossButAreNotRecorded) {
   // kTraceFlag without kSampledFlag: the id crosses the socket (reply
   // routing still needs it) but no hop spends a ring slot on it.
   const std::uint64_t unsampled = obs::next_trace_id();
-  net::Packet p;
-  p.src_node = 0;
-  p.dst_node = 1;
-  p.bytes = traced_bytes(unsampled, /*sampled=*/false);
-  a.send(std::move(p), 0);
+  a.send(net::Packet::parse(0, 1, traced_bytes(unsampled, /*sampled=*/false)),
+         0);
   net::Packet got;
   ASSERT_TRUE(recv_wait(b, 1, got));
   EXPECT_EQ(got.bytes, traced_bytes(unsampled, false));
@@ -875,11 +914,7 @@ TEST(TcpTrace, UnsampledFramesCrossButAreNotRecorded) {
   // A sampled frame through the same pair IS recorded: the decision is
   // the wire bit, not anything local to the transport.
   const std::uint64_t sampled = obs::next_trace_id();
-  net::Packet q;
-  q.src_node = 0;
-  q.dst_node = 1;
-  q.bytes = traced_bytes(sampled, /*sampled=*/true);
-  a.send(std::move(q), 0);
+  a.send(net::Packet::parse(0, 1, traced_bytes(sampled, /*sampled=*/true)), 0);
   ASSERT_TRUE(recv_wait(b, 1, got));
   EXPECT_TRUE(ring_has(a.trace_ring(), obs::EventType::kTcpSend, sampled));
   EXPECT_TRUE(ring_has(b.trace_ring(), obs::EventType::kTcpRecv, sampled));
@@ -999,11 +1034,8 @@ TEST(WriteOff, PeerDownWritesOffDeadHoldersCredit) {
 
   // Forge the transport's death notice for node 1 and route it through
   // node 0 exactly as the daemon would.
-  net::Packet obit;
-  obit.src_node = 1;
-  obit.dst_node = 0;
-  obit.bytes = core::make_peer_down(1);
-  net.nodes()[0]->route(std::move(obit), net.transport(), 0);
+  net.nodes()[0]->route(net::Packet::parse(1, 0, core::make_peer_down(1)),
+                        net.transport(), 0);
   server->process_incoming();
 
   EXPECT_GT(server->machine().gc_stats().credit_written_off.value(), 0u);
@@ -1047,11 +1079,8 @@ TEST(WriteOff, LiveHoldersAreNotWrittenOff) {
   const auto outstanding_before = server->machine().exports_outstanding();
   ASSERT_GT(outstanding_before, 0u);
 
-  net::Packet obit;
-  obit.src_node = 1;
-  obit.dst_node = 0;
-  obit.bytes = core::make_peer_down(1);
-  net.nodes()[0]->route(std::move(obit), net.transport(), 0);
+  net.nodes()[0]->route(net::Packet::parse(1, 0, core::make_peer_down(1)),
+                        net.transport(), 0);
   server->process_incoming();
 
   const auto written = server->machine().gc_stats().credit_written_off.value();

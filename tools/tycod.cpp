@@ -276,9 +276,7 @@ int main(int argc, char** argv) {
       // imbalance and the cumulative-REL resend must heal it.
       auto left = std::make_shared<std::atomic<long>>(drop_rel);
       tcp->set_drop_filter([left](const dityco::net::Packet& p) {
-        if (dityco::core::packet_type(p.bytes) !=
-            dityco::core::MsgType::kRelease)
-          return false;
+        if (p.hdr.type != dityco::net::MsgType::kRelease) return false;
         return left->fetch_sub(1, std::memory_order_relaxed) > 0;
       });
       std::cout << "tycod node" << cfg.tcp.self << " dropping first "

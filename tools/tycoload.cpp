@@ -290,12 +290,12 @@ int main(int argc, char** argv) {
     imp.site = spec.substr(0, colon);
     imp.name = spec.substr(colon + 1);
     imports.push_back(std::move(imp));
-    tcp->send(Packet{opt.self,
-                     ns_dst(imports.back().site, imports.back().name),
-                     NameService::make_lookup(
-                         imports.back().site, imports.back().name, kind,
-                         opt.self, 0, /*token=*/i,
-                         dityco::obs::next_trace_id(), true)},
+    tcp->send(Packet::parse(opt.self,
+                            ns_dst(imports.back().site, imports.back().name),
+                            NameService::make_lookup(
+                                imports.back().site, imports.back().name,
+                                kind, opt.self, 0, /*token=*/i,
+                                dityco::obs::next_trace_id(), true)),
               0.0);
   }
   {
@@ -307,8 +307,8 @@ int main(int argc, char** argv) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
         continue;
       }
-      Reader r(pkt.bytes);
-      if (dityco::core::read_header(r).type != MsgType::kNsReply) continue;
+      if (pkt.hdr.type != MsgType::kNsReply) continue;
+      Reader r(pkt.payload());
       const std::uint64_t token = r.u64();
       const bool ok = r.boolean();
       if (token >= imports.size() || imports[token].resolved) continue;
@@ -399,14 +399,16 @@ int main(int argc, char** argv) {
       }
       const dityco::vm::NetRef ref{dityco::vm::NetRef::Kind::kChan, opt.self,
                                    0, req};
-      tcp->send(Packet{opt.self, dst,
-                       NameService::make_export(0, churn_site, name, ref, "",
-                                                tid, true, /*credit=*/0)},
+      tcp->send(Packet::parse(opt.self, dst,
+                              NameService::make_export(churn_site, name, ref,
+                                                       "", tid, true,
+                                                       /*credit=*/0)),
                 0.0);
-      tcp->send(Packet{opt.self, dst,
-                       NameService::make_lookup(
-                           churn_site, name, dityco::vm::NetRef::Kind::kChan,
-                           opt.self, 0, /*token=*/req, tid, true)},
+      tcp->send(Packet::parse(opt.self, dst,
+                              NameService::make_lookup(
+                                  churn_site, name,
+                                  dityco::vm::NetRef::Kind::kChan, opt.self,
+                                  0, /*token=*/req, tid, true)),
                 0.0);
       pending.emplace(req, Pending{intended, tid, dst});
       ++sent;
@@ -456,14 +458,14 @@ int main(int argc, char** argv) {
                                 req});
       w.u64(0);
     }
-    tcp->send(Packet{opt.self, t.ref.node, w.take()}, 0.0);
+    tcp->send(Packet::parse(opt.self, t.ref.node, w.take()), 0.0);
     pending.emplace(req, Pending{intended, tid, t.ref.node});
     ++sent;
   };
 
   const auto handle = [&](const Packet& pkt, std::uint64_t now) {
-    Reader r(pkt.bytes);
-    const MsgType type = dityco::core::read_header(r).type;
+    Reader r(pkt.payload());
+    const MsgType type = pkt.hdr.type;
     if (type == MsgType::kPeerDown) {
       const std::uint32_t dead = dityco::core::read_peer_down(r);
       mark_dead(dead);
@@ -497,8 +499,9 @@ int main(int argc, char** argv) {
       const std::string name = "churn" + std::to_string(req);
       const std::uint32_t dst = ns_dst(churn_site, name);
       if (!node_dead(dst))
-        tcp->send(Packet{opt.self, dst,
-                         NameService::make_unregister(churn_site, name)},
+        tcp->send(Packet::parse(opt.self, dst,
+                                NameService::make_unregister(churn_site,
+                                                             name)),
                   0.0);
     }
     const std::uint64_t lat = now - it->second.intended_ns;
@@ -547,9 +550,11 @@ int main(int argc, char** argv) {
             const std::string name = "churn" + std::to_string(it->first);
             const std::uint32_t dst = ns_dst(churn_site, name);
             if (!node_dead(dst))
-              tcp->send(Packet{opt.self, dst,
-                               NameService::make_unregister(churn_site, name)},
-                        0.0);
+              tcp->send(
+                  Packet::parse(opt.self, dst,
+                                NameService::make_unregister(churn_site,
+                                                             name)),
+                  0.0);
           }
           fail(it->second.tid, it->second.intended_ns, now);
           it = pending.erase(it);
@@ -565,9 +570,9 @@ int main(int argc, char** argv) {
   // -- GC-clean shutdown: hand imported credit back to its owners ----
   for (const auto& imp : imports) {
     if (imp.credit == 0 || node_dead(imp.ref.node)) continue;
-    tcp->send(Packet{opt.self, imp.ref.node,
-                     dityco::core::make_release(imp.ref, opt.self, 0,
-                                                imp.credit)},
+    tcp->send(Packet::parse(opt.self, imp.ref.node,
+                            dityco::core::make_release(imp.ref, opt.self, 0,
+                                                       imp.credit)),
               0.0);
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
