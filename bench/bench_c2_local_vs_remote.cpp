@@ -25,7 +25,7 @@ struct Placement {
 
 double run_placement(const Placement& p, int rpcs, std::uint64_t& packets,
                      MetricsJsonEmitter* mj, ObsFlags* obsf,
-                     obs::SloHistogram::Snapshot* e2e = nullptr) {
+                     obs::Histogram::Snapshot* e2e = nullptr) {
   core::Network net = [&] {
     if (p.same_site) {
       auto n = core::Network(sim_config(p.link));
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
       // which stays byte-comparable with older baselines. The same-site
       // placement has no mobility ops and emits no companion.
       std::uint64_t p2 = 0;
-      obs::SloHistogram::Snapshot e2e;
+      obs::Histogram::Snapshot e2e;
       run_placement(p, rpcs, p2, nullptr, nullptr, &e2e);
       if (e2e.count > 0)
         bj.section_hist(std::string(p.slug) + "_e2e", "virtual_us", e2e, t);

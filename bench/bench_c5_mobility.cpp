@@ -39,7 +39,7 @@ struct Outcome {
 Outcome run_fetch(int size, int activations, bool cache,
                   MetricsJsonEmitter* mj, MonitorFlag* mon, ObsFlags* obsf,
                   const std::string& label,
-                  obs::SloHistogram::Snapshot* e2e = nullptr) {
+                  obs::Histogram::Snapshot* e2e = nullptr) {
   auto net = core::Network(sim_config(net::myrinet()));
   net.add_node();
   net.add_site(0, "server");
@@ -70,7 +70,7 @@ Outcome run_fetch(int size, int activations, bool cache,
 Outcome run_ship(int size, int activations, MetricsJsonEmitter* mj,
                  MonitorFlag* mon, ObsFlags* obsf,
                  const std::string& label,
-                 obs::SloHistogram::Snapshot* e2e = nullptr) {
+                 obs::Histogram::Snapshot* e2e = nullptr) {
   auto net = core::Network(sim_config(net::myrinet()));
   net.add_node();
   net.add_site(0, "server");
@@ -174,11 +174,11 @@ int main(int argc, char** argv) {
       // second, SLO-instrumented run — real percentiles, no p50 == p99
       // collapse when the run has more than one mobility op.
       const auto e2e_section = [&](const std::string& name, double vtime_us,
-                                   const obs::SloHistogram::Snapshot& e2e) {
+                                   const obs::Histogram::Snapshot& e2e) {
         if (e2e.count > 0)
           bj.section_hist(name + "_e2e", "virtual_us", e2e, vtime_us);
       };
-      obs::SloHistogram::Snapshot e2e;
+      obs::Histogram::Snapshot e2e;
       const Outcome f =
           run_fetch(size, k, true, &mj, &mon, &obsf, "fetch+cache " + tag);
       bj.section("c5_sim_fetch_cache" + slug_tag, "virtual_us", k,

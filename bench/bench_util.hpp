@@ -21,9 +21,9 @@ namespace dityco::benchutil {
 /// merged across SHIPM/SHIPO/FETCH — the per-op sample set behind
 /// BenchJson::section_hist. Empty when the plane is off or the
 /// workload never left a site.
-inline obs::SloHistogram::Snapshot slo_e2e_all(core::Network& net) {
+inline obs::Histogram::Snapshot slo_e2e_all(core::Network& net) {
   if (!net.slo_enabled()) return {};
-  obs::SloHistogram::Snapshot s =
+  obs::Histogram::Snapshot s =
       net.slo().e2e_snapshot(obs::SloPlane::Op::kMsg);
   s.merge(net.slo().e2e_snapshot(obs::SloPlane::Op::kObj));
   s.merge(net.slo().e2e_snapshot(obs::SloPlane::Op::kFetch));
@@ -248,12 +248,13 @@ class BenchJson {
   }
 
   /// One measured section whose per-operation latency distribution comes
-  /// from an SLO-plane histogram (every mobility operation's e2e latency)
+  /// from a request-ledger histogram (every mobility operation's e2e
+  /// latency, in nanoseconds)
   /// instead of being synthesized from run totals. This is what fixes the
   /// p50 == p99 collapse for single-run sim sections: the histogram holds
   /// one sample per operation, so the tail is real.
   void section_hist(const std::string& name, const std::string& unit,
-                    const obs::SloHistogram::Snapshot& s, double total_us) {
+                    const obs::Histogram::Snapshot& s, double total_us) {
     if (path_.empty() || s.count == 0) return;
     char buf[512];
     std::snprintf(
@@ -265,8 +266,8 @@ class BenchJson {
         name.c_str(), unit.c_str(),
         static_cast<unsigned long long>(s.count), total_us,
         total_us > 0 ? static_cast<double>(s.count) / (total_us / 1e6) : 0.0,
-        s.quantile_us(0.50), s.quantile_us(0.99), s.quantile_us(0.999),
-        static_cast<double>(s.max_ns) / 1e3);
+        s.quantile(0.50) / 1e3, s.quantile(0.99) / 1e3,
+        s.quantile(0.999) / 1e3, static_cast<double>(s.max) / 1e3);
     sections_.emplace_back(buf);
   }
 
@@ -313,9 +314,10 @@ class MonitorFlag {
 /// `--profile` / `--flight` support: switch the sampled VM profiler
 /// and/or tail-based trace retention on for every measured network.
 /// After each run the profiler's folded stacks (`--profile`) and the
-/// flight buffer's promotion counters (`--flight`) go to stderr, so the
-/// measured stdout tables stay byte-identical. Without the flags
-/// everything is a no-op — the "observability off" bench baseline.
+/// flight buffer's promotion counters against the request ledger's
+/// completions (`--flight`) go to stderr, so the measured stdout tables
+/// stay byte-identical. Without the flags everything is a no-op — the
+/// "observability off" bench baseline.
 class ObsFlags {
  public:
   ObsFlags(int argc, char** argv) {
@@ -368,7 +370,7 @@ class ObsFlags {
                        f.promoted_count(R::kStarved)),
                    static_cast<unsigned long long>(
                        f.promoted_count(R::kRelAnomaly)),
-                   static_cast<unsigned long long>(f.completions()));
+                   static_cast<unsigned long long>(net.slo().completed()));
     }
   }
 

@@ -82,10 +82,22 @@ void Network::enable_tracing(std::size_t capacity, std::uint64_t sample_every,
   }
 }
 
+obs::SloPlane& Network::ledger() {
+  // The ledger keys on propagated trace ids, which only exist while
+  // tracing is on (fresh_trace_id returns 0 otherwise).
+  if (trace_capacity_ == 0) enable_tracing();
+  if (!slo_) {
+    slo_ = std::make_unique<obs::SloPlane>();
+    for (auto& n : nodes_) n->set_slo(slo_.get());
+  }
+  return *slo_;
+}
+
 void Network::enable_flight(const obs::FlightPolicy& policy) {
   // The recorder harvests promoted events from the rings, so retention
-  // without tracing would have nothing to keep.
-  if (trace_capacity_ == 0) enable_tracing();
+  // without tracing would have nothing to keep; slow completions come
+  // from the request ledger.
+  obs::SloPlane& plane = ledger();
   if (!flight_) {
     flight_ = std::make_unique<obs::FlightRecorder>();
     obs::FlightRecorder* f = flight_.get();
@@ -96,26 +108,20 @@ void Network::enable_flight(const obs::FlightPolicy& policy) {
         c.counter(std::string("flight_promoted{reason=\"") +
                       obs::FlightRecorder::reason_name(r) + "\"}",
                   f->promoted_count(r));
-      c.counter("flight_completions", f->completions());
       c.counter("flight_evicted", f->evicted());
       c.counter("flight_duplicates", f->duplicates());
-      c.counter("flight_index_rebuilds", f->index_rebuilds());
-      c.histogram("flight_latency_us", f->latency_snapshot());
     });
   }
   flight_->configure(policy);
-  if (slo_) slo_->set_flight(flight_.get());
+  plane.set_flight(flight_.get());
   for (auto& n : nodes_) n->set_flight(flight_.get());
   for (net::TcpTransport* t : tcp_parts()) wire_tcp_flight(*t);
 }
 
 void Network::enable_slo(const obs::SloPlane::Config& cfg) {
-  // The ledger keys on propagated trace ids, which only exist while
-  // tracing is on (fresh_trace_id returns 0 otherwise).
-  if (trace_capacity_ == 0) enable_tracing();
-  if (!slo_) {
-    slo_ = std::make_unique<obs::SloPlane>();
-    obs::SloPlane* s = slo_.get();
+  obs::SloPlane& plane = ledger();
+  if (!slo_reg_.active()) {
+    obs::SloPlane* s = &plane;
     slo_reg_ = metrics_->add_collector([s](obs::Collector& c) {
       c.counter("slo_requests_tracked", s->tracked());
       c.counter("slo_requests_completed", s->completed());
@@ -138,20 +144,18 @@ void Network::enable_slo(const obs::SloPlane::Config& cfg) {
         const std::string lbl =
             std::string("{op=\"") + obs::SloPlane::op_name(op) + "\"}";
         c.gauge("slo_e2e_p50_us" + lbl,
-                static_cast<std::int64_t>(snap.quantile_us(0.50)));
+                static_cast<std::int64_t>(snap.quantile(0.50) / 1000));
         c.gauge("slo_e2e_p99_us" + lbl,
-                static_cast<std::int64_t>(snap.quantile_us(0.99)));
+                static_cast<std::int64_t>(snap.quantile(0.99) / 1000));
       }
     });
   }
-  slo_->configure(cfg);
-  if (flight_) slo_->set_flight(flight_.get());
-  for (auto& n : nodes_) n->set_slo(slo_.get());
+  plane.configure(cfg);
   for (net::TcpTransport* t : tcp_parts()) wire_tcp_slo(*t);
 }
 
 std::string Network::slo_json() {
-  if (!slo_) return "{}";
+  if (!slo_enabled()) return "{}";
   // Render on the ledger's own time base: under the sim driver the
   // sites stamped it with virtual time, which the daemon rings carry.
   std::uint64_t now = obs::trace_now_ns();
@@ -896,7 +900,7 @@ net::Transport& Network::transport() {
         if (trace_capacity_ > 0)
           t->enable_trace(trace_capacity_, sample_every_, sample_seed_);
         if (flight_) wire_tcp_flight(*t);
-        if (slo_) wire_tcp_slo(*t);
+        if (slo_enabled()) wire_tcp_slo(*t);
         transport_ = std::move(t);
       } else {
         auto mesh =
@@ -907,7 +911,7 @@ net::Transport& Network::transport() {
             mesh->part(i).enable_trace(trace_capacity_, sample_every_,
                                        sample_seed_);
           if (flight_) wire_tcp_flight(mesh->part(i));
-          if (slo_) wire_tcp_slo(mesh->part(i));
+          if (slo_enabled()) wire_tcp_slo(mesh->part(i));
         }
         transport_ = std::move(mesh);
       }

@@ -195,21 +195,23 @@ class Network {
 
   /// Tail-based trace retention (obs/flight.hpp): switches every ring —
   /// current and future — into record-all mode, attaches a flight
-  /// recorder to every site, and registers its counters with the
-  /// metrics registry. Implies enable_tracing() (with defaults) when
-  /// tracing is off. GET /trace keeps its 1-in-N sampled view — the
-  /// exporter re-filters — while GET /flight serves the promoted tail.
-  /// Call before run(); callable again to adjust the policy.
+  /// recorder to every site and to the request ledger (whose
+  /// completions apply `policy`'s slow rules), and registers its
+  /// counters with the metrics registry. Implies enable_tracing() (with
+  /// defaults) when tracing is off. GET /trace keeps its 1-in-N sampled
+  /// view — the exporter re-filters — while GET /flight serves the
+  /// promoted tail. Call before run(); callable again to adjust the
+  /// policy.
   void enable_flight(const obs::FlightPolicy& policy = {});
   bool flight_enabled() const { return flight_ != nullptr; }
   obs::FlightRecorder& flight() { return *flight_; }
   /// The promoted traces as Chrome trace-event JSON (TyCOmon /flight).
   std::string flight_json() const;
 
-  /// Workload SLO plane (obs/slo.hpp): attach a request ledger to every
-  /// current and future site — SHIPM/SHIPO/FETCH departures/completions
-  /// plus the transport's tcp-send/tcp-recv hops decompose into
-  /// per-stage latency histograms — and evaluate `cfg.objective` with
+  /// Workload SLO plane (obs/slo.hpp): the request ledger every site
+  /// feeds (shared with enable_flight) also takes the transport's
+  /// tcp-send/tcp-recv hops, so SHIPM/SHIPO/FETCH latency decomposes
+  /// into per-stage histograms, and evaluates `cfg.objective` with
   /// multi-window burn-rate state (ok/warn/page). Implies
   /// enable_tracing() (the ledger keys on propagated trace ids); with
   /// the flight recorder enabled (either order), objective-violating
@@ -217,7 +219,10 @@ class Network {
   /// TyCOmon serves the plane at GET /slo; slo_* metrics land in the
   /// registry. Call before run(); callable again to adjust objectives.
   void enable_slo(const obs::SloPlane::Config& cfg = {});
-  bool slo_enabled() const { return slo_ != nullptr; }
+  bool slo_enabled() const {
+    return slo_ != nullptr && slo_->has_objective();
+  }
+  /// The request ledger; exists once enable_flight or enable_slo ran.
   obs::SloPlane& slo() { return *slo_; }
   /// The /slo payload (empty object when the plane is off).
   std::string slo_json();
@@ -327,6 +332,9 @@ class Network {
   /// Attach a transport's ring to the flight recorder, switch it to
   /// record-all, and promote reconnect/peer-death events as kNetwork.
   void wire_tcp_flight(net::TcpTransport& t);
+  /// The one request ledger, created (and attached to every node) by
+  /// whichever of enable_flight/enable_slo runs first.
+  obs::SloPlane& ledger();
   /// Feed a transport's tcp-send/tcp-recv hops into the SLO ledger.
   void wire_tcp_slo(net::TcpTransport& t);
   /// The sequential pump loop: round-robin sites until quiescent
@@ -363,7 +371,8 @@ class Network {
   // Declared before nodes_ so sites' raw FlightRecorder pointers never
   // outlive the recorder.
   std::unique_ptr<obs::FlightRecorder> flight_;
-  // Same lifetime discipline as flight_: sites hold raw pointers.
+  // The request ledger. Same lifetime discipline as flight_: sites hold
+  // raw pointers, and it holds the recorder's.
   std::unique_ptr<obs::SloPlane> slo_;
   // The name service's shard map (heap-allocated so that nodes' and
   // sites' pointers survive moves).

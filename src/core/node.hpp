@@ -116,8 +116,8 @@ class Node {
   /// recorder to every current and future site. /trace re-filters to the
   /// sampled subset, so head sampling semantics are preserved.
   void set_flight(obs::FlightRecorder* f);
-  /// Attach the SLO plane's request ledger to every current and future
-  /// site (obs/slo.hpp; the Network owns the plane).
+  /// Attach the request ledger to every current and future site
+  /// (obs/slo.hpp; the Network owns it).
   void set_slo(obs::SloPlane* s);
   /// Enable the sampled VM profiler on every current and future site.
   void enable_profiling(std::uint64_t period);

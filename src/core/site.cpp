@@ -306,16 +306,14 @@ void Site::ship_message(const vm::NetRef& target, const std::string& label,
   machine_.set_credit_peer(vm::Machine::kNoPeer);
   machine_.set_credit_trace(0);
   auto bytes = w.take();
-  packet_bytes_.observe(static_cast<double>(bytes.size()));
+  packet_bytes_.record(bytes.size());
   if (ring_.should_record(tid.sampled))
     ring_.record(obs::EventType::kShipMsgOut, tid.id, bytes.size());
-  if (flight_ != nullptr && tid.id != 0) {
-    flight_->on_depart(tid.id, now_ns());
-    if (machine_.gc_stats().credit_starved > starved0)
-      flight_->promote(tid.id, obs::FlightRecorder::Reason::kStarved);
-  }
   if (slo_ != nullptr && tid.id != 0)
     slo_->on_depart(tid.id, obs::SloPlane::Op::kMsg, now_ns());
+  if (flight_ != nullptr && tid.id != 0 &&
+      machine_.gc_stats().credit_starved > starved0)
+    flight_->promote(tid.id, obs::FlightRecorder::Reason::kStarved);
   send_packet(target.node, std::move(bytes));
   ++mobility_.msgs_shipped;
 }
@@ -341,16 +339,14 @@ void Site::ship_object(const vm::NetRef& target, std::uint32_t seg_slot,
   machine_.set_credit_peer(vm::Machine::kNoPeer);
   machine_.set_credit_trace(0);
   auto bytes = w.take();
-  packet_bytes_.observe(static_cast<double>(bytes.size()));
+  packet_bytes_.record(bytes.size());
   if (ring_.should_record(tid.sampled))
     ring_.record(obs::EventType::kShipObjOut, tid.id, bytes.size());
-  if (flight_ != nullptr && tid.id != 0) {
-    flight_->on_depart(tid.id, now_ns());
-    if (machine_.gc_stats().credit_starved > starved0)
-      flight_->promote(tid.id, obs::FlightRecorder::Reason::kStarved);
-  }
   if (slo_ != nullptr && tid.id != 0)
     slo_->on_depart(tid.id, obs::SloPlane::Op::kObj, now_ns());
+  if (flight_ != nullptr && tid.id != 0 &&
+      machine_.gc_stats().credit_starved > starved0)
+    flight_->promote(tid.id, obs::FlightRecorder::Reason::kStarved);
   send_packet(target.node, std::move(bytes));
   ++mobility_.objs_shipped;
 }
@@ -377,8 +373,8 @@ void Site::fetch_instantiate(const vm::NetRef& cls,
   if (parked.size() > 1) return;  // request already in flight
   const obs::TraceTag tid = fresh_trace_id();
   const std::uint64_t req = next_req_++;
-  // Ring time base: under the sim driver the FETCH RTT (and the flight
-  // recorder's promotion decision) is then virtual-time deterministic.
+  // Ring time base: under the sim driver the FETCH RTT (and the ledger's
+  // flight promotion decision) is then virtual-time deterministic.
   fetch_by_req_[req] = FetchInFlight{cls, now_ns()};
   Writer w;
   write_header(w, MsgType::kFetchReq, cls.site, tid.id, tid.sampled);
@@ -387,10 +383,9 @@ void Site::fetch_instantiate(const vm::NetRef& cls,
   w.u32(site_id_);
   w.u64(req);
   auto bytes = w.take();
-  packet_bytes_.observe(static_cast<double>(bytes.size()));
+  packet_bytes_.record(bytes.size());
   if (ring_.should_record(tid.sampled))
     ring_.record(obs::EventType::kFetchReq, tid.id, cls.heap_id);
-  if (flight_ != nullptr && tid.id != 0) flight_->on_depart(tid.id, now_ns());
   if (slo_ != nullptr && tid.id != 0)
     slo_->on_depart(tid.id, obs::SloPlane::Op::kFetch, now_ns());
   send_packet(cls.node, std::move(bytes));
@@ -557,8 +552,6 @@ void Site::handle_packet(const net::PacketHeader& h, Reader& r,
       auto args = unmarshal_values(machine_, r);
       if (ring_.should_record(h.sampled))
         ring_.record(obs::EventType::kShipMsgIn, h.trace_id, size);
-      if (flight_ != nullptr && h.trace_id != 0)
-        flight_->on_complete(h.trace_id, now_ns());
       if (slo_ != nullptr && h.trace_id != 0)
         slo_->on_complete(h.trace_id, now_ns());
       machine_.deliver_message(heap_id, label, std::move(args));
@@ -574,8 +567,6 @@ void Site::handle_packet(const net::PacketHeader& h, Reader& r,
       auto env = unmarshal_values(machine_, r);
       if (ring_.should_record(h.sampled))
         ring_.record(obs::EventType::kShipObjIn, h.trace_id, size);
-      if (flight_ != nullptr && h.trace_id != 0)
-        flight_->on_complete(h.trace_id, now_ns());
       if (slo_ != nullptr && h.trace_id != 0)
         slo_->on_complete(h.trace_id, now_ns());
       machine_.deliver_object(heap_id, slot, std::move(env));
@@ -603,7 +594,7 @@ void Site::handle_packet(const net::PacketHeader& h, Reader& r,
       machine_.set_credit_peer(req_node);
       marshal_values(machine_, blk.env, w);
       auto reply = w.take();
-      packet_bytes_.observe(static_cast<double>(reply.size()));
+      packet_bytes_.record(reply.size());
       if (ring_.should_record(h.sampled))
         ring_.record(obs::EventType::kFetchServed, h.trace_id, reply.size());
       // The serving side of the FETCH: close the server-side ledger
@@ -627,12 +618,9 @@ void Site::handle_packet(const net::PacketHeader& h, Reader& r,
       const vm::NetRef ref = rit->second.cls;
       const std::uint64_t arrived = now_ns();
       if (arrived > rit->second.issued_ns)
-        fetch_rtt_us_.observe(
-            static_cast<double>(arrived - rit->second.issued_ns) / 1e3);
+        fetch_rtt_us_.record((arrived - rit->second.issued_ns) / 1000);
       if (ring_.should_record(h.sampled))
         ring_.record(obs::EventType::kFetchReply, h.trace_id, size);
-      if (flight_ != nullptr && h.trace_id != 0)
-        flight_->on_complete(h.trace_id, arrived);
       if (slo_ != nullptr && h.trace_id != 0)
         slo_->on_complete(h.trace_id, arrived);
       fetch_by_req_.erase(rit);

@@ -179,20 +179,23 @@ class Site {
   obs::TraceRing& trace_ring() { return ring_; }
   const obs::TraceRing& trace_ring() const { return ring_; }
 
-  /// Attach a flight recorder (tail-based trace retention): departure /
-  /// completion hooks for SHIPM/SHIPO/FETCH feed its latency policy, and
-  /// error / credit-starvation / stale-REL paths promote their trace ids
-  /// unconditionally. The recorder must outlive the site (Network owns
-  /// it). Call alongside enable_tracing, before the site executes.
+  /// Attach a flight recorder (tail-based trace retention): the error /
+  /// credit-starvation / stale-REL paths promote their trace ids
+  /// unconditionally. Slow completions reach it through the request
+  /// ledger (set_slo), not from here. The recorder must outlive the site
+  /// (Network owns it). Call alongside enable_tracing, before the site
+  /// executes.
   void set_flight(obs::FlightRecorder* f) {
     flight_ = f;
     if (f != nullptr) f->attach_ring(&ring_);
   }
 
-  /// Attach the SLO plane's request ledger: SHIPM/SHIPO/FETCH departures
-  /// and completions feed the per-stage latency histograms and the
-  /// objective/burn-rate evaluation (obs/slo.hpp). Same hook points and
-  /// lifetime rules as set_flight. Call before the site executes.
+  /// Attach the request ledger (obs/slo.hpp), the one per-trace record:
+  /// each SHIPM/SHIPO/FETCH departure and completion calls one ledger
+  /// hook, which feeds the e2e and stage histograms, the flight
+  /// recorder's slow policy and, with an objective, the burn-rate
+  /// evaluation. Same lifetime rules as set_flight. Call before the
+  /// site executes.
   void set_slo(obs::SloPlane* s) { slo_ = s; }
 
   /// Register this site's mobility counters, latency histograms and the
@@ -321,10 +324,9 @@ class Site {
   obs::TraceRing ring_;
   obs::FlightRecorder* flight_ = nullptr;
   obs::SloPlane* slo_ = nullptr;
-  // Outbound packet sizes in bytes (16B .. ~256KiB) and FETCH round trips
-  // in microseconds.
-  obs::Histogram packet_bytes_{obs::Histogram::exponential_bounds(16, 4, 8)};
-  obs::Histogram fetch_rtt_us_{obs::Histogram::default_bounds()};
+  // Outbound packet sizes in bytes and FETCH round trips in microseconds.
+  obs::Histogram packet_bytes_;
+  obs::Histogram fetch_rtt_us_;
   obs::Registry::Registration metrics_reg_;
   obs::Registry::Registration gauges_reg_;
 

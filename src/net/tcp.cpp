@@ -402,8 +402,7 @@ bool TcpTransport::post(Packet p) {
   peer.out_bytes += frame->size();
   peer.outq.push_back(std::move(frame));
   ++peer.queued_frames;
-  stats_.send_queue_bytes.observe(
-      static_cast<double>(peer.out_bytes - peer.wr_off));
+  stats_.send_queue_bytes.record(peer.out_bytes - peer.wr_off);
   if (ring_.should_record(p.hdr.sampled))
     ring_.record(obs::EventType::kTcpSend, p.hdr.trace_id, p.dst_node);
   if (slo_hook_ && p.hdr.trace_id != 0)
@@ -542,7 +541,7 @@ void TcpTransport::fail_connect(std::uint32_t node, Peer& p, double now) {
   p.backoff_ms = p.backoff_ms == 0
                      ? cfg_.backoff_min_ms
                      : std::min(p.backoff_ms * 2, cfg_.backoff_max_ms);
-  stats_.reconnect_backoff_ms.observe(static_cast<double>(p.backoff_ms));
+  stats_.reconnect_backoff_ms.record(p.backoff_ms);
   rng_ ^= rng_ << 13;
   rng_ ^= rng_ >> 7;
   rng_ ^= rng_ << 17;
@@ -732,14 +731,14 @@ bool TcpTransport::handle_payload(int fd, std::uint32_t tagged_node,
       const std::uint64_t sent_us = r.u64();
       const std::uint64_t rtt = now_us() - sent_us;
       stats_.last_rtt_us.store(rtt, std::memory_order_relaxed);
-      stats_.rtt_us.observe(static_cast<double>(rtt));
+      stats_.rtt_us.record(rtt);
       stats_.heartbeats_acked.fetch_add(1, std::memory_order_relaxed);
       // The body names us, not the responder: attribute the RTT to
       // whichever peer owns the connection the echo came back on.
       for (auto& [peer_node, p] : peers_) {
         if (p.fd != fd) continue;
         p.last_rtt_us = rtt;
-        p.rtt_hist.observe(static_cast<double>(rtt));
+        p.rtt_hist.record(rtt);
         feed_liveness(peer_node, now);
         break;
       }
@@ -863,7 +862,7 @@ void TcpTransport::flush_peer_writes(Peer& p) {
     if (n > 0) {
       stats_.writev_calls.fetch_add(1, std::memory_order_relaxed);
       stats_.writev_frames.fetch_add(cnt, std::memory_order_relaxed);
-      stats_.flush_frames_per_call.observe(static_cast<double>(cnt));
+      stats_.flush_frames_per_call.record(cnt);
       const std::size_t before = p.wr_off;
       consume_written(p.outq, p.wr_off, static_cast<std::size_t>(n), pool_);
       p.out_bytes -= before + static_cast<std::size_t>(n) - p.wr_off;

@@ -293,14 +293,11 @@ class TcpTransport : public Transport {
     /// seen by each send(), and the backoff picked by each failed
     /// connect — the three distributions that explain where cross-node
     /// latency went (docs/OBSERVABILITY.md).
-    obs::Histogram rtt_us{obs::Histogram::default_bounds()};
-    obs::Histogram send_queue_bytes{
-        obs::Histogram::exponential_bounds(64.0, 4.0, 12)};
-    obs::Histogram reconnect_backoff_ms{
-        obs::Histogram::exponential_bounds(1.0, 2.0, 12)};
+    obs::Histogram rtt_us;
+    obs::Histogram send_queue_bytes;
+    obs::Histogram reconnect_backoff_ms;
     /// Frames per flush (1 = no batching opportunity or coalescing off).
-    obs::Histogram flush_frames_per_call{
-        obs::Histogram::exponential_bounds(1.0, 2.0, 8)};
+    obs::Histogram flush_frames_per_call;
   };
 
   /// One peer's transport state, snapshotted under the lock — the
@@ -489,7 +486,7 @@ class TcpTransport : public Transport {
     std::uint64_t last_rtt_us = 0;
     double last_heard_ms = -1;       // transport clock, -1 = never
     std::uint16_t monitor_port = 0;  // learned from hello/gossip
-    obs::Histogram rtt_hist{obs::Histogram::default_bounds()};
+    obs::Histogram rtt_hist;
   };
   struct Inbound {
     FrameParser parser;

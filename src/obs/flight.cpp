@@ -27,37 +27,21 @@ FlightPolicy FlightRecorder::policy() const {
 
 void FlightRecorder::attach_ring(const TraceRing* ring) {
   std::lock_guard<std::mutex> lk(mu_);
-  for (const RingIndex& ri : rings_)
-    if (ri.ring == ring) return;
-  RingIndex ri;
-  ri.ring = ring;
-  rings_.push_back(std::move(ri));
+  if (std::find(rings_.begin(), rings_.end(), ring) == rings_.end())
+    rings_.push_back(ring);
 }
 
-void FlightRecorder::on_depart(std::uint64_t trace_id, std::uint64_t ts_ns) {
-  if (trace_id == 0) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  if (depart_ns_.size() >= policy_.max_inflight) return;
-  depart_ns_.emplace(trace_id, ts_ns);
-}
-
-bool FlightRecorder::on_complete(std::uint64_t trace_id,
-                                 std::uint64_t ts_ns) {
+bool FlightRecorder::promote_if_slow(std::uint64_t trace_id,
+                                     std::uint64_t latency_ns,
+                                     const Histogram& e2e) {
   if (trace_id == 0) return false;
   std::lock_guard<std::mutex> lk(mu_);
-  const auto it = depart_ns_.find(trace_id);
-  if (it == depart_ns_.end()) return false;
-  const std::uint64_t departed = it->second;
-  depart_ns_.erase(it);
-  const double latency_us =
-      ts_ns >= departed ? static_cast<double>(ts_ns - departed) / 1e3 : 0;
-  latency_us_.observe(latency_us);
-  ++completions_;
+  const double latency_us = static_cast<double>(latency_ns) / 1e3;
   bool slow = policy_.slow_us > 0 && latency_us >= policy_.slow_us;
-  if (!slow && policy_.slow_pctl > 0) {
-    const double thr = pctl_threshold_locked();
-    slow = thr > 0 && latency_us >= thr;
-  }
+  if (!slow && policy_.slow_pctl > 0 &&
+      e2e.count() >= policy_.pctl_min_samples)
+    slow = static_cast<double>(latency_ns) >
+           e2e.quantile_interpolated(policy_.slow_pctl);
   if (!slow) return false;
   return promote_locked(trace_id, Reason::kSlow, latency_us);
 }
@@ -67,20 +51,6 @@ bool FlightRecorder::promote(std::uint64_t trace_id, Reason reason,
   if (trace_id == 0) return false;
   std::lock_guard<std::mutex> lk(mu_);
   return promote_locked(trace_id, reason, latency_us);
-}
-
-double FlightRecorder::pctl_threshold_locked() const {
-  const Histogram::Snapshot s = latency_us_.snapshot();
-  if (s.total < policy_.pctl_min_samples) return 0;
-  const double want = policy_.slow_pctl * static_cast<double>(s.total);
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < s.bounds.size(); ++i) {
-    cum += s.counts[i];
-    if (static_cast<double>(cum) >= want) return s.bounds[i];
-  }
-  // Percentile lands in the +inf bucket: only the largest finite bound
-  // can act as the threshold.
-  return s.bounds.empty() ? 0 : s.bounds.back();
 }
 
 bool FlightRecorder::promote_locked(std::uint64_t trace_id, Reason reason,
@@ -93,23 +63,12 @@ bool FlightRecorder::promote_locked(std::uint64_t trace_id, Reason reason,
   e.trace_id = trace_id;
   e.reason = reason;
   e.latency_us = latency_us;
-  for (RingIndex& ri : rings_) {
-    // Lazy per-ring index: rebuild only when the producer has recorded
-    // past the last build. recorded() is read before snapshot(), so a
-    // concurrent producer at worst leaves the index one build behind —
-    // the next promotion rebuilds again.
-    const std::uint64_t head = ri.ring->recorded();
-    if (head != ri.built_head) {
-      ri.by_id.clear();
-      for (TraceEvent& ev : ri.ring->snapshot())
-        if (ev.trace_id != 0) ri.by_id[ev.trace_id].push_back(ev);
-      ri.built_head = head;
-      ++index_rebuilds_;
-    }
-    const auto it = ri.by_id.find(trace_id);
-    if (it != ri.by_id.end())
-      e.events.insert(e.events.end(), it->second.begin(), it->second.end());
-  }
+  // One pass over a snapshot of each ring: under record-all tracing the
+  // rings move on between any two promotions, so no index over them
+  // would stay valid.
+  for (const TraceRing* ring : rings_)
+    for (const TraceEvent& ev : ring->snapshot())
+      if (ev.trace_id == trace_id) e.events.push_back(ev);
   std::stable_sort(e.events.begin(), e.events.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.ts_ns < b.ts_ns;

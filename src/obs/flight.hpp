@@ -8,30 +8,33 @@
 // in record-all mode while a recorder is attached), and when a mobility
 // operation COMPLETES the recorder decides — completion latency above an
 // absolute threshold or a percentile of the live distribution, or an
-// error/starvation/REL-anomaly path — whether to promote that trace id.
-// Promotion copies the id's events out of every attached ring into a
-// small durable buffer before the rings overwrite them, so the uniform
-// sample stream and the "always keep the slow and broken ones" stream
-// coexist; TyCOmon serves the buffer at GET /flight as Chrome trace JSON.
+// error/starvation/REL-anomaly/network path — whether to promote that
+// trace id. Promotion copies the id's events out of every attached ring
+// into a small durable buffer before the rings overwrite them, so the
+// uniform sample stream and the "always keep the slow and broken ones"
+// stream coexist; TyCOmon serves the buffer at GET /flight as Chrome
+// trace JSON.
 //
-// Mechanics: sites call on_depart(id, ts) when a SHIPM/SHIPO/FETCH
-// leaves and on_complete(id, ts) when the matching arrival/reply is
-// handled; latency is the difference on the caller's time base (virtual
-// time under the sim driver, so the promotion decision is deterministic
-// there). Promotion walks a per-ring index keyed by trace id, rebuilt
-// lazily only when that ring's head has advanced since the last build —
-// promotions are rare, so the common case costs one map lookup per ring.
+// Mechanics: the recorder keeps no per-request state. The request
+// ledger (obs/slo.hpp) times every SHIPM/SHIPO/FETCH from departure to
+// completion on the sites' time base (virtual time under the sim
+// driver, so the promotion decision is deterministic there) and offers
+// each e2e completion to promote_if_slow, together with that
+// operation's e2e histogram for the percentile rule. Sites, the daemon
+// and the transport call promote() directly for the unconditional
+// reasons. Promotion copies the id's events out of one snapshot of each
+// attached ring.
 //
-// Thread safety: every entry point takes one mutex. Completions are
-// per-remote-operation (not per-instruction), so the lock is off any
-// hot path; ring reads go through TraceRing::snapshot(), which is safe
-// against the owning producer by construction.
+// Thread safety: every entry point takes one mutex, and the recorder
+// never calls out while holding it. Completions are per-remote-operation
+// (not per-instruction), so the lock is off any hot path; ring reads go
+// through TraceRing::snapshot(), which is safe against the owning
+// producer by construction.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -41,20 +44,19 @@
 namespace dityco::obs {
 
 /// Retention policy. Everything off by default: a default-constructed
-/// recorder only promotes explicit error/starvation/REL anomalies.
+/// recorder only promotes explicit error/starvation/REL/network events.
 struct FlightPolicy {
-  /// Promote completions slower than this many microseconds (0 = off).
+  /// Promote completions at or above this many microseconds (0 = off).
   double slow_us = 0;
-  /// Promote completions above this latency percentile (0 = off; e.g.
-  /// 0.99 keeps the slowest ~1%). Needs pctl_min_samples completions
-  /// before it starts firing, so early traffic is not all "slow".
+  /// Promote completions above this latency percentile of their
+  /// operation's e2e histogram, this completion included (0 = off; e.g.
+  /// 0.99 keeps the slowest ~1%). Needs pctl_min_samples completions of
+  /// that operation before it starts firing, so early traffic is not
+  /// all "slow".
   double slow_pctl = 0;
   std::uint64_t pctl_min_samples = 64;
   /// Flight-buffer capacity in promoted traces (oldest evicted first).
   std::size_t max_traces = 64;
-  /// Departure-table cap: beyond this many in-flight operations new
-  /// departures are dropped from latency tracking (never from tracing).
-  std::size_t max_inflight = 4096;
 };
 
 class FlightRecorder {
@@ -85,11 +87,11 @@ class FlightRecorder {
   /// enable_flight time).
   void attach_ring(const TraceRing* ring);
 
-  /// A traced operation departed at ts_ns (ring time base).
-  void on_depart(std::uint64_t trace_id, std::uint64_t ts_ns);
-  /// The matching completion; applies the latency policy. Returns true
-  /// if the trace was promoted.
-  bool on_complete(std::uint64_t trace_id, std::uint64_t ts_ns);
+  /// One e2e completion from the request ledger, `latency_ns` long;
+  /// `e2e` is its operation's latency histogram, this completion
+  /// included. Applies the slow policy; returns true if promoted.
+  bool promote_if_slow(std::uint64_t trace_id, std::uint64_t latency_ns,
+                       const Histogram& e2e);
   /// Unconditional promotion (error / starvation / REL-anomaly paths).
   bool promote(std::uint64_t trace_id, Reason reason, double latency_us = 0);
 
@@ -98,37 +100,21 @@ class FlightRecorder {
 
   // Counters for the metrics exposition (atomic; any thread).
   std::uint64_t promoted_count(Reason r) const;
-  std::uint64_t completions() const { return completions_.value(); }
   std::uint64_t evicted() const { return evicted_.value(); }
   std::uint64_t duplicates() const { return duplicates_.value(); }
-  std::uint64_t index_rebuilds() const { return index_rebuilds_.value(); }
-  Histogram::Snapshot latency_snapshot() const {
-    return latency_us_.snapshot();
-  }
 
  private:
-  struct RingIndex {
-    const TraceRing* ring = nullptr;
-    std::uint64_t built_head = ~0ull;  // recorded() when by_id was built
-    std::unordered_map<std::uint64_t, std::vector<TraceEvent>> by_id;
-  };
-
   bool promote_locked(std::uint64_t trace_id, Reason reason,
                       double latency_us);
-  /// Smallest histogram bound at or above the configured percentile, or
-  /// 0 when the percentile policy cannot fire yet.
-  double pctl_threshold_locked() const;
 
   mutable std::mutex mu_;
   FlightPolicy policy_;
-  std::vector<RingIndex> rings_;
-  std::unordered_map<std::uint64_t, std::uint64_t> depart_ns_;
+  std::vector<const TraceRing*> rings_;
   std::deque<Entry> buffer_;
   std::unordered_set<std::uint64_t> promoted_ids_;
-  Histogram latency_us_;  // completion latencies, policy input
   Counter promoted_slow_, promoted_error_, promoted_starved_, promoted_rel_,
       promoted_network_;
-  Counter completions_, evicted_, duplicates_, index_rebuilds_;
+  Counter evicted_, duplicates_;
 };
 
 }  // namespace dityco::obs

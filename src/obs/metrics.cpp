@@ -10,41 +10,122 @@ namespace dityco::obs {
 // Histogram
 // ---------------------------------------------------------------------
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  std::sort(bounds_.begin(), bounds_.end());
-  counts_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) counts_[i] = 0;
+Histogram& Histogram::operator=(Histogram&& o) noexcept {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  delete buckets_.exchange(o.buckets_.exchange(nullptr, kRelaxed), kRelaxed);
+  count_.store(o.count_.exchange(0, kRelaxed), kRelaxed);
+  sum_.store(o.sum_.exchange(0, kRelaxed), kRelaxed);
+  max_.store(o.max_.exchange(0, kRelaxed), kRelaxed);
+  min_.store(o.min_.exchange(~std::uint64_t{0}, kRelaxed), kRelaxed);
+  return *this;
 }
 
-void Histogram::observe(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  counts_[static_cast<std::size_t>(it - bounds_.begin())].fetch_add(
-      1, std::memory_order_relaxed);
-  total_.fetch_add(1, std::memory_order_relaxed);
+Histogram::Buckets* Histogram::allocate() {
+  auto* fresh = new Buckets{};
+  Buckets* seen = nullptr;
+  if (buckets_.compare_exchange_strong(seen, fresh,
+                                       std::memory_order_acq_rel))
+    return fresh;
+  delete fresh;
+  return seen;
+}
+
+void Histogram::record(std::uint64_t v) {
+  Buckets* b = buckets_.load(std::memory_order_acquire);
+  if (b == nullptr) b = allocate();
+  (*b)[index_of(v)].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(v, std::memory_order_relaxed);
+  std::uint64_t seen = max_.load(std::memory_order_relaxed);
+  while (v > seen &&
+         !max_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+  }
+  seen = min_.load(std::memory_order_relaxed);
+  while (v < seen &&
+         !min_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+  }
 }
 
 Histogram::Snapshot Histogram::snapshot() const {
   Snapshot s;
-  s.bounds = bounds_;
-  s.counts.reserve(bounds_.size() + 1);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i)
-    s.counts.push_back(counts_[i].load(std::memory_order_relaxed));
-  s.total = total_.load(std::memory_order_relaxed);
+  const Buckets* b = buckets_.load(std::memory_order_acquire);
+  s.count = count_.load(std::memory_order_relaxed);
+  if (b == nullptr || s.count == 0) return {};
   s.sum = sum_.load(std::memory_order_relaxed);
+  s.max = max_.load(std::memory_order_relaxed);
+  s.min = min_.load(std::memory_order_relaxed);
+  s.counts.resize(kBuckets);
+  for (std::size_t i = 0; i < kBuckets; ++i)
+    s.counts[i] = (*b)[i].load(std::memory_order_relaxed);
   return s;
 }
 
-std::vector<double> Histogram::exponential_bounds(double start, double factor,
-                                                  int count) {
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(count));
-  double b = start;
-  for (int i = 0; i < count; ++i) {
-    out.push_back(b);
-    b *= factor;
+double Histogram::quantile_interpolated(double q) const {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  const Buckets* b = buckets_.load(std::memory_order_acquire);
+  const std::uint64_t n = count_.load(kRelaxed);
+  if (b == nullptr || n == 0) return 0;
+  const double rank = std::clamp(q, 0.0, 1.0) * static_cast<double>(n);
+  const std::size_t top = index_of(max_.load(kRelaxed));
+  std::uint64_t cum = 0;
+  for (std::size_t i = index_of(min_.load(kRelaxed)); i <= top; ++i) {
+    const std::uint64_t c = (*b)[i].load(kRelaxed);
+    if (c != 0 && static_cast<double>(cum + c) >= rank) {
+      const double into =
+          (rank - static_cast<double>(cum)) / static_cast<double>(c);
+      return static_cast<double>(bucket_low(i)) +
+             into * static_cast<double>(bucket_width(i));
+    }
+    cum += c;
+  }
+  return static_cast<double>(max_.load(kRelaxed));
+}
+
+std::uint64_t Histogram::Snapshot::quantile(double q) const {
+  if (count == 0 || counts.empty()) return 0;
+  q = std::clamp(q, 0.0, 1.0);
+  auto rank = static_cast<std::uint64_t>(
+      std::ceil(q * static_cast<double>(count)));
+  rank = std::clamp<std::uint64_t>(rank, 1, count);
+  std::uint64_t cum = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    cum += counts[i];
+    if (cum >= rank) {
+      const std::uint64_t mid = bucket_low(i) + bucket_width(i) / 2;
+      return std::clamp(mid, min, max);
+    }
+  }
+  return max;
+}
+
+std::array<std::uint64_t, Histogram::kExposedBounds>
+Histogram::Snapshot::exposed_cumulative() const {
+  std::array<std::uint64_t, kExposedBounds> out{};
+  if (counts.empty()) return out;
+  std::uint64_t cum = 0;
+  std::size_t i = 0;
+  for (unsigned k = 1; k <= kExposedBounds; ++k) {
+    // The bucket starting at 2^k is the first one not counted.
+    for (const std::size_t end = index_of(std::uint64_t{1} << k); i < end;
+         ++i)
+      cum += counts[i];
+    out[k - 1] = cum;
   }
   return out;
+}
+
+Histogram::Snapshot& Histogram::Snapshot::merge(const Snapshot& other) {
+  if (other.count == 0) return *this;
+  if (count == 0) {
+    *this = other;
+    return *this;
+  }
+  for (std::size_t i = 0; i < kBuckets; ++i) counts[i] += other.counts[i];
+  count += other.count;
+  sum += other.sum;
+  max = std::max(max, other.max);
+  min = std::min(min, other.min);
+  return *this;
 }
 
 // ---------------------------------------------------------------------
@@ -59,18 +140,11 @@ void Collector::gauge(const std::string& name, std::int64_t v) {
   (*gauges_)[name] += v;
 }
 
-void Collector::histogram(const std::string& name, Histogram::Snapshot s) {
-  // try_emplace leaves `s` untouched when the key already exists.
-  auto [it, inserted] = histograms_->try_emplace(name, std::move(s));
-  if (inserted) return;
+void Collector::histogram(const std::string& name,
+                          const Histogram::Snapshot& s) {
   // Same name from several components (e.g. one histogram per site under
-  // an aggregate name): merge when shapes agree, else keep the first.
-  Histogram::Snapshot& dst = it->second;
-  if (dst.bounds != s.bounds) return;
-  for (std::size_t i = 0; i < dst.counts.size() && i < s.counts.size(); ++i)
-    dst.counts[i] += s.counts[i];
-  dst.total += s.total;
-  dst.sum += s.sum;
+  // an aggregate name) folds into one distribution.
+  (*histograms_)[name].merge(s);
 }
 
 // ---------------------------------------------------------------------
@@ -108,30 +182,6 @@ void Registry::remove_collector(std::uint64_t id) {
   collectors_.erase(id);
 }
 
-Counter& Registry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& Registry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-Histogram& Registry::histogram(const std::string& name,
-                               std::vector<double> bounds) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto& slot = histograms_[name];
-  if (!slot)
-    slot = bounds.empty() ? std::make_unique<Histogram>()
-                          : std::make_unique<Histogram>(std::move(bounds));
-  return *slot;
-}
-
 Registry::Snapshot Registry::snapshot(bool live_only) const {
   std::lock_guard<std::mutex> lk(mu_);
   Snapshot s;
@@ -139,10 +189,6 @@ Registry::Snapshot Registry::snapshot(bool live_only) const {
   sink.counters_ = &s.counters;
   sink.gauges_ = &s.gauges;
   sink.histograms_ = &s.histograms;
-  for (const auto& [name, c] : counters_) s.counters[name] += c->value();
-  for (const auto& [name, g] : gauges_) s.gauges[name] += g->value();
-  for (const auto& [name, h] : histograms_)
-    sink.histogram(name, h->snapshot());
   for (const auto& [id, entry] : collectors_)
     if (!live_only || entry.live_safe) entry.fn(sink);
   return s;
@@ -170,10 +216,10 @@ std::string with_suffix_and_le(const std::string& name,
   return out;
 }
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  return buf;
+/// The exposed `le` of power k: 2^k - 1, the largest integer below the
+/// bucket edge at 2^k (see Histogram).
+std::string le_bound(unsigned k) {
+  return std::to_string((std::uint64_t{1} << k) - 1);
 }
 
 }  // namespace
@@ -186,18 +232,16 @@ std::string Registry::expose_text(bool live_only) const {
   for (const auto& [name, v] : s.gauges)
     out += name + " " + std::to_string(v) + "\n";
   for (const auto& [name, h] : s.histograms) {
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      cum += h.counts[i];
-      const std::string le =
-          i < h.bounds.size() ? fmt_double(h.bounds[i]) : "+Inf";
-      out += with_suffix_and_le(name, "_bucket", le) + " " +
-             std::to_string(cum) + "\n";
-    }
-    out += with_suffix_and_le(name, "_sum", "") + " " + fmt_double(h.sum) +
-           "\n";
+    const auto cum = h.exposed_cumulative();
+    for (unsigned k = 1; k <= Histogram::kExposedBounds; ++k)
+      out += with_suffix_and_le(name, "_bucket", le_bound(k)) + " " +
+             std::to_string(cum[k - 1]) + "\n";
+    out += with_suffix_and_le(name, "_bucket", "+Inf") + " " +
+           std::to_string(h.count) + "\n";
+    out += with_suffix_and_le(name, "_sum", "") + " " +
+           std::to_string(h.sum) + "\n";
     out += with_suffix_and_le(name, "_count", "") + " " +
-           std::to_string(h.total) + "\n";
+           std::to_string(h.count) + "\n";
   }
   return out;
 }
@@ -247,25 +291,23 @@ std::string Registry::expose_json(bool live_only) const {
     if (!first) out += ",";
     first = false;
     out += "\"" + json_escape(name) + "\":{\"bounds\":[";
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      if (i) out += ",";
-      out += fmt_double(h.bounds[i]);
+    for (unsigned k = 1; k <= Histogram::kExposedBounds; ++k) {
+      if (k > 1) out += ",";
+      out += le_bound(k);
     }
+    // Per-interval counts, the last one above the largest bound.
     out += "],\"counts\":[";
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      if (i) out += ",";
-      out += std::to_string(h.counts[i]);
+    std::uint64_t below = 0;
+    for (const std::uint64_t cum : h.exposed_cumulative()) {
+      out += std::to_string(cum - below) + ",";
+      below = cum;
     }
-    out += "],\"sum\":" + fmt_double(h.sum) +
-           ",\"count\":" + std::to_string(h.total) + "}";
+    out += std::to_string(h.count - below) +
+           "],\"sum\":" + std::to_string(h.sum) +
+           ",\"count\":" + std::to_string(h.count) + "}";
   }
   out += "}}";
   return out;
-}
-
-Registry& Registry::global() {
-  static Registry r;
-  return r;
 }
 
 }  // namespace dityco::obs

@@ -13,8 +13,6 @@
 //   * Components publish through *collectors*: a callback that reads the
 //     component's cells into a Collector sink. Registration is RAII, so a
 //     destroyed site/machine silently drops out of the exposition.
-//   * The registry can also own find-or-create metrics by name for ad-hoc
-//     instrumentation (tools, benches).
 //
 // Exposition formats: Prometheus-style text and JSON.
 //
@@ -24,11 +22,13 @@
 // rest — i.e. call expose_*/snapshot() after run(), not during it.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -117,53 +117,107 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
-/// Fixed-bucket histogram: `bounds` are ascending inclusive upper bounds,
-/// with an implicit +inf bucket at the end. Observation is lock free.
+/// Log-linear (HDR-style) histogram over uint64 values, recorded in the
+/// unit the metric's name states (`_ns`, `_us`, `_ms`, `_bytes`, or a
+/// plain count). Values below 64 land in exact unit buckets; above that
+/// each power of two splits into 32 linear sub-buckets, so a quantile is
+/// off by at most half a sub-bucket (<= ~1.6%) over the whole uint64
+/// range. Recording is a few relaxed atomic operations (safe from any
+/// thread, no lock); snapshots are plain data that merge associatively,
+/// so same-named histograms from several sites or nodes fold into one.
+/// The 1 920 buckets (15 KB) are allocated by the first record(), so a
+/// histogram that never records (a site that never fetches, a VM that
+/// is not profiled) costs a pointer.
+///
+/// Exposition (Prometheus `_bucket` lines and /metrics.json) uses one
+/// fixed set of bounds, kExposedBounds of them: `le` = 2^k - 1 for
+/// k = 1..40, then `+Inf`. Every power of two is the low edge of a
+/// bucket, so the values `<= 2^k - 1` (values are integers: `< 2^k`)
+/// fill exactly the buckets below the one starting at 2^k, and each
+/// exposed cumulative count is exact rather than estimated. (`le` =
+/// 2^k itself would not be for k >= 6: that bucket also holds 2^k + 1.)
 class Histogram {
  public:
+  static constexpr unsigned kSubBits = 5;           // 32 sub-buckets
+  static constexpr unsigned kSub = 1u << kSubBits;  // per power of two
+  // Exponents 5..63 each contribute kSub buckets after the 32 exact
+  // unit buckets: idx = (e - 4) * 32 + sub, max (63-4)*32+31 = 1919.
+  static constexpr std::size_t kBuckets = (64 - kSubBits + 1) * kSub;
+  static constexpr unsigned kExposedBounds = 40;
+
+  static std::size_t index_of(std::uint64_t v) {
+    if (v < kSub) return static_cast<std::size_t>(v);
+    const unsigned e = static_cast<unsigned>(std::bit_width(v)) - 1;
+    const auto sub =
+        static_cast<std::size_t>((v >> (e - kSubBits)) & (kSub - 1));
+    return static_cast<std::size_t>(e - (kSubBits - 1)) * kSub + sub;
+  }
+  /// Smallest value mapping to bucket `idx`.
+  static std::uint64_t bucket_low(std::size_t idx) {
+    if (idx < 2 * kSub) return idx;  // exact through e = kSubBits
+    const unsigned e = static_cast<unsigned>(idx / kSub) + (kSubBits - 1);
+    const std::uint64_t sub = idx % kSub;
+    return (std::uint64_t{1} << e) | (sub << (e - kSubBits));
+  }
+  /// Width of bucket `idx` (1 for the exact range).
+  static std::uint64_t bucket_width(std::size_t idx) {
+    if (idx < 2 * kSub) return 1;
+    const unsigned e = static_cast<unsigned>(idx / kSub) + (kSubBits - 1);
+    return std::uint64_t{1} << (e - kSubBits);
+  }
+
+  /// Mergeable point-in-time copy; plain data, no atomics.
   struct Snapshot {
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> counts;  // bounds.size() + 1 entries
-    std::uint64_t total = 0;
-    double sum = 0.0;
+    std::vector<std::uint64_t> counts;  // kBuckets entries (or empty)
+    std::uint64_t count = 0;
+    std::uint64_t sum = 0;
+    std::uint64_t max = 0;
+    std::uint64_t min = 0;
+
+    bool empty() const { return count == 0; }
+    double mean() const {
+      return count ? static_cast<double>(sum) / static_cast<double>(count)
+                   : 0.0;
+    }
+    /// Value at quantile q in [0,1]; midpoint of the covering bucket,
+    /// clamped into [min, max] so p100 is exact.
+    std::uint64_t quantile(double q) const;
+    /// Cumulative counts at the exposed bounds: entry k-1 counts the
+    /// values <= 2^k - 1, for k = 1..kExposedBounds.
+    std::array<std::uint64_t, kExposedBounds> exposed_cumulative() const;
+    /// Pointwise sum (associative and commutative).
+    Snapshot& merge(const Snapshot& other);
   };
 
-  Histogram() : Histogram(default_bounds()) {}
-  explicit Histogram(std::vector<double> bounds);
+  Histogram() = default;
   // Movable (not copyable) so owners like vm::Machine stay movable;
-  // moving is only safe while no other thread observes/snapshots.
-  Histogram(Histogram&& o) noexcept
-      : bounds_(std::move(o.bounds_)),
-        counts_(std::move(o.counts_)),
-        total_(o.total_.load(std::memory_order_relaxed)),
-        sum_(o.sum_.load(std::memory_order_relaxed)) {}
-  Histogram& operator=(Histogram&& o) noexcept {
-    bounds_ = std::move(o.bounds_);
-    counts_ = std::move(o.counts_);
-    total_.store(o.total_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    sum_.store(o.sum_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-    return *this;
-  }
+  // moving is only safe while no other thread records or snapshots.
+  Histogram(Histogram&& o) noexcept { *this = std::move(o); }
+  Histogram& operator=(Histogram&& o) noexcept;
+  ~Histogram() { delete buckets_.load(std::memory_order_relaxed); }
 
-  void observe(double v);
+  void record(std::uint64_t v);
   Snapshot snapshot() const;
-
-  /// `count` bounds starting at `start`, each `factor` times the last —
-  /// the usual shape for latency/size distributions.
-  static std::vector<double> exponential_bounds(double start, double factor,
-                                                int count);
-  /// 1µs .. ~1s in powers of 4 (a serviceable latency default).
-  static std::vector<double> default_bounds() {
-    return exponential_bounds(1.0, 4.0, 10);
+  std::uint64_t count() const {
+    return count_.load(std::memory_order_relaxed);
   }
+  /// The value a fraction q of the recorded values lie below, placed
+  /// linearly inside the covering bucket (its values taken as spread
+  /// evenly across it). Snapshot::quantile reports the bucket midpoint
+  /// instead, which suits a printed percentile; a cut line such as "the
+  /// slowest 1%" needs this, or a whole bucket falls on one side of it.
+  double quantile_interpolated(double q) const;
 
  private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;
-  std::atomic<std::uint64_t> total_{0};
-  std::atomic<double> sum_{0.0};
+  using Buckets = std::array<std::atomic<std::uint64_t>, kBuckets>;
+  /// The first record's allocation; racing first records keep one.
+  Buckets* allocate();
+
+  std::atomic<Buckets*> buckets_{nullptr};
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<std::uint64_t> sum_{0};
+  std::atomic<std::uint64_t> max_{0};
+  std::atomic<std::uint64_t> min_{~std::uint64_t{0}};
 };
 
 /// Sink handed to collector callbacks; values land in the registry
@@ -173,7 +227,7 @@ class Collector {
  public:
   void counter(const std::string& name, std::uint64_t v);
   void gauge(const std::string& name, std::int64_t v);
-  void histogram(const std::string& name, Histogram::Snapshot s);
+  void histogram(const std::string& name, const Histogram::Snapshot& s);
 
  private:
   friend class Registry;
@@ -224,30 +278,20 @@ class Registry {
   [[nodiscard]] Registration add_collector(CollectFn fn,
                                            bool live_safe = true);
 
-  // Owned find-or-create metrics; references stay valid for the
-  // registry's lifetime.
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name,
-                       std::vector<double> bounds = {});
-
   struct Snapshot {
     std::map<std::string, std::uint64_t> counters;
     std::map<std::string, std::int64_t> gauges;
     std::map<std::string, Histogram::Snapshot> histograms;
   };
 
-  /// Merged view of owned metrics plus every registered collector. With
-  /// `live_only`, collectors registered live_safe=false are skipped
-  /// (scrape-while-running mode).
+  /// Merged view of every registered collector. With `live_only`,
+  /// collectors registered live_safe=false are skipped (scrape-while-
+  /// running mode).
   Snapshot snapshot(bool live_only = false) const;
   /// Prometheus-style text exposition.
   std::string expose_text(bool live_only = false) const;
   /// The same snapshot as a JSON object.
   std::string expose_json(bool live_only = false) const;
-
-  /// Process-wide default registry (tools and standalone components).
-  static Registry& global();
 
  private:
   friend class Registration;
@@ -259,9 +303,6 @@ class Registry {
   };
 
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::uint64_t, CollectorEntry> collectors_;
   std::uint64_t next_id_ = 1;
 };

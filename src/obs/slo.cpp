@@ -1,87 +1,22 @@
 #include "obs/slo.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "obs/flight.hpp"
 
 namespace dityco::obs {
 
-// ---------------------------------------------------------------------
-// SloHistogram
-// ---------------------------------------------------------------------
-
-void SloHistogram::record(std::uint64_t ns) {
-  counts_[index_of(ns)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(ns, std::memory_order_relaxed);
-  std::uint64_t seen = max_.load(std::memory_order_relaxed);
-  while (ns > seen &&
-         !max_.compare_exchange_weak(seen, ns, std::memory_order_relaxed)) {
-  }
-  seen = min_.load(std::memory_order_relaxed);
-  while (ns < seen &&
-         !min_.compare_exchange_weak(seen, ns, std::memory_order_relaxed)) {
-  }
-}
-
-SloHistogram::Snapshot SloHistogram::snapshot() const {
-  Snapshot s;
-  s.count = count_.load(std::memory_order_relaxed);
-  if (s.count == 0) return s;
-  s.sum_ns = sum_.load(std::memory_order_relaxed);
-  s.max_ns = max_.load(std::memory_order_relaxed);
-  s.min_ns = min_.load(std::memory_order_relaxed);
-  s.counts.resize(kBuckets);
-  for (std::size_t i = 0; i < kBuckets; ++i)
-    s.counts[i] = counts_[i].load(std::memory_order_relaxed);
-  return s;
-}
-
-std::uint64_t SloHistogram::Snapshot::quantile_ns(double q) const {
-  if (count == 0 || counts.empty()) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  auto rank = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(count)));
-  rank = std::clamp<std::uint64_t>(rank, 1, count);
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    cum += counts[i];
-    if (cum >= rank) {
-      const std::uint64_t mid = bucket_low(i) + bucket_width(i) / 2;
-      return std::clamp(mid, min_ns, max_ns);
-    }
-  }
-  return max_ns;
-}
-
-SloHistogram::Snapshot& SloHistogram::Snapshot::merge(const Snapshot& other) {
-  if (other.count == 0) return *this;
-  if (count == 0) {
-    *this = other;
-    return *this;
-  }
-  if (counts.empty()) counts.resize(kBuckets);
-  for (std::size_t i = 0; i < kBuckets && i < other.counts.size(); ++i)
-    counts[i] += other.counts[i];
-  count += other.count;
-  sum_ns += other.sum_ns;
-  max_ns = std::max(max_ns, other.max_ns);
-  min_ns = std::min(min_ns, other.min_ns);
-  return *this;
-}
-
-std::string SloHistogram::Snapshot::json() const {
+std::string latency_json(const Histogram::Snapshot& ns) {
+  const auto us = [](std::uint64_t v) { return static_cast<double>(v) / 1e3; };
   char buf[320];
   std::snprintf(
       buf, sizeof buf,
       "{\"count\":%llu,\"min_us\":%.3f,\"mean_us\":%.3f,\"p50_us\":%.3f,"
       "\"p90_us\":%.3f,\"p99_us\":%.3f,\"p999_us\":%.3f,\"max_us\":%.3f}",
-      static_cast<unsigned long long>(count),
-      count ? static_cast<double>(min_ns) / 1e3 : 0.0, mean_ns() / 1e3,
-      quantile_us(0.50), quantile_us(0.90), quantile_us(0.99),
-      quantile_us(0.999), static_cast<double>(max_ns) / 1e3);
+      static_cast<unsigned long long>(ns.count), ns.count ? us(ns.min) : 0.0,
+      ns.mean() / 1e3, us(ns.quantile(0.50)), us(ns.quantile(0.90)),
+      us(ns.quantile(0.99)), us(ns.quantile(0.999)), us(ns.max));
   return buf;
 }
 
@@ -126,11 +61,17 @@ void SloPlane::configure(const Config& cfg) {
   cfg_.objective.short_window_s = std::min(cfg_.objective.short_window_s,
                                            cfg_.objective.long_window_s);
   if (cfg_.objective.budget <= 0) cfg_.objective.budget = 1e-9;
+  objective_on_ = true;
 }
 
 SloPlane::Config SloPlane::config() const {
   std::lock_guard<std::mutex> lock(mu_);
   return cfg_;
+}
+
+bool SloPlane::has_objective() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return objective_on_;
 }
 
 void SloPlane::set_flight(FlightRecorder* flight) {
@@ -142,7 +83,7 @@ void SloPlane::on_depart(std::uint64_t trace_id, Op op,
                          std::uint64_t now_ns) {
   if (trace_id == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if ((tracked_ & 0xfff) == 0) sweep_locked(now_ns);
+  maybe_sweep_locked(now_ns);
   if (ledger_.size() >= cfg_.max_inflight) {
     ++dropped_;
     return;
@@ -199,11 +140,10 @@ bool SloPlane::on_complete(std::uint64_t trace_id, std::uint64_t now_ns) {
   std::uint64_t lat = 0;
   if (r.depart_ns != 0) {
     if (now_ns >= r.depart_ns) lat = now_ns - r.depart_ns;
-    e2e_[static_cast<std::size_t>(r.op)].record(lat);
     if (r.recv_ns != 0 && now_ns >= r.recv_ns)
       stage_[static_cast<std::size_t>(Stage::kReply)].record(now_ns -
                                                              r.recv_ns);
-    ++completed_;
+    record_e2e_locked(r.op, lat, trace_id);
   } else {
     if (now_ns >= r.recv_ns) lat = now_ns - r.recv_ns;
     stage_[static_cast<std::size_t>(Stage::kExecute)].record(lat);
@@ -229,13 +169,22 @@ bool SloPlane::on_served(std::uint64_t trace_id, std::uint64_t now_ns) {
 bool SloPlane::record_value(Op op, std::uint64_t e2e_ns, std::uint64_t now_ns,
                             std::uint64_t trace_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  e2e_[static_cast<std::size_t>(op)].record(e2e_ns);
-  ++completed_;
+  record_e2e_locked(op, e2e_ns, trace_id);
   return judge_locked(e2e_ns, trace_id, now_ns);
+}
+
+void SloPlane::record_e2e_locked(Op op, std::uint64_t lat_ns,
+                                 std::uint64_t trace_id) {
+  Histogram& h = e2e_[static_cast<std::size_t>(op)];
+  h.record(lat_ns);
+  ++completed_;
+  if (flight_ != nullptr && trace_id != 0)
+    flight_->promote_if_slow(trace_id, lat_ns, h);
 }
 
 bool SloPlane::judge_locked(std::uint64_t lat_ns, std::uint64_t trace_id,
                             std::uint64_t now_ns) {
+  if (!objective_on_) return false;
   const bool bad = lat_ns > cfg_.objective.threshold_ns;
   wheel_record_locked(bad, now_ns);
   if (bad) {
@@ -294,6 +243,12 @@ SloState SloPlane::evaluate_locked(std::uint64_t now_ns) {
     state_ = next;
   }
   return state_;
+}
+
+void SloPlane::maybe_sweep_locked(std::uint64_t now_ns) {
+  if (now_ns < next_sweep_ns_) return;
+  next_sweep_ns_ = now_ns + cfg_.expire_ns / 16;
+  sweep_locked(now_ns);
 }
 
 void SloPlane::sweep_locked(std::uint64_t now_ns) {
@@ -444,7 +399,7 @@ std::string SloPlane::json(std::uint64_t now_ns) {
     out += "\"";
     out += op_name(static_cast<Op>(i));
     out += "\":";
-    out += e2e_[i].snapshot().json();
+    out += latency_json(e2e_[i].snapshot());
   }
   out += "},\"stages\":{";
   for (std::size_t i = 0; i < kStages; ++i) {
@@ -452,7 +407,7 @@ std::string SloPlane::json(std::uint64_t now_ns) {
     out += "\"";
     out += stage_name(static_cast<Stage>(i));
     out += "\":";
-    out += stage_[i].snapshot().json();
+    out += latency_json(stage_[i].snapshot());
   }
   out += "}}";
   return out;

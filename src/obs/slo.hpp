@@ -1,41 +1,42 @@
 // Workload SLO plane (observability, story 3): tail latency as a
-// first-class, alertable signal.
+// first-class, alertable signal, kept in the runtime's one per-request
+// record.
 //
-// Three pieces, smallest first:
-//
-//   * SloHistogram — a log-linear (HDR-style) latency histogram over
-//     nanoseconds. Values below 32ns land in exact unit buckets; above
-//     that each power of two splits into 32 linear sub-buckets, so the
-//     relative quantile error is bounded by half a sub-bucket width
-//     (<= ~1.6%) from sub-microsecond to centuries. Recording is a
-//     single relaxed atomic increment (safe from any thread, no lock);
-//     snapshots are plain structs that merge associatively, so per-node
-//     histograms can be stitched into one fleet view.
+// Three pieces:
 //
 //   * Request ledger — keyed on the propagated trace id, one record
 //     per in-flight mobility operation (SHIPM/SHIPO/FETCH). Sites feed
-//     on_depart/on_complete (the same hook points as the flight
-//     recorder) and the TCP transport feeds on_tcp_send/on_tcp_recv, so
-//     a completed request decomposes into stages:
+//     on_depart/on_complete and the TCP transport feeds
+//     on_tcp_send/on_tcp_recv, so a completed request decomposes into
+//     stages:
 //       enqueue  depart -> tcp-send   (local queueing + marshalling)
 //       remote   tcp-send -> tcp-recv (wire + remote processing)
 //       reply    tcp-recv -> handled  (local delivery of the reply)
 //       execute  tcp-recv -> handled on the SERVING node (a request
 //                that arrived over the wire and was handled here; this
 //                is the server-side view of a client's "remote" stage)
-//     e2e latency is kept per operation kind. Loopback/in-proc requests
-//     simply have no tcp stages — e2e still records.
+//     e2e latency is kept per operation kind, in nanosecond
+//     obs::Histograms (log-linear, quantiles within ~1.6%).
+//     Loopback/in-proc requests simply have no tcp stages — e2e still
+//     records. Records that never complete expire after expire_ns.
 //
-//   * Objective + burn rate — a configurable objective (latency
-//     threshold + error budget) evaluated over two sliding windows
-//     (default 30s/300s) of per-second buckets. burn = bad_fraction /
-//     budget; the state machine is ok -> warn -> page with both windows
-//     required to burn (the standard multi-window alert: the short
-//     window gives speed, the long window gives evidence). State
-//     transitions are timestamped and kept for /slo; every transition
-//     also bumps a counter so Prometheus sees flaps. Objective-violating
-//     trace ids are promoted into the flight recorder (Reason::kSlow),
-//     so /flight holds the offending timeline.
+//   * Flight policy — with a flight recorder attached (set_flight),
+//     every e2e completion is offered to the recorder's slow policy:
+//     an absolute threshold, or a percentile of that operation's e2e
+//     histogram. The recorder keeps no ledger of its own.
+//
+//   * Objective + burn rate — set by configure(); a plane that was
+//     never configured only keeps the ledger (a Network with the flight
+//     recorder alone). The objective (latency threshold + error budget)
+//     is evaluated over two sliding windows (default 30s/300s) of
+//     per-second buckets. burn = bad_fraction / budget; the state
+//     machine is ok -> warn -> page with both windows required to burn
+//     (the standard multi-window alert: the short window gives speed,
+//     the long window gives evidence). State transitions are
+//     timestamped and kept for /slo; every transition also bumps a
+//     counter so Prometheus sees flaps. Objective-violating trace ids
+//     are promoted into the flight recorder (Reason::kSlow), so /flight
+//     holds the offending timeline.
 //
 // Time base: every entry point takes an explicit now_ns on the caller's
 // clock — virtual time under the sim driver (deterministic), wall time
@@ -43,12 +44,11 @@
 //
 // Thread safety: histogram recording is lock-free; the ledger, wheel
 // and transition log share one mutex (per-remote-operation, off the
-// instruction hot path, same discipline as FlightRecorder).
+// instruction hot path). The flight recorder's mutex is only ever
+// taken inside this one, never the other way round.
 #pragma once
 
 #include <array>
-#include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -56,75 +56,15 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace dityco::obs {
 
 class FlightRecorder;
 
-/// Log-linear latency histogram over uint64 nanoseconds.
-class SloHistogram {
- public:
-  static constexpr unsigned kSubBits = 5;           // 32 sub-buckets
-  static constexpr unsigned kSub = 1u << kSubBits;  // per power of two
-  // Exponents 5..63 each contribute kSub buckets after the 32 exact
-  // unit buckets: idx = (e - 4) * 32 + sub, max (63-4)*32+31 = 1919.
-  static constexpr std::size_t kBuckets = (64 - kSubBits + 1) * kSub;
-
-  static std::size_t index_of(std::uint64_t ns) {
-    if (ns < kSub) return static_cast<std::size_t>(ns);
-    const unsigned e = static_cast<unsigned>(std::bit_width(ns)) - 1;
-    const auto sub =
-        static_cast<std::size_t>((ns >> (e - kSubBits)) & (kSub - 1));
-    return static_cast<std::size_t>(e - (kSubBits - 1)) * kSub + sub;
-  }
-  /// Smallest value mapping to bucket `idx`.
-  static std::uint64_t bucket_low(std::size_t idx) {
-    if (idx < 2 * kSub) return idx;  // exact through e = kSubBits
-    const unsigned e = static_cast<unsigned>(idx / kSub) + (kSubBits - 1);
-    const std::uint64_t sub = idx % kSub;
-    return (std::uint64_t{1} << e) | (sub << (e - kSubBits));
-  }
-  /// Width of bucket `idx` (1 for the exact range).
-  static std::uint64_t bucket_width(std::size_t idx) {
-    if (idx < 2 * kSub) return 1;
-    const unsigned e = static_cast<unsigned>(idx / kSub) + (kSubBits - 1);
-    return std::uint64_t{1} << (e - kSubBits);
-  }
-
-  /// Mergeable point-in-time copy; plain data, no atomics.
-  struct Snapshot {
-    std::vector<std::uint64_t> counts;  // kBuckets entries (or empty)
-    std::uint64_t count = 0;
-    std::uint64_t sum_ns = 0;
-    std::uint64_t max_ns = 0;
-    std::uint64_t min_ns = 0;
-
-    bool empty() const { return count == 0; }
-    double mean_ns() const {
-      return count ? static_cast<double>(sum_ns) / static_cast<double>(count)
-                   : 0.0;
-    }
-    /// Value at quantile q in [0,1]; midpoint of the covering bucket,
-    /// clamped into [min_ns, max_ns] so p100 is exact.
-    std::uint64_t quantile_ns(double q) const;
-    double quantile_us(double q) const {
-      return static_cast<double>(quantile_ns(q)) / 1e3;
-    }
-    /// Pointwise sum (associative and commutative).
-    Snapshot& merge(const Snapshot& other);
-    /// {"count":..,"p50_us":..,...} for /slo and tool output.
-    std::string json() const;
-  };
-
-  void record(std::uint64_t ns);
-  Snapshot snapshot() const;
-
- private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> counts_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> max_{0};
-  std::atomic<std::uint64_t> min_{~std::uint64_t{0}};
-};
+/// {"count":..,"p50_us":..,...} of a nanosecond histogram, for /slo and
+/// tool output.
+std::string latency_json(const Histogram::Snapshot& ns);
 
 /// A latency objective plus the burn-rate alert shape around it.
 struct SloObjective {
@@ -143,8 +83,8 @@ struct SloObjective {
 enum class SloState : std::uint8_t { kOk = 0, kWarn = 1, kPage = 2 };
 const char* slo_state_name(SloState s);
 
-/// Per-site request ledger + objective evaluation. One per Network
-/// (shared by all its sites, like the FlightRecorder).
+/// Request ledger + objective evaluation. At most one per Network,
+/// shared by all its sites.
 class SloPlane {
  public:
   enum class Op : std::uint8_t { kMsg = 0, kObj = 1, kFetch = 2 };
@@ -169,9 +109,14 @@ class SloPlane {
     std::uint64_t expire_ns = 30'000'000'000ull;
   };
 
+  /// Set the ledger bounds and the objective; from here on every
+  /// completion is judged against the objective.
   void configure(const Config& cfg);
   Config config() const;
-  /// Violating trace ids are promoted here (may be null).
+  /// True once configure() ran.
+  bool has_objective() const;
+  /// Slow e2e completions (by the recorder's policy) and, with an
+  /// objective, violating trace ids are promoted here (may be null).
   void set_flight(FlightRecorder* flight);
 
   /// A traced SHIPM/SHIPO/FETCH left a local site at now_ns.
@@ -220,10 +165,10 @@ class SloPlane {
   };
   std::vector<Transition> transitions() const;
 
-  SloHistogram::Snapshot e2e_snapshot(Op op) const {
+  Histogram::Snapshot e2e_snapshot(Op op) const {
     return e2e_[static_cast<std::size_t>(op)].snapshot();
   }
-  SloHistogram::Snapshot stage_snapshot(Stage s) const {
+  Histogram::Snapshot stage_snapshot(Stage s) const {
     return stage_[static_cast<std::size_t>(s)].snapshot();
   }
 
@@ -258,14 +203,20 @@ class SloPlane {
   void wheel_record_locked(bool bad, std::uint64_t now_ns);
   Window window_locked(std::uint32_t window_s, std::uint64_t now_ns) const;
   SloState evaluate_locked(std::uint64_t now_ns);
+  /// Record one e2e latency and offer it to the flight policy.
+  void record_e2e_locked(Op op, std::uint64_t lat_ns, std::uint64_t trace_id);
   bool judge_locked(std::uint64_t lat_ns, std::uint64_t trace_id,
                     std::uint64_t now_ns);
+  /// Expire old records, at most once per expire_ns / 16 of clock time.
+  void maybe_sweep_locked(std::uint64_t now_ns);
   void sweep_locked(std::uint64_t now_ns);
 
   mutable std::mutex mu_;
   Config cfg_;
   FlightRecorder* flight_ = nullptr;
+  bool objective_on_ = false;
   std::unordered_map<std::uint64_t, Rec> ledger_;
+  std::uint64_t next_sweep_ns_ = 0;
   std::array<Sec, kWheel> wheel_{};
   SloState state_ = SloState::kOk;
   std::vector<Transition> transitions_;
@@ -276,8 +227,8 @@ class SloPlane {
   std::uint64_t expired_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t transitions_total_ = 0;
-  std::array<SloHistogram, kOps> e2e_;
-  std::array<SloHistogram, kStages> stage_;
+  std::array<Histogram, kOps> e2e_;
+  std::array<Histogram, kStages> stage_;
 };
 
 }  // namespace dityco::obs

@@ -906,7 +906,7 @@ std::uint64_t Machine::run(std::uint64_t max_instructions) {
     if (f.enq_ns != 0) {
       const std::uint64_t now = clock_ns();
       if (now > f.enq_ns)
-        run_wait_us_.observe(static_cast<double>(now - f.enq_ns) / 1e3);
+        run_wait_us_.record((now - f.enq_ns) / 1000);
       f.enq_ns = 0;  // preempted frames are not re-measured
     }
     bool requeue = false;

@@ -3,8 +3,11 @@
 // tracing on a 2-node simulated cluster.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "calculus/reducer.hpp"
 #include "compiler/parser.hpp"
@@ -15,6 +18,7 @@
 #include "obs/flight.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/slo.hpp"
 #include "obs/trace.hpp"
 
 namespace dityco {
@@ -44,44 +48,41 @@ TEST(Metrics, GaugeSemantics) {
 }
 
 TEST(Metrics, HistogramBuckets) {
-  obs::Histogram h({1.0, 10.0, 100.0});
-  h.observe(0.5);    // <= 1
-  h.observe(5.0);    // <= 10
-  h.observe(50.0);   // <= 100
-  h.observe(500.0);  // +inf
-  h.observe(10.0);   // boundary lands in its own bucket (inclusive)
-  auto s = h.snapshot();
-  ASSERT_EQ(s.counts.size(), 4u);
+  obs::Histogram h;
+  for (const std::uint64_t v : {0ull, 5ull, 10ull, 50ull, 500ull, 10ull})
+    h.record(v);
+  const auto s = h.snapshot();
+  ASSERT_EQ(s.counts.size(), obs::Histogram::kBuckets);
   EXPECT_EQ(s.counts[0], 1u);
-  EXPECT_EQ(s.counts[1], 2u);
-  EXPECT_EQ(s.counts[2], 1u);
-  EXPECT_EQ(s.counts[3], 1u);
-  EXPECT_EQ(s.total, 5u);
-  EXPECT_DOUBLE_EQ(s.sum, 565.5);
+  EXPECT_EQ(s.counts[5], 1u);
+  EXPECT_EQ(s.counts[10], 2u) << "values below 64 have exact buckets";
+  EXPECT_EQ(s.counts[obs::Histogram::index_of(500)], 1u);
+  EXPECT_EQ(s.count, 6u);
+  EXPECT_EQ(s.sum, 575u);
+  EXPECT_EQ(s.min, 0u);
+  EXPECT_EQ(s.max, 500u);
+  EXPECT_TRUE(obs::Histogram().snapshot().empty());
 }
 
-TEST(Metrics, RegistryOwnedAndCollected) {
+TEST(Metrics, RegistryCollected) {
   obs::Registry reg;
-  ++reg.counter("owned_total");
-  reg.gauge("owned_depth").set(3);
   std::uint64_t live = 42;
   auto token = reg.add_collector([&](obs::Collector& c) {
     c.counter("collected_total", live);
+    c.gauge("collected_depth", 3);
   });
   auto snap = reg.snapshot();
-  EXPECT_EQ(snap.counters.at("owned_total"), 1u);
   EXPECT_EQ(snap.counters.at("collected_total"), 42u);
-  EXPECT_EQ(snap.gauges.at("owned_depth"), 3);
+  EXPECT_EQ(snap.gauges.at("collected_depth"), 3);
+  const std::string text = reg.expose_text();
+  EXPECT_NE(text.find("collected_total 42"), std::string::npos);
+  const std::string json = reg.expose_json();
+  EXPECT_NE(json.find("\"collected_total\":42"), std::string::npos);
 
   // RAII: dropping the token removes the collector.
   token.reset();
   snap = reg.snapshot();
   EXPECT_EQ(snap.counters.count("collected_total"), 0u);
-
-  const std::string text = reg.expose_text();
-  EXPECT_NE(text.find("owned_total 1"), std::string::npos);
-  const std::string json = reg.expose_json();
-  EXPECT_NE(json.find("\"owned_total\":1"), std::string::npos);
 }
 
 TEST(Metrics, SameNameCollectorsSum) {
@@ -125,12 +126,109 @@ TEST(Metrics, LiveOnlySkipsNonLiveSafeCollectors) {
 
 TEST(Metrics, HistogramExposition) {
   obs::Registry reg;
-  reg.histogram("lat_us", {1.0, 10.0}).observe(3.0);
+  obs::Histogram h;
+  h.record(3);
+  auto token = reg.add_collector(
+      [&](obs::Collector& c) { c.histogram("lat_us", h.snapshot()); });
   const std::string text = reg.expose_text();
   EXPECT_NE(text.find("lat_us_bucket{le=\"1\"} 0"), std::string::npos);
-  EXPECT_NE(text.find("lat_us_bucket{le=\"10\"} 1"), std::string::npos);
+  EXPECT_NE(text.find("lat_us_bucket{le=\"3\"} 1"), std::string::npos);
   EXPECT_NE(text.find("lat_us_bucket{le=\"+Inf\"} 1"), std::string::npos);
+  EXPECT_NE(text.find("lat_us_sum 3"), std::string::npos);
   EXPECT_NE(text.find("lat_us_count 1"), std::string::npos);
+}
+
+/// Every exposed cumulative count is exact: two components' same-named
+/// histograms (one per site, say) over random values spanning 0..2^40
+/// expose, in text and in JSON, exactly what a brute-force count of
+/// their union gives.
+TEST(Metrics, HistogramExpositionIsExactAndMerges) {
+  obs::Histogram site_a, site_b;
+  std::vector<std::uint64_t> all;
+  std::uint64_t state = 0x5eed;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (int i = 0; i < 20000; ++i) {
+    // Uniform exponent, then uniform bits below it.
+    const unsigned e = static_cast<unsigned>(next() % 41);
+    std::uint64_t v = e == 0 ? 0 : next() & ((std::uint64_t{1} << e) - 1);
+    if (i % 64 == 0)  // on an exposed bound 2^k - 1, or the edge 2^k
+      v = (std::uint64_t{1} << (e % 40 + 1)) - (i % 128 == 0 ? 0 : 1);
+    (next() & 1 ? site_a : site_b).record(v);
+    all.push_back(v);
+  }
+  obs::Registry reg;
+  auto ta = reg.add_collector([&](obs::Collector& c) {
+    c.histogram("x_bytes", site_a.snapshot());
+  });
+  auto tb = reg.add_collector([&](obs::Collector& c) {
+    c.histogram("x_bytes", site_b.snapshot());
+  });
+  const auto count_le = [&all](std::uint64_t le) {
+    return static_cast<std::uint64_t>(std::count_if(
+        all.begin(), all.end(), [le](std::uint64_t v) { return v <= le; }));
+  };
+  std::uint64_t sum = 0;
+  for (const std::uint64_t v : all) sum += v;
+
+  const std::string text = reg.expose_text();
+  std::vector<std::uint64_t> text_cum;
+  const std::string key = "x_bytes_bucket{le=\"";
+  for (std::size_t pos = text.find(key); pos != std::string::npos;
+       pos = text.find(key, pos)) {
+    pos += key.size();
+    const std::string le = text.substr(pos, text.find('"', pos) - pos);
+    const std::uint64_t got =
+        std::stoull(text.substr(text.find("} ", pos) + 2));
+    text_cum.push_back(got);
+    if (le == "+Inf") {
+      EXPECT_EQ(got, all.size());
+    } else {
+      EXPECT_EQ(got, count_le(std::stoull(le))) << "le=" << le;
+    }
+  }
+  ASSERT_EQ(text_cum.size(), obs::Histogram::kExposedBounds + 1u);
+  EXPECT_NE(text.find("x_bytes_sum " + std::to_string(sum) + "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("x_bytes_count " + std::to_string(all.size()) + "\n"),
+            std::string::npos);
+
+  // /metrics.json: the same bounds, per-interval counts that accumulate
+  // to the text's cumulative ones, and the same sum and count.
+  const std::string json = reg.expose_json();
+  const auto array_after = [&json](const std::string& key) {
+    std::vector<std::uint64_t> out;
+    std::size_t p = json.find("\"" + key + "\":[");
+    EXPECT_NE(p, std::string::npos) << key;
+    p = json.find('[', p) + 1;
+    const std::size_t end = json.find(']', p);
+    while (p < end) {
+      std::size_t used = 0;
+      out.push_back(std::stoull(json.substr(p), &used));
+      p += used + 1;
+    }
+    return out;
+  };
+  const auto bounds = array_after("bounds");
+  const auto counts = array_after("counts");
+  ASSERT_EQ(bounds.size(), obs::Histogram::kExposedBounds);
+  ASSERT_EQ(counts.size(), text_cum.size());
+  std::uint64_t cum = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    cum += counts[i];
+    EXPECT_EQ(cum, text_cum[i]) << "bucket " << i;
+    if (i < bounds.size()) {
+      EXPECT_EQ(cum, count_le(bounds[i])) << "le=" << bounds[i];
+    }
+  }
+  EXPECT_NE(json.find("\"sum\":" + std::to_string(sum) + ","),
+            std::string::npos);
+  EXPECT_NE(json.find("\"count\":" + std::to_string(all.size()) + "}"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -646,6 +744,8 @@ TEST(Flight, PromoteHarvestsEventsFromAttachedRings) {
   EXPECT_EQ(fr.promoted_count(obs::FlightRecorder::Reason::kError), 1u);
 }
 
+// The flight recorder keeps no ledger: the request ledger (obs/slo.hpp)
+// times each operation and offers every e2e completion to its policy.
 TEST(Flight, AbsoluteLatencyThresholdDecidesPromotion) {
   obs::TraceRing ring;
   ring.enable(64, 0, 0);
@@ -654,15 +754,24 @@ TEST(Flight, AbsoluteLatencyThresholdDecidesPromotion) {
   p.slow_us = 100.0;
   fr.configure(p);
   fr.attach_ring(&ring);
+  obs::SloPlane ledger;
+  ledger.set_flight(&fr);
+  using Op = obs::SloPlane::Op;
+  const auto slow = [&] {
+    return fr.promoted_count(obs::FlightRecorder::Reason::kSlow);
+  };
 
-  fr.on_depart(1, 1'000);
-  EXPECT_FALSE(fr.on_complete(1, 50'000)) << "49us < 100us: fast";
-  fr.on_depart(2, 1'000);
-  EXPECT_TRUE(fr.on_complete(2, 201'000)) << "200us >= 100us: slow";
-  EXPECT_EQ(fr.completions(), 2u);
+  ledger.on_depart(1, Op::kMsg, 1'000);
+  ledger.on_complete(1, 50'000);
+  EXPECT_EQ(slow(), 0u) << "49us < 100us: fast";
+  ledger.on_depart(2, Op::kMsg, 1'000);
+  ledger.on_complete(2, 201'000);
+  EXPECT_EQ(slow(), 1u) << "200us >= 100us: slow";
+  EXPECT_EQ(ledger.completed(), 2u);
   EXPECT_EQ(fr.promoted_count(obs::FlightRecorder::Reason::kSlow), 1u);
   const auto entries = fr.snapshot();
   ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].trace_id, 2u);
   EXPECT_DOUBLE_EQ(entries[0].latency_us, 200.0);
 }
 
@@ -672,20 +781,32 @@ TEST(Flight, PercentilePolicyKeepsTheTail) {
   p.slow_pctl = 0.5;
   p.pctl_min_samples = 4;
   fr.configure(p);
+  obs::SloPlane ledger;
+  ledger.set_flight(&fr);
+  using Op = obs::SloPlane::Op;
+  const auto slow = [&] {
+    return fr.promoted_count(obs::FlightRecorder::Reason::kSlow);
+  };
+  // Operations depart at t0 (0 would read as "no local departure").
+  constexpr std::uint64_t t0 = 1'000;
   // Below min samples nothing fires, however slow.
-  fr.on_depart(1, 0);
-  EXPECT_FALSE(fr.on_complete(1, 1'000'000'000));
+  ledger.on_depart(1, Op::kFetch, t0);
+  ledger.on_complete(1, t0 + 1'000'000'000);
+  EXPECT_EQ(slow(), 0u);
   // Build a distribution of ~2us completions...
   for (std::uint64_t id = 2; id < 100; ++id) {
-    fr.on_depart(id, 0);
-    fr.on_complete(id, 2'000);
+    ledger.on_depart(id, Op::kFetch, t0);
+    ledger.on_complete(id, t0 + 2'000);
   }
-  // ...then a 1s outlier must land beyond the median bucket bound.
-  fr.on_depart(1000, 0);
-  EXPECT_TRUE(fr.on_complete(1000, 1'000'000'000'000ull));
+  EXPECT_EQ(slow(), 0u) << "no completion lies above the median";
+  // ...then a 1000s outlier must land beyond the median.
+  ledger.on_depart(1000, Op::kFetch, t0);
+  ledger.on_complete(1000, t0 + 1'000'000'000'000ull);
+  EXPECT_EQ(slow(), 1u);
   // And a typical completion still must not.
-  fr.on_depart(1001, 0);
-  EXPECT_FALSE(fr.on_complete(1001, 2'000));
+  ledger.on_depart(1001, Op::kFetch, t0);
+  ledger.on_complete(1001, t0 + 2'000);
+  EXPECT_EQ(slow(), 1u);
 }
 
 TEST(Flight, BufferCapsDedupsAndCountsEvictions) {
@@ -764,9 +885,32 @@ TEST(Flight, FastFetchIsNeverPromoted) {
   p.slow_us = 10'000.0;
   net.enable_flight(p);
   ASSERT_TRUE(net.run().quiescent);
-  EXPECT_GE(net.flight().completions(), 1u) << "the FETCH completed";
+  EXPECT_GE(net.slo().completed(), 1u) << "the FETCH completed";
   EXPECT_TRUE(net.flight().snapshot().empty())
       << "an unperturbed sim FETCH is microseconds, never 10ms";
+}
+
+// The flight recorder alone shares the one request ledger but adds no
+// objective: a 50ms FETCH (ten times the default objective) is timed,
+// yet a default policy promotes nothing slow, and neither /slo nor the
+// slo_* rows appear.
+TEST(Flight, AloneTimesThroughTheLedgerWithoutAnObjective) {
+  auto net = fetch_net();
+  net.enable_flight({});
+  auto& sim = dynamic_cast<net::SimTransport&>(net.transport());
+  sim.set_extra_cost([](const net::Packet& pkt) {
+    return pkt.hdr.type == core::MsgType::kFetchRep ? 50'000.0 : 0.0;
+  });
+  ASSERT_TRUE(net.run().quiescent);
+  ASSERT_GE(net.slo().completed(), 1u) << "the ledger timed the FETCH";
+  EXPECT_GE(net.slo().e2e_snapshot(obs::SloPlane::Op::kFetch).max,
+            50'000'000u);
+  EXPECT_EQ(net.flight().promoted_count(obs::FlightRecorder::Reason::kSlow),
+            0u);
+  EXPECT_EQ(net.slo().violations(), 0u);
+  EXPECT_FALSE(net.slo_enabled());
+  EXPECT_EQ(net.slo_json(), "{}");
+  EXPECT_EQ(net.metrics().expose_text().find("slo_"), std::string::npos);
 }
 
 TEST(Flight, TraceEndpointKeepsItsSampledViewUnderRecordAll) {

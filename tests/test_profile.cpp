@@ -143,7 +143,7 @@ TEST(MachineProfile, RunWaitHistogramFillsWhenProfiling) {
   EXPECT_TRUE(m.errors().empty());
   // Each reduction re-enqueues a frame; its queue-wait must have been
   // observed.
-  EXPECT_GT(m.run_wait_histogram().snapshot().total, 0u);
+  EXPECT_GT(m.run_wait_histogram().snapshot().count, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,8 @@
-// Workload SLO plane (obs/slo.hpp): histogram quantile accuracy against
-// an exact sorted reference, snapshot merge associativity, ledger stage
-// ordering under concurrent producers (the TSan job runs this), and the
-// multi-window burn-rate state machine on a fake clock.
+// Workload SLO plane (obs/slo.hpp) and the log-linear obs::Histogram
+// under it: quantile accuracy against an exact sorted reference,
+// snapshot merge associativity, ledger stage ordering under concurrent
+// producers (the TSan job runs this), the multi-window burn-rate state
+// machine on a fake clock, and the flight policy the ledger applies.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -14,7 +15,7 @@
 #include "obs/slo.hpp"
 
 using dityco::obs::FlightRecorder;
-using dityco::obs::SloHistogram;
+using dityco::obs::Histogram;
 using dityco::obs::SloPlane;
 using dityco::obs::SloState;
 
@@ -33,29 +34,29 @@ std::uint64_t mix(std::uint64_t& state) {
 
 }  // namespace
 
-TEST(SloHistogram, BucketGeometryRoundTrips) {
+TEST(Histogram, BucketGeometryRoundTrips) {
   std::uint64_t state = 7;
   for (int i = 0; i < 20000; ++i) {
     // Spread exponents across the whole range, sub-ns to ~18s.
     const std::uint64_t v = mix(state) >> (mix(state) % 30);
-    const std::size_t idx = SloHistogram::index_of(v);
-    ASSERT_LT(idx, SloHistogram::kBuckets);
-    const std::uint64_t lo = SloHistogram::bucket_low(idx);
-    const std::uint64_t w = SloHistogram::bucket_width(idx);
+    const std::size_t idx = Histogram::index_of(v);
+    ASSERT_LT(idx, Histogram::kBuckets);
+    const std::uint64_t lo = Histogram::bucket_low(idx);
+    const std::uint64_t w = Histogram::bucket_width(idx);
     EXPECT_LE(lo, v) << "value " << v << " below its bucket";
     // Compare via the offset: lo + w overflows for the top e=63 bucket.
     EXPECT_LT(v - lo, w) << "value " << v << " beyond its bucket";
   }
   // Buckets are ordered: low values index before high values.
-  EXPECT_LT(SloHistogram::index_of(100), SloHistogram::index_of(10'000));
-  EXPECT_LT(SloHistogram::index_of(1'000'000),
-            SloHistogram::index_of(5'000'000'000ull));
+  EXPECT_LT(Histogram::index_of(100), Histogram::index_of(10'000));
+  EXPECT_LT(Histogram::index_of(1'000'000),
+            Histogram::index_of(5'000'000'000ull));
 }
 
-TEST(SloHistogram, QuantilesTrackSortedReference) {
+TEST(Histogram, QuantilesTrackSortedReference) {
   // A bimodal latency population: a fast mode around 50us and a slow
   // tail around 20ms, the shape /slo exists to expose.
-  SloHistogram h;
+  Histogram h;
   std::vector<std::uint64_t> ref;
   std::uint64_t state = 42;
   for (int i = 0; i < 50000; ++i) {
@@ -65,29 +66,29 @@ TEST(SloHistogram, QuantilesTrackSortedReference) {
     ref.push_back(ns);
   }
   std::sort(ref.begin(), ref.end());
-  const SloHistogram::Snapshot s = h.snapshot();
+  const Histogram::Snapshot s = h.snapshot();
   ASSERT_EQ(s.count, ref.size());
   for (const double q : {0.50, 0.90, 0.99, 0.999}) {
     const auto idx = static_cast<std::size_t>(
         q * static_cast<double>(ref.size()));
     const double exact =
         static_cast<double>(ref[std::min(idx, ref.size() - 1)]);
-    const double est = static_cast<double>(s.quantile_ns(q));
+    const double est = static_cast<double>(s.quantile(q));
     // Log-linear with 32 sub-buckets bounds relative error by one
     // sub-bucket width (2^-5 ~= 3.1%); allow 2x for the rank landing on
     // a bucket edge.
     EXPECT_NEAR(est, exact, exact * 0.0625)
         << "q=" << q << " exact=" << exact << " est=" << est;
   }
-  EXPECT_EQ(s.max_ns, ref.back());
-  EXPECT_EQ(s.min_ns, ref.front());
-  EXPECT_EQ(s.quantile_ns(1.0), ref.back()) << "p100 must be exact";
+  EXPECT_EQ(s.max, ref.back());
+  EXPECT_EQ(s.min, ref.front());
+  EXPECT_EQ(s.quantile(1.0), ref.back()) << "p100 must be exact";
 }
 
-TEST(SloHistogram, SnapshotMergeIsAssociative) {
-  SloHistogram a, b, c, all;
+TEST(Histogram, SnapshotMergeIsAssociative) {
+  Histogram a, b, c, all;
   std::uint64_t state = 9;
-  const auto feed = [&](SloHistogram& h, unsigned shift, int n) {
+  const auto feed = [&](Histogram& h, unsigned shift, int n) {
     for (int i = 0; i < n; ++i) {
       const std::uint64_t v = (mix(state) % 1'000'000) << shift;
       h.record(v);
@@ -99,27 +100,27 @@ TEST(SloHistogram, SnapshotMergeIsAssociative) {
   feed(c, 10, 300);   // tens of s
   const auto sa = a.snapshot(), sb = b.snapshot(), sc = c.snapshot();
 
-  SloHistogram::Snapshot left = sa;   // (a + b) + c
+  Histogram::Snapshot left = sa;  // (a + b) + c
   left.merge(sb).merge(sc);
-  SloHistogram::Snapshot bc = sb;     // a + (b + c)
+  Histogram::Snapshot bc = sb;    // a + (b + c)
   bc.merge(sc);
-  SloHistogram::Snapshot right = sa;
+  Histogram::Snapshot right = sa;
   right.merge(bc);
 
   EXPECT_EQ(left.counts, right.counts);
   EXPECT_EQ(left.count, right.count);
-  EXPECT_EQ(left.sum_ns, right.sum_ns);
-  EXPECT_EQ(left.max_ns, right.max_ns);
-  EXPECT_EQ(left.min_ns, right.min_ns);
+  EXPECT_EQ(left.sum, right.sum);
+  EXPECT_EQ(left.max, right.max);
+  EXPECT_EQ(left.min, right.min);
 
   // Merging per-node snapshots equals one histogram over all samples —
   // the property the tycotop fleet view depends on.
-  const SloHistogram::Snapshot whole = all.snapshot();
+  const Histogram::Snapshot whole = all.snapshot();
   EXPECT_EQ(left.counts, whole.counts);
   EXPECT_EQ(left.count, whole.count);
-  EXPECT_EQ(left.sum_ns, whole.sum_ns);
+  EXPECT_EQ(left.sum, whole.sum);
   for (const double q : {0.5, 0.99})
-    EXPECT_EQ(left.quantile_ns(q), whole.quantile_ns(q));
+    EXPECT_EQ(left.quantile(q), whole.quantile(q));
 }
 
 TEST(SloPlane, StageDecompositionOfOneRequest) {
@@ -138,12 +139,12 @@ TEST(SloPlane, StageDecompositionOfOneRequest) {
   ASSERT_EQ(enq.count, 1u);
   ASSERT_EQ(rem.count, 1u);
   ASSERT_EQ(rep.count, 1u);
-  EXPECT_EQ(enq.max_ns, 50'000u);   // 150 - 100
-  EXPECT_EQ(rem.max_ns, 750'000u);  // 900 - 150
-  EXPECT_EQ(rep.max_ns, 100'000u);  // 1000 - 900
+  EXPECT_EQ(enq.max, 50'000u);   // 150 - 100
+  EXPECT_EQ(rem.max, 750'000u);  // 900 - 150
+  EXPECT_EQ(rep.max, 100'000u);  // 1000 - 900
   const auto e2e = p.e2e_snapshot(SloPlane::Op::kMsg);
   ASSERT_EQ(e2e.count, 1u);
-  EXPECT_EQ(e2e.max_ns, 900'000u);  // 1000 - 100
+  EXPECT_EQ(e2e.max, 900'000u);  // 1000 - 100
 }
 
 TEST(SloPlane, ServerSideRecordsCloseAsExecuteOnly) {
@@ -153,7 +154,7 @@ TEST(SloPlane, ServerSideRecordsCloseAsExecuteOnly) {
   EXPECT_FALSE(p.on_served(11, 600'000));
   EXPECT_EQ(p.executed(), 1u);
   EXPECT_EQ(p.stage_snapshot(SloPlane::Stage::kExecute).count, 1u);
-  EXPECT_EQ(p.stage_snapshot(SloPlane::Stage::kExecute).max_ns, 100'000u);
+  EXPECT_EQ(p.stage_snapshot(SloPlane::Stage::kExecute).max, 100'000u);
 
   // A record WITH a local departure must survive on_served untouched —
   // in a single-process network the requester and the server share this
@@ -163,7 +164,7 @@ TEST(SloPlane, ServerSideRecordsCloseAsExecuteOnly) {
   EXPECT_EQ(p.inflight(), 1u) << "on_served closed a client record";
   EXPECT_FALSE(p.on_complete(12, 1'500'000));
   EXPECT_EQ(p.e2e_snapshot(SloPlane::Op::kFetch).count, 1u);
-  EXPECT_EQ(p.e2e_snapshot(SloPlane::Op::kFetch).max_ns, 500'000u);
+  EXPECT_EQ(p.e2e_snapshot(SloPlane::Op::kFetch).max, 500'000u);
 }
 
 // The TSan job leans on this: four producer threads drive disjoint
@@ -286,11 +287,75 @@ TEST(SloPlane, ViolationsPromoteIntoFlightRecorder) {
   cfg.objective.threshold_ns = 1'000'000;
   p.configure(cfg);
   p.set_flight(&flight);
-  p.record_value(SloPlane::Op::kMsg, 50'000'000, kSec, /*trace_id=*/777);
+  p.on_depart(777, SloPlane::Op::kMsg, kSec);
+  EXPECT_TRUE(p.on_complete(777, kSec + 50'000'000));
   EXPECT_EQ(p.violations(), 1u);
   EXPECT_EQ(flight.promoted_count(FlightRecorder::Reason::kSlow), 1u);
   const auto entries = flight.snapshot();
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries.front().trace_id, 777u);
   EXPECT_EQ(entries.front().reason, FlightRecorder::Reason::kSlow);
+  EXPECT_EQ(flight.duplicates(), 0u);
+  // tycoload's direct path is judged and promoted the same way.
+  EXPECT_TRUE(p.record_value(SloPlane::Op::kMsg, 50'000'000, kSec, 778));
+  EXPECT_EQ(flight.promoted_count(FlightRecorder::Reason::kSlow), 2u);
+}
+
+// The flight policy rides on the ledger's e2e histograms: "keep the
+// slowest 1%" over latencies uniform on 1..1000us keeps about 1%, where
+// a threshold snapped to a coarse bucket bound (1024us) would keep none.
+TEST(SloPlane, FlightPercentileKeepsOnePercentOfAUniformTail) {
+  FlightRecorder flight;
+  dityco::obs::FlightPolicy fp;
+  fp.slow_pctl = 0.99;
+  fp.max_traces = 16;
+  flight.configure(fp);
+  SloPlane p;  // no objective: the ledger of a flight-only network
+  p.set_flight(&flight);
+  constexpr std::uint64_t kN = 10'000;
+  std::uint64_t state = 3;
+  for (std::uint64_t id = 1; id <= kN; ++id) {
+    const std::uint64_t lat_ns = (1 + mix(state) % 1000) * 1'000;
+    p.on_depart(id, SloPlane::Op::kFetch, id * 10'000'000);
+    p.on_complete(id, id * 10'000'000 + lat_ns);
+  }
+  const double kept =
+      static_cast<double>(
+          flight.promoted_count(FlightRecorder::Reason::kSlow)) /
+      static_cast<double>(kN);
+  // 0.3% is three standard deviations of the binomial noise in 10 000
+  // draws at p = 0.01.
+  EXPECT_NEAR(kept, 0.01, 0.003);
+  EXPECT_EQ(p.completed(), kN);
+  EXPECT_EQ(p.violations(), 0u) << "no objective was configured";
+}
+
+// In a fleet a SHIPM completes in another process, so its departure
+// never completes here. The ledger expires such records, and a slow
+// operation after a flood of them is still timed and promoted.
+TEST(SloPlane, FlightStillPromotesAfterTheLedgerFillsAndExpires) {
+  FlightRecorder flight;
+  dityco::obs::FlightPolicy fp;
+  fp.slow_us = 10'000;  // 10ms
+  flight.configure(fp);
+  SloPlane p;
+  p.set_flight(&flight);
+  const SloPlane::Config cfg = p.config();
+  ASSERT_FALSE(p.has_objective());
+  const std::uint64_t flood = cfg.max_inflight + 1000;
+  for (std::uint64_t id = 1; id <= flood; ++id)
+    p.on_depart(id, SloPlane::Op::kMsg, id * 1'000);
+  EXPECT_EQ(p.inflight(), cfg.max_inflight);
+  EXPECT_EQ(p.dropped(), 1000u);
+
+  const std::uint64_t later = flood * 1'000 + cfg.expire_ns + kSec;
+  const std::uint64_t fetch = flood + 1;
+  p.on_depart(fetch, SloPlane::Op::kFetch, later);
+  EXPECT_EQ(p.expired(), cfg.max_inflight);
+  p.on_complete(fetch, later + 50'000'000);  // 50ms
+  EXPECT_EQ(flight.promoted_count(FlightRecorder::Reason::kSlow), 1u);
+  const auto entries = flight.snapshot();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries.front().trace_id, fetch);
+  EXPECT_DOUBLE_EQ(entries.front().latency_us, 50'000.0);
 }

@@ -998,7 +998,7 @@ TEST(TcpTrace, PeerInfoReportsTransportState) {
   EXPECT_FALSE(pi.dead);
   EXPECT_GE(pi.last_heard_age_ms, 0.0);
   EXPECT_GT(pi.last_rtt_us, 0u);          // heartbeat ack RTT attributed
-  EXPECT_GT(pi.rtt_us.total, 0u);         // ... and histogrammed
+  EXPECT_GT(pi.rtt_us.count, 0u);         // ... and histogrammed
   EXPECT_EQ(pi.queue_bytes, 0u);          // drained
   a.shutdown();
   b.shutdown();

@@ -68,7 +68,8 @@ using dityco::core::NameService;
 using dityco::net::Packet;
 using dityco::net::TcpConfig;
 using dityco::net::TcpTransport;
-using dityco::obs::SloHistogram;
+using dityco::obs::Histogram;
+using dityco::obs::latency_json;
 using dityco::obs::SloPlane;
 
 // Wire value tags (core/wire.cpp marshal_value); tycoload builds SHIPM
@@ -214,12 +215,13 @@ struct Pending {
 };
 
 std::uint64_t now_ns() { return dityco::obs::trace_now_ns(); }
+double us(std::uint64_t ns) { return static_cast<double>(ns) / 1e3; }
 
 // One section in the same shape bench_util.hpp emits, with the real
 // histogram tail appended (samples come from per-request latencies, so
 // p50 != p99 whenever the distribution has any spread).
 std::string bench_section(const std::string& name,
-                          const SloHistogram::Snapshot& s, double total_us) {
+                          const Histogram::Snapshot& s, double total_us) {
   char buf[512];
   std::snprintf(
       buf, sizeof buf,
@@ -229,8 +231,8 @@ std::string bench_section(const std::string& name,
       " \"max_us\": %.3f}",
       name.c_str(), static_cast<unsigned long long>(s.count), total_us,
       total_us > 0 ? static_cast<double>(s.count) / (total_us / 1e6) : 0.0,
-      s.quantile_us(0.50), s.quantile_us(0.99), s.quantile_us(0.999),
-      static_cast<double>(s.max_ns) / 1e3);
+      us(s.quantile(0.50)), us(s.quantile(0.99)), us(s.quantile(0.999)),
+      us(s.max));
   return buf;
 }
 
@@ -336,7 +338,7 @@ int main(int argc, char** argv) {
   // -- load phase ----------------------------------------------------
   SloPlane plane;
   plane.configure(opt.slo);
-  SloHistogram hist_failover;  // completions intended at/after the kill
+  Histogram hist_failover;  // completions intended at/after the kill
 
   const std::uint64_t interval_ns =
       static_cast<std::uint64_t>(1e9 / opt.rate);
@@ -580,8 +582,8 @@ int main(int argc, char** argv) {
 
   // -- report --------------------------------------------------------
   const double total_us = static_cast<double>(finish - start) / 1e3;
-  const SloHistogram::Snapshot e2e = plane.e2e_snapshot(op);
-  const SloHistogram::Snapshot fo = hist_failover.snapshot();
+  const Histogram::Snapshot e2e = plane.e2e_snapshot(op);
+  const Histogram::Snapshot fo = hist_failover.snapshot();
   const SloPlane::BurnView burn = plane.burn(finish);
   const std::uint64_t failed = timeouts + shed + peer_down_failed + no_target;
 
@@ -614,9 +616,9 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(peer_down_failed),
         static_cast<unsigned long long>(no_target),
         dityco::obs::slo_state_name(burn.state), burn.short_w.burn,
-        burn.long_w.burn, e2e.json().c_str(),
+        burn.long_w.burn, latency_json(e2e).c_str(),
         kill_ns != 0 ? ", \"failover\": " : "",
-        kill_ns != 0 ? fo.json().c_str() : "", "");
+        kill_ns != 0 ? latency_json(fo).c_str() : "", "");
   } else {
     std::printf("tycoload %s: %llu/%llu ok over %.1fs (%.0f req/s intended)\n",
                 opt.scenario.c_str(),
@@ -625,16 +627,16 @@ int main(int argc, char** argv) {
                 opt.rate);
     std::printf("  e2e      p50=%.1fus p90=%.1fus p99=%.1fus p99.9=%.1fus "
                 "max=%.1fus n=%llu\n",
-                e2e.quantile_us(0.50), e2e.quantile_us(0.90),
-                e2e.quantile_us(0.99), e2e.quantile_us(0.999),
-                static_cast<double>(e2e.max_ns) / 1e3,
+                us(e2e.quantile(0.50)), us(e2e.quantile(0.90)),
+                us(e2e.quantile(0.99)), us(e2e.quantile(0.999)),
+                us(e2e.max),
                 static_cast<unsigned long long>(e2e.count));
     if (kill_ns != 0)
       std::printf("  failover p50=%.1fus p90=%.1fus p99=%.1fus p99.9=%.1fus "
                   "max=%.1fus n=%llu (intended >= kill +%llums)\n",
-                  fo.quantile_us(0.50), fo.quantile_us(0.90),
-                  fo.quantile_us(0.99), fo.quantile_us(0.999),
-                  static_cast<double>(fo.max_ns) / 1e3,
+                  us(fo.quantile(0.50)), us(fo.quantile(0.90)),
+                  us(fo.quantile(0.99)), us(fo.quantile(0.999)),
+                  us(fo.max),
                   static_cast<unsigned long long>(fo.count),
                   static_cast<unsigned long long>(opt.kill_at_ms));
     std::printf("  slo state=%s burn_short=%.2f burn_long=%.2f\n",
