@@ -224,30 +224,14 @@ std::string Network::flight_json() const {
     // Regroup the promoted events into the (node, site) thread lines the
     // Chrome exporter expects; flow arrows re-emerge from the trace ids.
     std::map<std::pair<std::uint32_t, std::uint32_t>, std::size_t> index;
-    auto site_name = [this](std::uint32_t node, std::uint32_t site) {
-      if (site == obs::kDaemonSite)
-        return "node" + std::to_string(node) + "/tycod";
-      for (const auto& n : nodes_)
-        if (n->id() == node)
-          for (const auto& s : n->sites())
-            if (s->site_id() == site) return s->name();
-      return "node" + std::to_string(node) + "/site" + std::to_string(site);
-    };
-    for (const auto& entry : flight_->snapshot()) {
+    for (const auto& entry : flight_->snapshot())
       for (const auto& ev : entry.events) {
-        const auto key = std::make_pair(ev.node, ev.site);
-        auto it = index.find(key);
-        if (it == index.end()) {
-          obs::ThreadTrace tt;
-          tt.pid = ev.node;
-          tt.tid = ev.site;
-          tt.name = site_name(ev.node, ev.site);
-          it = index.emplace(key, lines.size()).first;
-          lines.push_back(std::move(tt));
-        }
+        const auto [it, fresh] =
+            index.try_emplace({ev.node, ev.site}, lines.size());
+        if (fresh)
+          lines.push_back({line_name(ev.node, ev.site), ev.node, ev.site, {}});
         lines[it->second].events.push_back(ev);
       }
-    }
   }
   return obs::chrome_trace_json(lines);
 }
@@ -765,51 +749,24 @@ std::string Network::health_json() const {
   return out;
 }
 
+std::string Network::line_name(std::uint32_t node, std::uint32_t site) const {
+  for (const auto& n : nodes_)
+    if (n->id() == node)
+      for (const auto& s : n->sites())
+        if (s->site_id() == site)
+          return obs::thread_name(node, site, s->name());
+  return obs::thread_name(node, site);
+}
+
 std::vector<obs::ThreadTrace> Network::collect_traces() const {
   std::vector<obs::ThreadTrace> out;
   // Tail retention runs the rings in record-all mode; /trace keeps its
   // 1-in-N contract by re-filtering to the sampled id set.
   const bool refilter = flight_ != nullptr && sample_every_ > 1;
-  for (const auto& n : nodes_) {
-    if (n->daemon_ring().enabled()) {
-      obs::ThreadTrace tt;
-      tt.name = "node" + std::to_string(n->id()) + "/tycod";
-      tt.pid = n->id();
-      tt.tid = obs::kDaemonSite;
-      tt.events = n->daemon_ring().snapshot();
-      if (refilter)
-        std::erase_if(tt.events, [this](const obs::TraceEvent& e) {
-          return e.trace_id != 0 &&
-                 !obs::trace_id_sampled(e.trace_id, sample_every_,
-                                        sample_seed_);
-        });
-      out.push_back(std::move(tt));
-    }
-    for (const auto& s : n->sites()) {
-      if (!s->trace_ring().enabled()) continue;
-      obs::ThreadTrace tt;
-      tt.name = s->name();
-      tt.pid = n->id();
-      tt.tid = s->site_id();
-      tt.events = s->trace_ring().snapshot();
-      if (refilter)
-        std::erase_if(tt.events, [this](const obs::TraceEvent& e) {
-          return e.trace_id != 0 &&
-                 !obs::trace_id_sampled(e.trace_id, sample_every_,
-                                        sample_seed_);
-        });
-      out.push_back(std::move(tt));
-    }
-  }
-  // Socket-level rings: one "tcp" line per endpoint, under the owning
-  // node's process group.
-  for (net::TcpTransport* t : tcp_parts()) {
-    if (!t->trace_ring().enabled()) continue;
-    obs::ThreadTrace tt;
-    tt.name = "node" + std::to_string(t->config().self) + "/tcp";
-    tt.pid = t->config().self;
-    tt.tid = obs::kTcpSite;
-    tt.events = t->trace_ring().snapshot();
+  auto add = [&](std::uint32_t node, std::uint32_t site,
+                 const obs::TraceRing& ring) {
+    if (!ring.enabled()) return;
+    obs::ThreadTrace tt{line_name(node, site), node, site, ring.snapshot()};
     if (refilter)
       std::erase_if(tt.events, [this](const obs::TraceEvent& e) {
         return e.trace_id != 0 &&
@@ -817,7 +774,16 @@ std::vector<obs::ThreadTrace> Network::collect_traces() const {
                                       sample_seed_);
       });
     out.push_back(std::move(tt));
+  };
+  for (const auto& n : nodes_) {
+    add(n->id(), obs::kDaemonSite, n->daemon_ring());
+    for (const auto& s : n->sites())
+      add(n->id(), s->site_id(), s->trace_ring());
   }
+  // Socket-level rings: one "tcp" line per endpoint, under the owning
+  // node's process group.
+  for (net::TcpTransport* t : tcp_parts())
+    add(t->config().self, obs::kTcpSite, t->trace_ring());
   return out;
 }
 

@@ -42,18 +42,18 @@ class Network {
   enum class Mode { kSequential, kThreaded, kSim };
 
   /// Which wire carries inter-node packets. kInProc is the default
-  /// shared-memory queueing; kSim is forced by Mode::kSim; kTcp routes
-  /// every inter-node packet over real loopback/LAN sockets — either an
-  /// in-process mesh (one TcpTransport per node; benches, tests) or,
-  /// with tcp.multiprocess, a single socket endpoint for this process's
-  /// one node (the tycod daemon).
-  enum class TransportKind { kInProc, kSim, kTcp };
+  /// shared-memory queueing; kTcp routes every inter-node packet over
+  /// real loopback/LAN sockets — either an in-process mesh (one
+  /// TcpTransport per node; benches, tests) or, with tcp.multiprocess,
+  /// a single socket endpoint for this process's one node (the tycod
+  /// daemon). Mode::kSim alone picks the virtual-time SimTransport.
+  enum class TransportKind { kInProc, kTcp };
 
   struct Config {
     Mode mode = Mode::kSequential;
-    /// Transport selector. kInProc auto-upgrades to kSim under
-    /// Mode::kSim (the sim driver requires virtual-time delivery);
-    /// combining kTcp with Mode::kSim is an error.
+    /// Transport selector. Ignored under Mode::kSim (the sim driver
+    /// requires virtual-time delivery); combining kTcp with Mode::kSim
+    /// is an error.
     TransportKind transport = TransportKind::kInProc;
     /// TCP parameters (TransportKind::kTcp). With multiprocess set, the
     /// network hosts exactly one node whose id is tcp.self and peers
@@ -329,6 +329,9 @@ class Network {
   /// transport factory (safe to call before add_node()): the single
   /// multiprocess transport, or every part of an in-process mesh.
   std::vector<net::TcpTransport*> tcp_parts() const;
+  /// The timeline name of (node, site) for /trace and /flight:
+  /// obs::thread_name with the site's name looked up.
+  std::string line_name(std::uint32_t node, std::uint32_t site) const;
   /// Attach a transport's ring to the flight recorder, switch it to
   /// record-all, and promote reconnect/peer-death events as kNetwork.
   void wire_tcp_flight(net::TcpTransport& t);

@@ -928,28 +928,7 @@ void TcpTransport::io_loop() {
         cfg_.heartbeat_ms > 0
             ? static_cast<int>(std::min<std::uint64_t>(cfg_.heartbeat_ms, 20))
             : 20;
-    if (cfg_.busy_poll_us == 0) {
-      ::poll(fds.data(), fds.size(), timeout_ms);
-    } else {
-      // Opt-in busy-poll: spin on zero-timeout polls (yielding the core
-      // between probes so executor threads still run) for up to
-      // busy_poll_us before parking in a blocking poll. The fd set is
-      // safe to reuse while spinning — any state change that matters
-      // either arms an fd already polled or pokes the wake pipe.
-      int nready = ::poll(fds.data(), fds.size(), 0);
-      if (nready == 0) {
-        const auto spin_until =
-            std::chrono::steady_clock::now() +
-            std::chrono::microseconds(cfg_.busy_poll_us);
-        while (nready == 0 && !stop_.load(std::memory_order_relaxed) &&
-               std::chrono::steady_clock::now() < spin_until) {
-          std::this_thread::yield();
-          nready = ::poll(fds.data(), fds.size(), 0);
-        }
-        if (nready == 0 && !stop_.load(std::memory_order_relaxed))
-          ::poll(fds.data(), fds.size(), timeout_ms);
-      }
-    }
+    ::poll(fds.data(), fds.size(), timeout_ms);
     if (stop_.load(std::memory_order_relaxed)) break;
 
     std::unique_lock<std::mutex> lk(mu_);

@@ -245,15 +245,10 @@ struct TcpConfig {
   /// behaviour; the benches' "nocoalesce" sections run this way).
   std::size_t flush_bytes = 256u << 10;
   std::size_t flush_frames = 64;
-  /// Opt-in busy-poll: after an idle poll() the I/O thread spins
-  /// (zero-timeout polls interleaved with sched_yield) for up to this
-  /// many microseconds before blocking again. Trades a core for wakeup
-  /// latency; leave 0 unless the node has CPU to burn.
-  std::uint64_t busy_poll_us = 0;
 
-  /// Set by the CLI layers when the configuration spans OS processes
-  /// (tycod / --tcp / --join); the Network then builds one single-node
-  /// TcpTransport instead of an in-process loopback mesh.
+  /// Set by tycod, whose network spans OS processes; the Network then
+  /// builds one single-node TcpTransport instead of an in-process
+  /// loopback mesh.
   bool multiprocess = false;
 
   /// This node's TyCOmon HTTP port, gossiped to peers (kHello/kPeers) so

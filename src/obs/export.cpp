@@ -25,6 +25,15 @@ struct FlowPoint {
 
 }  // namespace
 
+std::string thread_name(std::uint32_t node, std::uint32_t site,
+                        const std::string& site_name) {
+  const std::string n = "node" + std::to_string(node);
+  if (site == kDaemonSite) return n + "/tycod";
+  if (site == kTcpSite) return n + "/tcp";
+  if (!site_name.empty()) return site_name;
+  return n + "/site" + std::to_string(site);
+}
+
 std::string chrome_trace_json(const std::vector<ThreadTrace>& traces) {
   return chrome_trace_json(traces, ExportMeta{});
 }

@@ -2,10 +2,15 @@
 //
 // Merges per-site and per-node TraceRing snapshots into one JSON timeline
 // in the Chrome trace-event format (load it in chrome://tracing or
-// https://ui.perfetto.dev). Mapping:
+// https://ui.perfetto.dev). This is the only trace writer: /trace,
+// /flight and the stitched fleet timeline (obs/fleet.hpp, which maps
+// each node's document back to TraceEvents) all render through it.
+// Mapping:
 //
 //   * pid  = node id (one "process" per cluster node),
-//   * tid  = a thread line per site (and one for the node daemon),
+//   * tid  = a thread line per site, plus one for the node daemon
+//     (kDaemonSite) and one for its TCP transport (kTcpSite), named by
+//     thread_name(),
 //   * run-slices  -> "B"/"E" duration events,
 //   * everything else -> "i" instant events,
 //   * events sharing a non-zero trace id -> an "s"/"t"/"f" flow chain,
@@ -22,11 +27,17 @@ namespace dityco::obs {
 
 /// One thread line of the merged timeline.
 struct ThreadTrace {
-  std::string name;        // e.g. "site client" or "daemon"
+  std::string name;        // thread_name(pid, tid, ...)
   std::uint32_t pid = 0;   // node id
   std::uint32_t tid = 0;   // line within the node
   std::vector<TraceEvent> events;
 };
+
+/// The name of (node, site)'s thread line: "node<N>/tycod" for the
+/// daemon, "node<N>/tcp" for the TCP transport, otherwise `site_name`
+/// ("node<N>/site<S>" when the site's name is unknown).
+std::string thread_name(std::uint32_t node, std::uint32_t site,
+                        const std::string& site_name = "");
 
 /// Clock anchor for cross-process stitching. Trace timestamps are
 /// steady_clock, which is meaningless across OS processes; the anchor

@@ -10,12 +10,14 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <set>
 #include <tuple>
 
+#include "obs/export.hpp"
 #include "obs/metrics.hpp"  // json_escape
 
 namespace dityco::obs::fleet {
@@ -346,26 +348,60 @@ std::vector<NodeEndpoint> discover(const std::string& seed_url,
 
 namespace {
 
-std::string fmt_ts(double us) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3f", us);
-  return buf;
+// Bound on every microsecond value read from a document (anchor wall
+// time and event ts, about 127 years): in ns their sum still fits a
+// uint64.
+constexpr std::uint64_t kMaxUs = 4'000'000'000'000'000;
+
+// Fill in the type, trace id, arg and ts (ns, on the document's axis)
+// of the TraceEvent a chrome_trace_json object renders: its inverse.
+// B/E are the run-slice pair, b/e a traced FETCH's request and reply,
+// i any other type by name. False for metadata, flow arrows and
+// anything no EventType renders as.
+bool to_event(const Json& e, TraceEvent& out) {
+  const std::string ph = e.str_or("ph");
+  const Json* args = e.find("args");
+  auto arg = [args](const char* key) {
+    return args ? args->u64_or(key, 0) : 0;
+  };
+  if (ph == "B") {
+    out.type = EventType::kSliceBegin;
+  } else if (ph == "E") {
+    out.type = EventType::kSliceEnd;
+    out.arg = arg("instructions");
+  } else if (ph == "b" || ph == "e") {
+    out.type = ph == "b" ? EventType::kFetchReq : EventType::kFetchReply;
+    out.trace_id = e.u64_or("id", 0);
+    out.arg = arg("arg");
+  } else if (ph == "i") {
+    const auto t = event_type_named(e.str_or("name"));
+    if (!t) return false;
+    out.type = *t;
+    out.trace_id = arg("trace_id");
+    out.arg = arg("arg");
+  } else {
+    return false;
+  }
+  // The writer prints µs with three decimals: whole ns, exactly.
+  const double us = e.num_or("ts", -1);
+  if (!(us >= 0 && us < static_cast<double>(kMaxUs))) return false;
+  out.ts_ns = static_cast<std::uint64_t>(std::llround(us * 1000.0));
+  return true;
 }
 
 }  // namespace
 
 MergedTrace merge_traces(const std::vector<std::string>& docs) {
   MergedTrace merged;
-
-  struct Meta {
-    std::uint32_t pid;
-    std::string kind;  // "process_name" | "thread_name"
-    std::string name;
-    bool has_tid = false;
-    std::uint32_t tid = 0;
+  // One line per (pid, tid), in order of first appearance, so a single
+  // document comes back out line for line.
+  std::vector<ThreadTrace> lines;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::size_t> index;
+  auto line = [&](std::uint32_t pid, std::uint32_t tid) -> ThreadTrace& {
+    const auto [it, fresh] = index.try_emplace({pid, tid}, lines.size());
+    if (fresh) lines.push_back({thread_name(pid, tid), pid, tid, {}});
+    return lines[it->second];
   };
-  std::vector<Meta> metas;
-  std::set<std::pair<std::uint32_t, std::uint64_t>> meta_seen;
 
   for (const std::string& text : docs) {
     Json doc;
@@ -376,133 +412,40 @@ MergedTrace merge_traces(const std::vector<std::string>& docs) {
 
     // Clock anchor: the wall time of local ts 0 (see the file header of
     // fleet.hpp). Unanchored documents keep their local base.
-    double offset_us = 0;
+    std::uint64_t offset_ns = 0;
     if (const Json* other = doc.find("otherData")) {
       const std::uint64_t steady = other->u64_or("steady_now_ns", 0);
       const std::uint64_t base = other->u64_or("ts_base_ns", 0);
       const std::uint64_t wall = other->u64_or("wall_now_us", 0);
-      if (steady != 0 && wall != 0 && steady >= base) {
-        offset_us = static_cast<double>(wall) -
-                    static_cast<double>(steady - base) / 1000.0;
+      if (steady != 0 && wall != 0 && wall < kMaxUs && steady >= base &&
+          steady - base <= wall * 1000) {
+        offset_ns = wall * 1000 - (steady - base);
         ++merged.anchored;
       }
     }
 
     for (const Json& e : events->items) {
-      const std::string ph = e.str_or("ph");
-      const auto pid = static_cast<std::uint32_t>(e.u64_or("pid", 0));
-      const auto tid = static_cast<std::uint32_t>(e.u64_or("tid", 0));
-      if (ph == "M") {
-        // Dedup metadata across documents (every node names its own
-        // pid; a re-scrape must not emit it twice).
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(tid) << 1) |
-            (e.str_or("name") == "process_name" ? 0u : 1u);
-        if (!meta_seen.insert({pid, key}).second) continue;
-        Meta m;
-        m.pid = pid;
-        m.kind = e.str_or("name");
-        if (const Json* args = e.find("args")) m.name = args->str_or("name");
-        m.has_tid = e.find("tid") != nullptr;
-        m.tid = tid;
-        metas.push_back(std::move(m));
+      const std::uint64_t pid = e.u64_or("pid", 0), tid = e.u64_or("tid", 0);
+      if (pid > UINT32_MAX || tid > UINT32_MAX) continue;
+      TraceEvent ev;
+      ev.node = static_cast<std::uint32_t>(pid);
+      ev.site = static_cast<std::uint32_t>(tid);
+      if (e.str_or("ph") == "M") {
+        // The writer names every pid "node <pid>" itself; thread names
+        // come from the document.
+        const Json* args = e.find("args");
+        const std::string name = args ? args->str_or("name") : "";
+        if (e.str_or("name") == "thread_name" && !name.empty())
+          line(ev.node, ev.site).name = name;
         continue;
       }
-      if (ph == "s" || ph == "t" || ph == "f") continue;  // regenerated
-      FleetEvent fe;
-      fe.ph = ph;
-      fe.name = e.str_or("name");
-      fe.cat = e.str_or("cat");
-      fe.pid = pid;
-      fe.tid = tid;
-      fe.ts_us = offset_us + e.num_or("ts", 0);
-      fe.trace_id = e.u64_or("id", 0);  // async b/e spans
-      if (const Json* args = e.find("args")) {
-        if (fe.trace_id == 0) fe.trace_id = args->u64_or("trace_id", 0);
-        fe.arg = args->u64_or("arg", args->u64_or("instructions", 0));
-      }
-      merged.events.push_back(std::move(fe));
+      if (!to_event(e, ev)) continue;
+      ev.ts_ns += offset_ns;
+      line(ev.node, ev.site).events.push_back(ev);
+      merged.events.push_back(ev);
     }
   }
-
-  // Rebase the fleet axis to its earliest event.
-  double base = 0;
-  bool have_base = false;
-  for (const FleetEvent& e : merged.events)
-    if (!have_base || e.ts_us < base) {
-      base = e.ts_us;
-      have_base = true;
-    }
-  for (FleetEvent& e : merged.events) e.ts_us -= base;
-
-  // Re-emit one Chrome trace document.
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const std::string& obj) {
-    if (!first) out += ",\n";
-    first = false;
-    out += obj;
-  };
-  for (const Meta& m : metas) {
-    std::string obj = "{\"ph\":\"M\",\"name\":\"" + json_escape(m.kind) +
-                      "\",\"pid\":" + std::to_string(m.pid);
-    if (m.has_tid) obj += ",\"tid\":" + std::to_string(m.tid);
-    obj += ",\"args\":{\"name\":\"" + json_escape(m.name) + "\"}}";
-    emit(obj);
-  }
-  struct FlowPoint {
-    double ts_us;
-    std::uint32_t pid, tid;
-  };
-  std::map<std::uint64_t, std::vector<FlowPoint>> flows;
-  for (const FleetEvent& e : merged.events) {
-    const std::string pidtid = "\"pid\":" + std::to_string(e.pid) +
-                               ",\"tid\":" + std::to_string(e.tid);
-    const std::string ts = fmt_ts(e.ts_us);
-    if (e.ph == "B") {
-      emit("{\"ph\":\"B\",\"name\":\"" + json_escape(e.name) +
-           "\",\"cat\":\"" + json_escape(e.cat) + "\"," + pidtid +
-           ",\"ts\":" + ts + "}");
-    } else if (e.ph == "E") {
-      emit("{\"ph\":\"E\"," + pidtid + ",\"ts\":" + ts +
-           ",\"args\":{\"instructions\":" + std::to_string(e.arg) + "}}");
-    } else if (e.ph == "b" || e.ph == "e") {
-      emit("{\"ph\":\"" + e.ph + "\",\"name\":\"" + json_escape(e.name) +
-           "\",\"cat\":\"" + json_escape(e.cat) +
-           "\",\"id\":" + std::to_string(e.trace_id) + "," + pidtid +
-           ",\"ts\":" + ts + ",\"args\":{\"arg\":" + std::to_string(e.arg) +
-           "}}");
-    } else {
-      emit("{\"ph\":\"i\",\"s\":\"t\",\"name\":\"" + json_escape(e.name) +
-           "\",\"cat\":\"" + json_escape(e.cat) + "\"," + pidtid +
-           ",\"ts\":" + ts + ",\"args\":{\"arg\":" + std::to_string(e.arg) +
-           ",\"trace_id\":" + std::to_string(e.trace_id) + "}}");
-    }
-    if (e.trace_id != 0)
-      flows[e.trace_id].push_back(FlowPoint{e.ts_us, e.pid, e.tid});
-  }
-  for (auto& [id, points] : flows) {
-    if (points.size() < 2) continue;
-    std::stable_sort(points.begin(), points.end(),
-                     [](const FlowPoint& a, const FlowPoint& b) {
-                       return a.ts_us < b.ts_us;
-                     });
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const FlowPoint& p = points[i];
-      const char* ph = i == 0 ? "s" : (i + 1 == points.size() ? "f" : "t");
-      std::string obj = "{\"ph\":\"";
-      obj += ph;
-      obj += "\",\"name\":\"flow\",\"cat\":\"mobility\",\"id\":" +
-             std::to_string(id) + ",\"pid\":" + std::to_string(p.pid) +
-             ",\"tid\":" + std::to_string(p.tid) +
-             ",\"ts\":" + fmt_ts(p.ts_us);
-      if (ph[0] == 'f') obj += ",\"bp\":\"e\"";
-      obj += "}";
-      emit(obj);
-    }
-  }
-  out += "],\"displayTimeUnit\":\"ms\"}";
-  merged.json = std::move(out);
+  merged.json = chrome_trace_json(lines);
   return merged;
 }
 
@@ -548,6 +491,12 @@ using Releaser = std::pair<std::uint32_t, std::uint32_t>;
 
 // The name service RELs under this pseudo-site id (core/nameservice.cpp).
 constexpr std::uint32_t kNsReleaserSite = 0xfffffffeu;
+
+std::string fmt_ms(double ms) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.3f", ms);
+  return buf;
+}
 
 std::string key_str(const OwnerKey& k) {
   return std::string(std::get<2>(k) == 1 ? "class " : "chan ") +
@@ -852,7 +801,7 @@ std::string AuditReport::to_json() const {
     out += ",\"held\":" + std::to_string(o.held);
     out += ",\"lag\":" + std::to_string(o.lag);
     out += ",\"residual\":" + std::to_string(o.residual);
-    out += ",\"age_ms\":" + fmt_ts(o.age_ms);
+    out += ",\"age_ms\":" + fmt_ms(o.age_ms);
     out += ",\"trace\":" + std::to_string(o.trace);
     out += "}";
   }
@@ -886,7 +835,7 @@ std::string AuditReport::to_text() const {
            " held=" + std::to_string(o.held) +
            " lag=" + std::to_string(o.lag) +
            " residual=" + std::to_string(o.residual) + " age=" +
-           fmt_ts(o.age_ms) + "ms trace=" + std::to_string(o.trace) + "\n";
+           fmt_ms(o.age_ms) + "ms trace=" + std::to_string(o.trace) + "\n";
   }
   for (const std::string& s : orphan_imports)
     out += "  [orphan_import] " + s + "\n";

@@ -11,12 +11,15 @@
 // steady_clock, which is meaningless across OS processes. Each node's
 // /trace document therefore carries a clock anchor in "otherData"
 // (obs::ExportMeta): the steady-clock and wall-clock readings taken at
-// the same instant, plus the base subtracted from every ts. merge()
-// rebases every event onto the shared wall clock
-//   wall_us(ev) = wall_now_us - (steady_now_ns - ts_base_ns)/1000 + ts
-// drops each node's local flow arrows, and regenerates s/t/f flow
-// chains globally — an id that appears on two nodes (a FETCH's request
-// and serve sides) becomes one arrow crossing process boundaries.
+// the same instant, plus the base subtracted from every ts.
+// merge_traces() maps each document's events back to obs::TraceEvents
+// (the inverse of obs::chrome_trace_json), rebases them onto the shared
+// wall clock
+//   wall_ns(ev) = wall_now_us*1000 - (steady_now_ns - ts_base_ns) + ts
+// and renders the lot through that same writer, which draws the s/t/f
+// flow chains globally — an id that appears on two nodes (a FETCH's
+// request and serve sides) becomes one arrow crossing process
+// boundaries.
 //
 // Everything here is dependency-free (a hand-rolled blocking HTTP GET
 // and a small recursive-descent JSON reader) and synchronous: callers
@@ -28,6 +31,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/trace.hpp"
 
 namespace dityco::obs::fleet {
 
@@ -95,29 +100,22 @@ std::vector<NodeEndpoint> discover(const std::string& seed_url,
 
 // -- stitching ------------------------------------------------------------
 
-/// One event of the merged fleet timeline (exposed so tools can compute
-/// cross-process operation latency without re-parsing the JSON).
-struct FleetEvent {
-  std::string ph;        // B E i b e
-  std::string name;
-  std::string cat;
-  std::uint32_t pid = 0;
-  std::uint32_t tid = 0;
-  double ts_us = 0;      // rebased onto the fleet-wide axis
-  std::uint64_t trace_id = 0;
-  std::uint64_t arg = 0;
-};
-
 struct MergedTrace {
   std::string json;               // one Chrome trace-event document
-  std::vector<FleetEvent> events; // every event, rebased, in doc order
+  /// Every event in document order: node = pid, site = tid, ts_ns on
+  /// the fleet-wide wall clock (the document's own axis when it carried
+  /// no anchor).
+  std::vector<TraceEvent> events;
   std::size_t nodes = 0;          // documents merged
   std::size_t anchored = 0;       // documents that carried a clock anchor
 };
 
 /// Merge per-node /trace documents (see file header). Documents without
 /// an anchor keep their local time base (offset 0) — fine for a single
-/// process, skewed across several.
+/// process, skewed across several. The documents come from other
+/// processes: a malformed one is skipped, and so is an object that no
+/// EventType renders as. Thread lines keep the names their documents
+/// gave them.
 MergedTrace merge_traces(const std::vector<std::string>& docs);
 
 /// Federate Prometheus text expositions: inject a node="N" label into

@@ -34,6 +34,14 @@ const char* event_name(EventType t) {
   return "?";
 }
 
+std::optional<EventType> event_type_named(std::string_view name) {
+  for (auto t = static_cast<int>(EventType::kComm);
+       t <= static_cast<int>(EventType::kTcpPeerDead); ++t)
+    if (name == event_name(static_cast<EventType>(t)))
+      return static_cast<EventType>(t);
+  return std::nullopt;
+}
+
 std::uint64_t next_trace_id() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);

@@ -36,6 +36,8 @@
 #include <cstdint>
 #include <atomic>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 namespace dityco::obs {
@@ -67,6 +69,10 @@ enum class EventType : std::uint8_t {
 };
 
 const char* event_name(EventType t);
+/// The inverse of event_name: the first type rendered as `name` (the
+/// run-slice pair answers kSliceBegin), or nothing for a name no type
+/// has.
+std::optional<EventType> event_type_named(std::string_view name);
 
 /// Sentinel "site" id used by a node daemon's ring (a daemon is not a
 /// site; exporters render it as its own thread line).

@@ -569,7 +569,7 @@ TEST(Fleet, FederatedScrapeMergesTracesAndLabelsMetrics) {
   EXPECT_EQ(merged.anchored, 2u);
   std::set<std::uint32_t> pids;
   for (const auto& e : merged.events)
-    if (e.trace_id == id) pids.insert(e.pid);
+    if (e.trace_id == id) pids.insert(e.node);
   EXPECT_EQ(pids, (std::set<std::uint32_t>{0u, 1u})) << merged.json;
   // The regenerated flow chain for the id is in the merged document.
   EXPECT_NE(merged.json.find("\"ph\":\"s\""), std::string::npos);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "net/transport.hpp"
 #include "obs/flight.hpp"
 #include "obs/export.hpp"
+#include "obs/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
@@ -265,6 +267,18 @@ TEST(TraceRing, CapacityRoundsUpToPowerOfTwo) {
   for (int i = 0; i < 8; ++i) ring.record(obs::EventType::kInst, 0);
   EXPECT_EQ(ring.snapshot().size(), 8u) << "5 rounds up to 8 slots";
   EXPECT_EQ(ring.dropped(), 0u);
+}
+
+TEST(TraceRing, EventNamesInvert) {
+  for (auto t = static_cast<int>(obs::EventType::kComm);
+       t <= static_cast<int>(obs::EventType::kTcpPeerDead); ++t) {
+    const auto type = static_cast<obs::EventType>(t);
+    if (type == obs::EventType::kSliceEnd) continue;  // shares run-slice
+    EXPECT_EQ(obs::event_type_named(obs::event_name(type)), type)
+        << obs::event_name(type);
+  }
+  EXPECT_FALSE(obs::event_type_named("?").has_value());
+  EXPECT_FALSE(obs::event_type_named("").has_value());
 }
 
 TEST(TraceRing, FreshTraceIdsAreUniqueAndNonZero) {
@@ -827,6 +841,15 @@ TEST(Flight, BufferCapsDedupsAndCountsEvictions) {
   EXPECT_EQ(entries[1].trace_id, 3u);
 }
 
+/// A FETCH: the client imports and runs the server's Applet.
+void submit_fetch(core::Network& net) {
+  net.submit_source("server",
+                    "export def Applet(out) = out![1 + 2] in 0");
+  net.submit_source("client",
+                    "import Applet from server in "
+                    "new p (Applet[p] | p?(v) = print[v])");
+}
+
 /// The acceptance scenario: under the sim driver with 1-in-64 head
 /// sampling, one artificially slow FETCH (extra virtual latency injected
 /// on its reply packet) must land in /flight with EVERY hop of its trace
@@ -834,11 +857,7 @@ TEST(Flight, BufferCapsDedupsAndCountsEvictions) {
 /// fast control run promotes nothing.
 core::Network fetch_net() {
   auto net = two_node_net(sim_cfg());
-  net.submit_source("server",
-                    "export def Applet(out) = out![1 + 2] in 0");
-  net.submit_source("client",
-                    "import Applet from server in "
-                    "new p (Applet[p] | p?(v) = print[v])");
+  submit_fetch(net);
   return net;
 }
 
@@ -928,6 +947,149 @@ TEST(Flight, TraceEndpointKeepsItsSampledViewUnderRecordAll) {
             << "unsampled id " << ev.trace_id << " leaked into /trace";
       }
     }
+}
+
+// On a TCP network the socket-level ring (obs::kTcpSite) is one of the
+// rings the recorder harvests; /flight must name its line as /trace
+// does, not after the sentinel site id.
+TEST(Flight, TcpSocketLineIsNamedLikeTrace) {
+  core::Network::Config cfg;
+  cfg.mode = core::Network::Mode::kThreaded;
+  cfg.transport = core::Network::TransportKind::kTcp;
+  auto net = two_node_net(cfg);
+  submit_fetch(net);
+  net.enable_tracing(1 << 12);
+  obs::FlightPolicy p;
+  p.slow_us = 0.001;  // every completed operation is slow
+  net.enable_flight(p);
+  ASSERT_TRUE(net.run().quiescent);
+  ASSERT_FALSE(net.flight().snapshot().empty()) << "the FETCH was promoted";
+
+  const std::string json = net.flight_json();
+  EXPECT_NE(json.find("\"node0/tcp\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("site4294967294"), std::string::npos) << json;
+}
+
+// ---------------------------------------------------------------------
+// Fleet stitching through the one writer
+// ---------------------------------------------------------------------
+
+/// Every event of `doc` whose ph is in `phs`, parsed.
+std::vector<obs::fleet::Json> objects(const std::string& doc,
+                                      const std::string& phs) {
+  obs::fleet::Json parsed;
+  EXPECT_TRUE(obs::fleet::parse_json(doc, parsed));
+  std::vector<obs::fleet::Json> out;
+  if (const auto* evs = parsed.find("traceEvents"))
+    for (const auto& e : evs->items)
+      if (phs.find(e.str_or("ph")) != std::string::npos) out.push_back(e);
+  return out;
+}
+
+TEST(Fleet, MergeOfOneDocumentGivesBackTheExportersEvents) {
+  core::Network net;
+  net.add_node();
+  net.add_site(0, "server");
+  net.add_site(0, "client");
+  net.enable_tracing(1 << 12);
+  submit_fetch(net);
+  ASSERT_TRUE(net.run().quiescent);
+
+  const std::string doc = net.trace_json();
+  const obs::fleet::MergedTrace merged = obs::fleet::merge_traces({doc});
+  EXPECT_EQ(merged.nodes, 1u);
+  EXPECT_EQ(merged.anchored, 1u);
+
+  std::vector<obs::TraceEvent> want;
+  for (const auto& tt : net.collect_traces())
+    want.insert(want.end(), tt.events.begin(), tt.events.end());
+  ASSERT_EQ(merged.events.size(), want.size());
+  ASSERT_FALSE(want.empty());
+  auto min_ts = [](const std::vector<obs::TraceEvent>& v) {
+    std::uint64_t m = UINT64_MAX;
+    for (const auto& e : v) m = std::min(m, e.ts_ns);
+    return m;
+  };
+  const std::uint64_t base_want = min_ts(want);
+  const std::uint64_t base_got = min_ts(merged.events);
+  bool fetch = false;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const obs::TraceEvent& w = want[i];
+    const obs::TraceEvent& g = merged.events[i];
+    EXPECT_EQ(g.type, w.type) << "event " << i;
+    EXPECT_EQ(g.node, w.node) << "event " << i;
+    EXPECT_EQ(g.site, w.site) << "event " << i;
+    EXPECT_EQ(g.trace_id, w.trace_id) << "event " << i;
+    EXPECT_EQ(g.arg, w.arg) << "event " << i;
+    const auto rel_want = static_cast<std::int64_t>(w.ts_ns - base_want);
+    const auto rel_got = static_cast<std::int64_t>(g.ts_ns - base_got);
+    EXPECT_LE(std::llabs(rel_got - rel_want), 1) << "event " << i;
+    fetch |= w.type == obs::EventType::kFetchReq && w.trace_id != 0;
+  }
+  EXPECT_TRUE(fetch) << "the run traced a FETCH";
+
+  // The same flow arrows and the same thread lines.
+  const auto flows_want = objects(doc, "stf");
+  const auto flows_got = objects(merged.json, "stf");
+  ASSERT_FALSE(flows_want.empty());
+  ASSERT_EQ(flows_got.size(), flows_want.size());
+  for (std::size_t i = 0; i < flows_want.size(); ++i) {
+    const auto& w = flows_want[i];
+    const auto& g = flows_got[i];
+    EXPECT_EQ(g.str_or("ph"), w.str_or("ph")) << "flow " << i;
+    EXPECT_EQ(g.u64_or("id", 0), w.u64_or("id", 0)) << "flow " << i;
+    EXPECT_EQ(g.u64_or("pid", 0), w.u64_or("pid", 0)) << "flow " << i;
+    EXPECT_EQ(g.u64_or("tid", 0), w.u64_or("tid", 0)) << "flow " << i;
+    EXPECT_NEAR(g.num_or("ts", -1), w.num_or("ts", -2), 0.0015)
+        << "flow " << i;
+  }
+  const auto names_want = objects(doc, "M");
+  const auto names_got = objects(merged.json, "M");
+  ASSERT_EQ(names_got.size(), names_want.size());
+  for (std::size_t i = 0; i < names_want.size(); ++i)
+    EXPECT_EQ(names_got[i].find("args")->str_or("name"),
+              names_want[i].find("args")->str_or("name"));
+}
+
+// Documents arrive over HTTP from other processes: anything malformed,
+// and any object no EventType renders as, is skipped without a crash.
+TEST(Fleet, MergeSkipsMalformedDocumentsAndUnknownEvents) {
+  const std::string good =
+      "{\"traceEvents\":["
+      "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"SHIPM-out\","
+      "\"pid\":1,\"tid\":2,\"ts\":5.5,"
+      "\"args\":{\"arg\":9,\"trace_id\":3}},"
+      "{\"ph\":\"i\",\"name\":\"NOT-AN-EVENT\",\"pid\":1,\"tid\":2,"
+      "\"ts\":1},"
+      "{\"ph\":\"X\",\"name\":\"COMM\",\"pid\":1,\"tid\":2,\"ts\":1},"
+      "{\"ph\":\"i\",\"name\":\"COMM\",\"pid\":1,\"tid\":2,\"ts\":-4},"
+      "{\"ph\":\"i\",\"name\":\"COMM\",\"pid\":1,\"tid\":2,"
+      "\"ts\":\"soon\"},"
+      "{\"ph\":\"i\",\"name\":\"COMM\",\"pid\":8589934593,\"tid\":2,"
+      "\"ts\":1},"
+      "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":2},"
+      "7,\"text\",[]],"
+      // An anchor whose wall clock overflows in ns is ignored.
+      "\"otherData\":{\"steady_now_ns\":5,\"ts_base_ns\":1,"
+      "\"wall_now_us\":18446744073709551615}}";
+  const obs::fleet::MergedTrace merged = obs::fleet::merge_traces(
+      {"", "not json", "{\"traceEvents\":[", "{\"traceEvents\":{}}",
+       "[1,2]", std::string(200, '['), good});
+  EXPECT_EQ(merged.nodes, 1u);
+  EXPECT_EQ(merged.anchored, 0u);
+  ASSERT_EQ(merged.events.size(), 1u);
+  const obs::TraceEvent& e = merged.events[0];
+  EXPECT_EQ(e.type, obs::EventType::kShipMsgOut);
+  EXPECT_EQ(e.node, 1u);
+  EXPECT_EQ(e.site, 2u);
+  EXPECT_EQ(e.trace_id, 3u);
+  EXPECT_EQ(e.arg, 9u);
+  EXPECT_EQ(e.ts_ns, 5500u);
+  // A line the documents never named falls back to the one naming rule.
+  EXPECT_NE(merged.json.find("\"node1/site2\""), std::string::npos)
+      << merged.json;
+  obs::fleet::Json parsed;
+  EXPECT_TRUE(obs::fleet::parse_json(merged.json, parsed));
 }
 
 // ---------------------------------------------------------------------

@@ -1317,7 +1317,7 @@ TEST(TycodE2E, TraceIdsStitchAcrossTwoProcesses) {
   // Some nonzero trace id must have events in both processes.
   std::map<std::uint64_t, std::set<std::uint32_t>> pids_by_id;
   for (const auto& e : merged.events)
-    if (e.trace_id != 0) pids_by_id[e.trace_id].insert(e.pid);
+    if (e.trace_id != 0) pids_by_id[e.trace_id].insert(e.node);
   bool crossed = false;
   for (const auto& [id, pids] : pids_by_id)
     if (pids.size() >= 2) crossed = true;

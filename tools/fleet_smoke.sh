@@ -5,8 +5,9 @@
 # then point tycotop at ONE monitor URL and assert that gossip-driven
 # discovery reaches all three nodes and that the merged Perfetto
 # timeline holds spans from all three processes, FETCH spans on at
-# least two of them, and a cross-process flow arrow (one trace id with
-# a flow start and finish on different pids).
+# least two of them, a cross-process flow arrow (one trace id with a
+# flow start and finish on different pids), and thread lines named
+# node<N>/tycod, node<N>/tcp or after a site.
 #
 # The run also exercises the GC credit audit plane end to end: node 0
 # drops its first outbound REL frame (--drop-rel 1 — the release of a
@@ -219,8 +220,19 @@ crossed = [i for i, p in starts.items()
            for e in events
            if e.get("ph") == "f" and e.get("id") == i and e["pid"] != p]
 assert crossed, "no flow arrow crosses a process boundary"
+
+# Every thread line carries the one naming rule: the daemon, the TCP
+# transport, or a site (a program identifier).
+import re
+line_name = re.compile(r"node[0-9]+/(tycod|tcp)|[A-Za-z_][A-Za-z0-9_$]*")
+names = [e["args"]["name"] for e in events
+         if e.get("ph") == "M" and e.get("name") == "thread_name"]
+assert names, "merged timeline names no thread lines"
+bad = [n for n in names if not line_name.fullmatch(n)]
+assert not bad, f"thread lines outside the naming rule: {bad}"
 print(f"fleet_smoke: merged {len(events)} events across pids "
-      f"{sorted(pids)}, {len(crossed)} cross-process flow(s)")
+      f"{sorted(pids)}, {len(crossed)} cross-process flow(s), "
+      f"{len(names)} named thread lines")
 EOF
 [ "$fail" -ne 0 ] && { echo "fleet_smoke: merged trace assertions failed" >&2
                        cat "$TOPJSON" >&2; }

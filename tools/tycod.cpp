@@ -50,8 +50,6 @@
 //   --flush-bytes N      writev coalescing byte budget (default 256K)
 //   --flush-frames N     writev coalescing frame budget (default 64;
 //                        1 = one write per frame, coalescing off)
-//   --busy-poll-us N     spin the I/O thread this long before falling
-//                        back to a blocking poll (default 0 = off)
 //   --phi T              failure-detector suspicion threshold (default 6)
 //   --confirm-ms N       suspicion must persist this long before the
 //                        peer is declared dead (default 500)
@@ -104,7 +102,7 @@ int usage() {
       "         --monitor PORT  --trace  --trace-sample N\n"
       "         --slo  --slo-p99-us N  --slo-budget F  --slo-windows S,L\n"
       "         --heartbeat-ms N  --phi T  --confirm-ms N\n"
-      "         --flush-bytes N  --flush-frames N  --busy-poll-us N\n"
+      "         --flush-bytes N  --flush-frames N\n"
       "         --no-detect  --idle-exit-ms N  --serve-ms N\n"
       "         --ns-shards N  --ns-replicas N  --ns-lease-ms N\n"
       "         --timeout-ms N  --gc-resend-ms N  --audit-ms N\n"
@@ -189,8 +187,6 @@ int main(int argc, char** argv) {
       cfg.tcp.flush_bytes = static_cast<std::size_t>(std::atol(argv[++i]));
     } else if (arg == "--flush-frames" && i + 1 < argc) {
       cfg.tcp.flush_frames = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (arg == "--busy-poll-us" && i + 1 < argc) {
-      cfg.tcp.busy_poll_us = static_cast<std::uint64_t>(std::atol(argv[++i]));
     } else if (arg == "--phi" && i + 1 < argc) {
       cfg.tcp.phi_threshold = std::atof(argv[++i]);
     } else if (arg == "--confirm-ms" && i + 1 < argc) {

@@ -16,14 +16,8 @@
 //   --nodes N        number of nodes (default: one per site)
 //   --transport T    inproc (default) | tcp. tcp routes every inter-node
 //                    packet over real loopback sockets (an in-process
-//                    mesh; docs/NETWORKING.md)
-//   --tcp HOST:PORT  run as ONE node of a multi-process network, bound
-//                    to HOST:PORT (implies --transport tcp and
-//                    --mode threads; see also tycod, the daemon form)
-//   --node N         this process's node id (with --tcp; default 0)
-//   --join HOST:PORT address of node 0 (with --tcp; shorthand for
-//                    --peer 0=HOST:PORT)
-//   --peer N=H:P     static peer address (with --tcp; repeatable)
+//                    mesh; docs/NETWORKING.md). One node of a
+//                    multi-process network is a tycod process
 //   --ns-shards N    shard the name service N ways by name hash
 //                    (default 1 = the whole directory on node 0; see
 //                    docs/NAMESERVICE.md)
@@ -75,7 +69,6 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -96,12 +89,8 @@ int usage() {
       "options: --mode seq|threads|sim  --link myrinet|ethernet\n"
       "         --nodes N  --typecheck  --check  --disasm\n"
       "         --transport inproc|tcp  loopback-socket mesh transport\n"
-      "         --tcp HOST:PORT        one node of a multi-process network\n"
-      "         --advertise HOST       reach-back host gossiped to peers\n"
-      "         --node N  --join HOST:PORT  --peer N=HOST:PORT\n"
       "         --ns-shards N  --ns-replicas N  --ns-lease-ms N\n"
       "         --flush-bytes N  --flush-frames N  writev coalescing caps\n"
-      "         --busy-poll-us N       spin the I/O thread before blocking\n"
       "         --stats | :stats       print the metrics registry\n"
       "         :trace FILE.json       write a Perfetto/Chrome trace\n"
       "         --sample N             trace 1-in-N operations\n"
@@ -130,10 +119,6 @@ int main(int argc, char** argv) {
   std::string mode = "seq";
   std::string link = "myrinet";
   std::string transport = "inproc";
-  std::string tcp_listen;
-  std::string advertise_host;
-  int self_node = 0;
-  std::map<std::uint32_t, std::string> tcp_peers;
   int nodes = 0;
   bool typecheck = false, check_only = false, disasm = false, stats = false;
   std::string trace_path;
@@ -150,7 +135,7 @@ int main(int argc, char** argv) {
   bool show_gc = false, show_names = false, do_audit = false;
   bool show_slo = false;
   std::string fleet_url;
-  long flush_bytes = -1, flush_frames = -1, busy_poll_us = -1;
+  long flush_bytes = -1, flush_frames = -1;
   long ns_shards = 1, ns_replicas = 1, ns_lease_ms = 0;
 
   for (int i = 1; i < argc; ++i) {
@@ -165,26 +150,10 @@ int main(int argc, char** argv) {
       nodes = std::atoi(argv[++i]);
     } else if (arg == "--transport" && i + 1 < argc) {
       transport = argv[++i];
-    } else if (arg == "--tcp" && i + 1 < argc) {
-      tcp_listen = argv[++i];
-    } else if (arg == "--advertise" && i + 1 < argc) {
-      advertise_host = argv[++i];
-    } else if (arg == "--node" && i + 1 < argc) {
-      self_node = std::atoi(argv[++i]);
-    } else if (arg == "--join" && i + 1 < argc) {
-      tcp_peers[0] = argv[++i];
-    } else if (arg == "--peer" && i + 1 < argc) {
-      const std::string spec = argv[++i];
-      const auto eq = spec.find('=');
-      if (eq == std::string::npos) return usage();
-      tcp_peers[static_cast<std::uint32_t>(
-          std::atoi(spec.substr(0, eq).c_str()))] = spec.substr(eq + 1);
     } else if (arg == "--flush-bytes" && i + 1 < argc) {
       flush_bytes = std::atol(argv[++i]);
     } else if (arg == "--flush-frames" && i + 1 < argc) {
       flush_frames = std::atol(argv[++i]);
-    } else if (arg == "--busy-poll-us" && i + 1 < argc) {
-      busy_poll_us = std::atol(argv[++i]);
     } else if (arg == "--ns-shards" && i + 1 < argc) {
       ns_shards = std::atol(argv[++i]);
     } else if (arg == "--ns-replicas" && i + 1 < argc) {
@@ -303,25 +272,10 @@ int main(int argc, char** argv) {
     cfg.link = link == "ethernet" ? dityco::net::fast_ethernet()
                                   : dityco::net::myrinet();
     cfg.typecheck = typecheck;
-    // --tcp / --join / --peer put this process into a multi-process
-    // network: one node, real sockets, peers are other tycosh/tycod
-    // processes. --transport tcp alone builds an in-process loopback
-    // mesh (every node gets its own socket endpoint).
-    const bool multiprocess = !tcp_listen.empty() || !tcp_peers.empty();
-    if (transport == "tcp" || multiprocess) {
+    // --transport tcp builds an in-process loopback mesh: every node
+    // gets its own socket endpoint.
+    if (transport == "tcp") {
       cfg.transport = dityco::core::Network::TransportKind::kTcp;
-      if (multiprocess) {
-        cfg.mode = dityco::core::Network::Mode::kThreaded;
-        cfg.tcp.multiprocess = true;
-        cfg.tcp.self = static_cast<std::uint32_t>(self_node);
-        cfg.tcp.peers = tcp_peers;
-        if (!tcp_listen.empty()) {
-          const auto [host, port] = dityco::net::parse_hostport(tcp_listen);
-          cfg.tcp.listen_host = host;
-          cfg.tcp.listen_port = port;
-        }
-        cfg.tcp.advertise_host = advertise_host;
-      }
     } else if (transport != "inproc") {
       return usage();
     }
@@ -329,8 +283,6 @@ int main(int argc, char** argv) {
       cfg.tcp.flush_bytes = static_cast<std::size_t>(flush_bytes);
     if (flush_frames >= 0)
       cfg.tcp.flush_frames = static_cast<std::size_t>(flush_frames);
-    if (busy_poll_us >= 0)
-      cfg.tcp.busy_poll_us = static_cast<std::uint64_t>(busy_poll_us);
     cfg.ns_shards = static_cast<std::uint32_t>(ns_shards < 1 ? 1 : ns_shards);
     cfg.ns_replicas = static_cast<std::uint32_t>(ns_replicas < 0 ? 0
                                                                  : ns_replicas);
@@ -338,17 +290,10 @@ int main(int argc, char** argv) {
                                                                  : ns_lease_ms);
 
     dityco::core::Network net(cfg);
-    const int nnodes = cfg.tcp.multiprocess
-                           ? 1
-                           : nodes > 0 ? nodes
-                                       : static_cast<int>(programs.size());
+    const int nnodes = nodes > 0 ? nodes : static_cast<int>(programs.size());
     for (int i = 0; i < nnodes; ++i) net.add_node();
     for (std::size_t i = 0; i < programs.size(); ++i)
       net.add_site(i % static_cast<std::size_t>(nnodes), programs[i].first);
-    if (cfg.tcp.multiprocess)
-      std::cout << "tycosh node" << cfg.tcp.self << " listening on "
-                << cfg.tcp.listen_host << ":" << net.tcp_transport()->port()
-                << std::endl;
     for (const auto& [site, prog] : programs) net.submit(site, prog);
     // A monitored run always traces: /trace would otherwise be empty.
     if (!trace_path.empty() || monitor || flight)

@@ -157,12 +157,16 @@ double pctl(std::vector<double>& v, double q) {
 }
 
 /// Operation kind of a stitched event, for the latency rollup.
-const char* op_kind(const fleet::FleetEvent& e) {
-  if (e.cat == "fetch" || e.name.rfind("FETCH", 0) == 0) return "FETCH";
-  if (e.name.rfind("SHIPO", 0) == 0) return "SHIPO";
-  if (e.name.rfind("SHIPM", 0) == 0) return "SHIPM";
-  if (e.name.rfind("NS-", 0) == 0) return "NS";
-  return nullptr;
+const char* op_kind(dityco::obs::EventType t) {
+  using T = dityco::obs::EventType;
+  switch (t) {
+    case T::kFetchReq: case T::kFetchHit: case T::kFetchServed:
+    case T::kFetchReply: return "FETCH";
+    case T::kShipObjOut: case T::kShipObjIn: return "SHIPO";
+    case T::kShipMsgOut: case T::kShipMsgIn: return "SHIPM";
+    case T::kNsExport: case T::kNsLookup: case T::kNsReply: return "NS";
+    default: return nullptr;
+  }
 }
 
 }  // namespace
@@ -494,29 +498,30 @@ int main(int argc, char** argv) {
   // first to its last stitched event; kept only when the id actually
   // crossed a process boundary (events on >= 2 pids).
   struct Span {
-    double lo = 0, hi = 0;
-    std::uint32_t first_pid = 0;
+    std::uint64_t lo = 0, hi = 0;  // ns
+    std::uint32_t first_node = 0;
     bool crossed = false, init = false;
     const char* kind = nullptr;
   };
   std::map<std::uint64_t, Span> spans;
-  for (const fleet::FleetEvent& e : merged.events) {
+  for (const dityco::obs::TraceEvent& e : merged.events) {
     if (e.trace_id == 0) continue;
     Span& s = spans[e.trace_id];
     if (!s.init) {
       s.init = true;
-      s.lo = s.hi = e.ts_us;
-      s.first_pid = e.pid;
+      s.lo = s.hi = e.ts_ns;
+      s.first_node = e.node;
     } else {
-      s.lo = std::min(s.lo, e.ts_us);
-      s.hi = std::max(s.hi, e.ts_us);
-      if (e.pid != s.first_pid) s.crossed = true;
+      s.lo = std::min(s.lo, e.ts_ns);
+      s.hi = std::max(s.hi, e.ts_ns);
+      if (e.node != s.first_node) s.crossed = true;
     }
-    if (const char* k = op_kind(e)) s.kind = k;
+    if (const char* k = op_kind(e.type)) s.kind = k;
   }
   std::map<std::string, std::vector<double>> lat;
   for (const auto& [id, s] : spans)
-    if (s.crossed && s.kind) lat[s.kind].push_back(s.hi - s.lo);
+    if (s.crossed && s.kind)
+      lat[s.kind].push_back(static_cast<double>(s.hi - s.lo) / 1000.0);
 
   if (as_json) {
     std::string out = "{\"nodes\":[";
