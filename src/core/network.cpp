@@ -884,7 +884,7 @@ net::Transport& Network::transport() {
     } else {
       transport_ = std::make_unique<net::InProcTransport>(nodes_.size());
     }
-    for (auto& n : nodes_) transport_->set_doorbell(n->id(), &n->doorbell());
+    for (auto& n : nodes_) transport_->set_receiver(n->id(), n.get());
   }
   return *transport_;
 }
@@ -1141,26 +1141,32 @@ void Network::drive_threads(net::Transport& t, net::WorkCount& work,
   std::atomic<bool> stop{false};
   // The progress clock lives in LiveStatus so TyCOmon's /healthz can
   // report it mid-run: `executed` counts instructions, `progress` counts
-  // queue movements (messages applied by sites plus packets pumped by
-  // daemons). Both are cumulative across runs, hence the baselines.
+  // queue movements (packets applied or sent by sites plus packets
+  // routed by daemons). Both are cumulative across runs, hence the
+  // baselines.
   std::atomic<std::uint64_t>& executed = live_->instructions;
   std::atomic<std::uint64_t>& progress = live_->progress;
   const std::uint64_t executed0 = executed.load(std::memory_order_relaxed);
   const bool remote = t.remote();
 
-  std::vector<Site*> sites;
+  struct SiteRef {
+    Node* node;
+    std::size_t idx;
+  };
+  std::vector<SiteRef> sites;
   for (auto& n : nodes_)
-    for (auto& s : n->sites()) sites.push_back(s.get());
+    for (std::size_t i = 0; i < n->sites().size(); ++i)
+      sites.push_back({n.get(), i});
 
   // Executors and daemons spin briefly (a packet that arrives within a
   // scheduler pass is picked up without a wakeup), then park on their
   // doorbell until a push rings it.
   constexpr std::uint32_t kYieldsBeforePark = 64;
   std::vector<std::thread> threads;
-  for (Site* site : sites) {
-    threads.emplace_back([&, site] {
+  for (const SiteRef ref : sites) {
+    threads.emplace_back([&, ref] {
       ::prctl(PR_SET_TIMERSLACK, 1000, 0, 0, 0);
-      Site& s = *site;
+      Site& s = *ref.node->sites()[ref.idx];
       net::Doorbell& bell = s.doorbell();
       // Periodic REL resend (Config::gc_resend_ms): collect() is an
       // executor-thread operation, so the heal timer lives here and
@@ -1189,13 +1195,13 @@ void Network::drive_threads(net::Transport& t, net::WorkCount& work,
           work.done().ring();  // over budget: wake the main thread
         if (resend_gc && std::chrono::steady_clock::now() >= next_resend) {
           next_resend += resend_every;
-          const std::size_t queued = s.collect(/*final=*/false,
-                                               /*resend=*/true);
-          if (queued != 0)
-            progress.fetch_add(queued, std::memory_order_relaxed);
+          s.collect(/*final=*/false, /*resend=*/true);
         }
-        if (applied != 0)
-          progress.fetch_add(applied, std::memory_order_relaxed);
+        // The site's send path: its outbox goes to the transport (or,
+        // for its own node's directory slice, is served) right here.
+        const std::size_t sent = ref.node->pump_site_outgoing(t, ref.idx, 0);
+        if (applied + sent != 0)
+          progress.fetch_add(applied + sent, std::memory_order_relaxed);
         const bool idle = applied == 0 && ran == 0;
         // With a monitor serving /gc, publish the credit snapshot on
         // busy→idle transitions (at most one per throttle window) so a
@@ -1222,7 +1228,7 @@ void Network::drive_threads(net::Transport& t, net::WorkCount& work,
   for (auto& n : nodes_) {
     threads.emplace_back([&, node = n.get()] {
       ::prctl(PR_SET_TIMERSLACK, 1000, 0, 0, 0);
-      net::Doorbell& bell = node->doorbell();
+      net::Doorbell& bell = node->daemon_bell();
       std::uint32_t idle_streak = 0;
       // Over a real wire: death advisories gossiped on kPeers frames
       // move shard ownership here (generation-gated so a quiet fleet
@@ -1240,16 +1246,15 @@ void Network::drive_threads(net::Transport& t, net::WorkCount& work,
             node->ns_merge_dead(tcp->advisory_dead(), t, 0);
           }
         }
-        const std::size_t moved =
-            node->pump_incoming(t, 0) + node->pump_outgoing(t, 0);
+        const std::size_t moved = node->pump_incoming(t, 0);
         if (moved != 0) {
           progress.fetch_add(moved, std::memory_order_relaxed);
           idle_streak = 0;
           continue;
         }
-        // The daemon owns its node's directory slice: publish its tables
-        // for concurrent /names scrapes (cheap — gated on a dirty count).
-        node->name_service().publish_snapshot();
+        // Publish the directory slice's tables for concurrent /names
+        // scrapes (cheap — gated on a dirty count).
+        node->publish_ns_snapshot();
         if (++idle_streak < kYieldsBeforePark)
           std::this_thread::yield();
         else
@@ -1302,8 +1307,9 @@ void Network::drive_threads(net::Transport& t, net::WorkCount& work,
     done.wait_for(ticket, until - Clock::now());
   }
   stop.store(true);
-  for (Site* s : sites) s->doorbell().ring();
-  for (auto& n : nodes_) n->doorbell().ring();
+  for (const SiteRef ref : sites)
+    ref.node->sites()[ref.idx]->doorbell().ring();
+  for (auto& n : nodes_) n->daemon_bell().ring();
   for (auto& th : threads) th.join();
   res.instructions = executed.load() - executed0;
 }
@@ -1334,7 +1340,9 @@ Network::GcReport Network::collect_garbage(int max_rounds) {
     int quiet_ms = 0;
     for (;;) {
       std::size_t moved = 0;
-      for (auto& n : nodes_) moved += n->pump_outgoing(t, now);
+      for (auto& n : nodes_)
+        for (std::size_t i = 0; i < n->sites().size(); ++i)
+          moved += n->pump_site_outgoing(t, i, now);
       for (auto& n : nodes_) moved += n->pump_incoming(t, now);
       for (auto& n : nodes_)
         for (auto& s : n->sites()) moved += s->process_incoming();
@@ -1479,8 +1487,11 @@ Network::Result Network::run_sim() {
       s.process_incoming();
       const std::uint64_t ran = s.run_slice(cfg_.slice);
       clock[best] += static_cast<double>(ran) / cfg_.instr_per_us;
-      if (vtrace)
+      // Sends are stamped with the sender's clock after its slice.
+      if (vtrace) {
+        s.trace_ring().set_virtual_time(vns(clock[best]));
         sites[best].node->daemon_ring().set_virtual_time(vns(clock[best]));
+      }
       sites[best].node->pump_site_outgoing(t, sites[best].idx_in_node,
                                            clock[best]);
       res.instructions += ran;

@@ -5,7 +5,10 @@
 //     tests and the reference for differential checks.
 //   * kThreaded   — one executor thread per site plus one daemon thread
 //     per node (the paper's architecture: sites and TyCOd are threads
-//     sharing the node's address space).
+//     sharing the node's address space). Each executor sends its own
+//     site's packets; the transport delivers them into the destination
+//     site's inbox, and the daemon serves only name-service frames and
+//     PEER-DOWN notices.
 //   * kSim        — conservative virtual-time execution over a
 //     SimTransport: site execution is metered in instructions per
 //     microsecond and packets cost latency + size/bandwidth. Used by the

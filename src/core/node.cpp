@@ -25,7 +25,7 @@ Node::~Node() = default;
 
 Site& Node::add_site(const std::string& name) {
   const auto site_id = static_cast<std::uint32_t>(sites_.size());
-  sites_.push_back(std::make_unique<Site>(name, id_, site_id, sites_, bell_,
+  sites_.push_back(std::make_unique<Site>(name, id_, site_id, sites_,
                                           *router_, ns_cache_.get()));
   ns_.register_site(name, id_, site_id);
   Site& s = *sites_.back();
@@ -89,6 +89,25 @@ void Node::emit(net::Packet p, net::Transport& t, double now_us) {
     route(std::move(p), t, now_us);
   else
     t.send(std::move(p), now_us);
+}
+
+bool Node::deliver(net::Packet& p, bool fresh) {
+  // PEER-DOWN names no site, so it stays with the daemon too.
+  const net::PacketHeader& h = p.hdr;
+  if (h.for_daemon() || h.dst_site >= sites_.size()) return false;
+  sites_[h.dst_site]->push_incoming(std::move(p), fresh);
+  return true;
+}
+
+std::size_t Node::inbox_backlog() const {
+  std::size_t n = 0;
+  for (const auto& s : sites_) n += s->incoming_size();
+  return n;
+}
+
+void Node::publish_ns_snapshot() {
+  std::lock_guard<std::mutex> lk(ns_mu_);
+  ns_.publish_snapshot();
 }
 
 std::uint64_t Node::local_deliveries() const {
@@ -172,17 +191,22 @@ void Node::dispatch(net::Packet& p, net::Transport& t, double now_us) {
       keep_credit = primary_here;
     }
     std::vector<net::Packet> replies;
-    if (h.type == MsgType::kNsExport || h.type == MsgType::kNsUnregister) {
-      if (ring_.should_record(h.sampled))
-        ring_.record(obs::EventType::kNsExport, h.trace_id, p.bytes.size());
-      if (h.type == MsgType::kNsExport)
-        ns_.handle_export(r, replies, keep_credit);
-      else
-        ns_.handle_unregister(r, replies);
-    } else {
-      if (ring_.should_record(h.sampled))
-        ring_.record(obs::EventType::kNsLookup, h.trace_id, p.bytes.size());
-      ns_.handle_lookup(r, replies, h.trace_id, h.sampled);
+    {
+      std::lock_guard<std::mutex> lk(ns_mu_);
+      if (h.type == MsgType::kNsExport || h.type == MsgType::kNsUnregister) {
+        if (ring_.should_record(h.sampled))
+          ring_.record(obs::EventType::kNsExport, h.trace_id,
+                       p.bytes.size());
+        if (h.type == MsgType::kNsExport)
+          ns_.handle_export(r, replies, keep_credit);
+        else
+          ns_.handle_unregister(r, replies);
+      } else {
+        if (ring_.should_record(h.sampled))
+          ring_.record(obs::EventType::kNsLookup, h.trace_id,
+                       p.bytes.size());
+        ns_.handle_lookup(r, replies, h.trace_id, h.sampled);
+      }
     }
     for (auto& rep : replies) emit(std::move(rep), t, now_us);
     consume();
@@ -212,17 +236,22 @@ void Node::ns_handle_dead(std::uint32_t dead, net::Transport& t,
   // shard map, drop the dead node's bindings from our slice, and push
   // lease invalidations for them.
   router_->note_dead(dead);
-  std::vector<net::Packet> out;
-  ns_.evict_node(dead, &out);
-  // Handoff: bindings we held as a follower of the dead primary are
-  // promoted implicitly — the map already points at us — and everything
-  // we now serve as primary gets re-replicated to its new follower.
-  ns_reshard(t, now_us);
+  std::vector<net::Packet> out, copies;
+  {
+    std::lock_guard<std::mutex> lk(ns_mu_);
+    ns_.evict_node(dead, &out);
+    // Handoff: bindings we held as a follower of the dead primary are
+    // promoted implicitly — the map already points at us — and
+    // everything we now serve as primary gets re-replicated to its new
+    // follower.
+    ns_reshard(copies);
+  }
+  for (auto& c : copies) emit(std::move(c), t, now_us);
   if (ns_cache_ != nullptr) ns_cache_->invalidate_node(dead);
   for (auto& o : out) emit(std::move(o), t, now_us);
 }
 
-void Node::ns_reshard(net::Transport& t, double now_us) {
+void Node::ns_reshard(std::vector<net::Packet>& out) {
   // Weak copies only (credit=0): the credit a primary holds never
   // travels on the repair path — a promoted follower serves bindings
   // weakly and the original exporter's write-off of the dead primary
@@ -233,11 +262,10 @@ void Node::ns_reshard(net::Transport& t, double now_us) {
     const std::uint32_t rep = owners.replica;
     if (rep == ns::ShardRouter::kNoNode || rep == id_ || router_->is_dead(rep))
       continue;
-    emit(net::Packet::parse(id_, rep,
-                            NameService::make_export(rec.site, rec.name,
-                                                     rec.ref, rec.type_sig, 0,
-                                                     true, /*credit=*/0)),
-         t, now_us);
+    out.push_back(net::Packet::parse(
+        id_, rep,
+        NameService::make_export(rec.site, rec.name, rec.ref, rec.type_sig, 0,
+                                 true, /*credit=*/0)));
   }
 }
 
@@ -247,31 +275,31 @@ void Node::ns_merge_dead(const std::vector<std::uint32_t>& dead,
   for (std::uint32_t d : dead)
     if (d != id_) others.push_back(d);
   if (!router_->merge_dead(others)) return;
-  ns_reshard(t, now_us);
+  std::vector<net::Packet> copies;
+  {
+    std::lock_guard<std::mutex> lk(ns_mu_);
+    ns_reshard(copies);
+  }
+  for (auto& c : copies) emit(std::move(c), t, now_us);
 }
 
 std::size_t Node::pump_site_outgoing(net::Transport& t, std::size_t site_idx,
                                      double now_us) {
+  Site& s = *sites_.at(site_idx);
+  obs::TraceRing& ring = s.trace_ring();
   std::size_t moved = 0;
   net::Packet p;
-  while (sites_.at(site_idx)->pop_outgoing(p)) {
+  while (s.pop_outgoing(p)) {
     ++moved;
     if (p.dst_node == id_) {
       route(std::move(p), t, now_us);  // a key this node's slice owns
     } else {
-      if (ring_.enabled() && ring_.should_record(p.hdr.sampled))
-        ring_.record(obs::EventType::kPacketSend, p.hdr.trace_id,
-                     p.bytes.size());
+      if (ring.should_record(p.hdr.sampled))
+        ring.record(obs::EventType::kPacketSend, p.hdr.trace_id,
+                    p.bytes.size());
       t.send(std::move(p), now_us);
     }
   }
-  return moved;
-}
-
-std::size_t Node::pump_outgoing(net::Transport& t, double now_us) {
-  std::size_t moved = 0;
-  for (std::size_t i = 0; i < sites_.size(); ++i)
-    moved += pump_site_outgoing(t, i, now_us);
   return moved;
 }
 
@@ -280,9 +308,6 @@ std::size_t Node::pump_incoming(net::Transport& t, double now_us) {
   net::Packet p;
   while (t.recv(id_, p, now_us)) {
     ++moved;
-    if (ring_.enabled() && ring_.should_record(p.hdr.sampled))
-      ring_.record(obs::EventType::kPacketRecv, p.hdr.trace_id,
-                   p.bytes.size());
     route(std::move(p), t, now_us);
   }
   return moved;

@@ -1,17 +1,25 @@
 // A DiTyCO node (paper, section 5, fig. 4): a pool of sites plus the
-// communication daemon TyCOd, which also serves this node's slice of the
+// communication daemon TyCOd, which serves this node's slice of the
 // name service. One Node corresponds to one IP node of the cluster.
-// The daemon logic is exposed as pump functions so that the
-// three drivers (sequential, threaded, simulated) can execute it on their
+//
+// Site packets never pass the daemon. A same-node packet goes from the
+// sending executor straight into the sibling's inbox
+// (Site::send_packet). A packet for another node goes from the sender's
+// outbox to Transport::send on the sender's own executor
+// (pump_site_outgoing, right after its slice), and the transport hands
+// it to the destination node's receiver hook (deliver), which pushes it
+// into the site's inbox. The daemon is the node's control plane: it
+// serves name-service frames and PEER-DOWN notices (pump_incoming), and
+// drops frames it cannot route. The pumps are functions so that the
+// three drivers (sequential, threaded, simulated) can run them on their
 // own schedule; in the threaded driver a dedicated daemon thread runs
-// them, exactly as in the paper. Same-node site-to-site packets never
-// reach the daemon: the sending site's executor hands them straight to
-// the sibling's inbox (Site::send_packet). The daemon carries only
-// name-service frames, transport traffic and PEER-DOWN notices.
+// pump_incoming. Name-service frames a site sends to its own node are
+// served on the sending executor, under the directory slice's lock.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -28,7 +36,7 @@ class ShardRouter;
 
 namespace dityco::core {
 
-class Node {
+class Node final : public net::Receiver {
  public:
   /// `router` is the fleet's shard map (it outlives the node); this node
   /// hosts the directory slice the map assigns it, plus weak follower
@@ -59,17 +67,18 @@ class Node {
   std::vector<std::unique_ptr<Site>>& sites() { return sites_; }
   const std::vector<std::unique_ptr<Site>>& sites() const { return sites_; }
 
-  /// TyCOd, outbound half: drain one site's outgoing queue. It holds
-  /// name-service frames (served here when this node owns the key) and
-  /// packets for other nodes, which go to the transport; same-node
-  /// site packets were already handed off by the sender. Returns
-  /// packets moved.
+  /// The site's send path, run by the site's own executor right after
+  /// its slice: drain one site's outbox. It holds name-service frames
+  /// (served here, under the slice's lock, when this node owns the
+  /// key) and packets for other nodes, which go to Transport::send;
+  /// same-node site packets were already handed off by the sender.
+  /// Returns packets moved.
   std::size_t pump_site_outgoing(net::Transport& t, std::size_t site_idx,
                                  double now_us);
-  std::size_t pump_outgoing(net::Transport& t, double now_us);
 
-  /// TyCOd, inbound half: drain the transport inbox and route. Returns
-  /// packets moved.
+  /// TyCOd: drain the daemon's queue in the transport (name-service
+  /// frames, PEER-DOWN, frames the receiver hook declined; under the
+  /// sim transport, every arrival) and route. Returns packets moved.
   std::size_t pump_incoming(net::Transport& t, double now_us);
 
   /// Route one packet addressed to this node (from the transport, or a
@@ -88,9 +97,21 @@ class Node {
   /// Frames the daemon dropped at the route boundary as unroutable.
   std::uint64_t frames_malformed() const { return frames_malformed_; }
 
-  /// The daemon's parking bell: rung by pushes into any of this node's
-  /// site outboxes and by the transport when a packet arrives.
-  net::Doorbell& doorbell() { return bell_; }
+  // -- net::Receiver: the transport's delivery hook for this node --
+
+  /// A site-addressed packet for a site this node has goes into that
+  /// site's inbox; daemon frames, PEER-DOWN and unknown sites are
+  /// declined and wait for pump_incoming.
+  bool deliver(net::Packet& p, bool fresh) override;
+  /// The daemon's parking bell: rung by the transport when it queues a
+  /// packet for pump_incoming.
+  net::Doorbell& daemon_bell() override { return bell_; }
+  /// Packets queued in this node's site inboxes.
+  std::size_t inbox_backlog() const override;
+
+  /// Publish the directory slice's tables for concurrent /names scrapes
+  /// (under the slice's lock).
+  void publish_ns_snapshot();
 
   /// Threaded driver, at rest: count packets this node creates and
   /// consumes into `w` (null detaches), and attach every site (see
@@ -100,9 +121,10 @@ class Node {
   // -- observability --
 
   /// Enable event tracing on every current and future site of this node,
-  /// plus a daemon-side ring recording packet send/recv and name-service
-  /// traffic. The daemon ring is written only by whichever thread runs
-  /// the pump functions (one thread per node in the threaded driver).
+  /// plus a daemon-side ring recording the name-service traffic the
+  /// slice serves. The daemon ring is written only under the slice's
+  /// lock, so one thread at a time writes it (the daemon thread, or an
+  /// executor serving its own site's frame).
   /// `sample_every` > 1 keeps 1-in-N trace ids (see obs::trace_id_sampled);
   /// hops honour the wire-carried decision, so every site/daemon of the
   /// network agrees on the sampled id set regardless of who allocated it.
@@ -128,9 +150,10 @@ class Node {
   /// re-replicate every binding this node now owns as primary to its
   /// new follower.
   void ns_handle_dead(std::uint32_t dead, net::Transport& t, double now_us);
-  /// Push a weak copy of every binding this node serves as primary to
-  /// its current follower (replication repair after a map change).
-  void ns_reshard(net::Transport& t, double now_us);
+  /// A weak copy of every binding this node serves as primary, for its
+  /// current follower (replication repair after a map change). Call
+  /// with ns_mu_ held; emit the packets after releasing it.
+  void ns_reshard(std::vector<net::Packet>& out);
   /// Send a packet this node created (NS replies, replicas, copies):
   /// takes its work token, then routes it here or hands it to `t`.
   void emit(net::Packet p, net::Transport& t, double now_us);
@@ -139,6 +162,11 @@ class Node {
   void dispatch(net::Packet& p, net::Transport& t, double now_us);
 
   std::uint32_t id_;
+  // The directory slice and the daemon ring. Executors serving their
+  // own name-service frames and the daemon thread share them, so both
+  // are touched only under ns_mu_; packets they produce are emitted
+  // after it is released (emit may route back into this node).
+  std::mutex ns_mu_;
   NameService ns_;
   obs::Registry* metrics_ = nullptr;
   obs::Counter frames_malformed_;

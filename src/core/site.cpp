@@ -52,13 +52,12 @@ class Site::Backend : public vm::RemoteBackend {
 };
 
 Site::Site(std::string name, std::uint32_t node_id, std::uint32_t site_id,
-           const Table& siblings, net::Doorbell& daemon_bell,
-           const ns::ShardRouter& router, ns::LeaseCache* cache)
+           const Table& siblings, const ns::ShardRouter& router,
+           ns::LeaseCache* cache)
     : name_(std::move(name)),
       node_id_(node_id),
       site_id_(site_id),
       siblings_(siblings),
-      daemon_bell_(daemon_bell),
       ns_router_(router),
       lease_cache_(cache),
       backend_(std::make_unique<Backend>(*this)),
@@ -146,9 +145,12 @@ void Site::record_error(std::string what) {
 // Queues
 // ---------------------------------------------------------------------
 
-void Site::push_incoming(net::Packet p) {
+void Site::push_incoming(net::Packet p, bool fresh) {
   {
     std::lock_guard<std::mutex> lk(queue_mu_);
+    // Under the lock that attach_work counts the inbox with: the
+    // packet is either counted there or takes its token here.
+    if (fresh && work_ != nullptr) work_->take();
     incoming_.push_back(std::move(p));
   }
   bell_.ring();
@@ -173,11 +175,11 @@ std::size_t Site::outgoing_size() const {
 }
 
 std::int64_t Site::attach_work(net::WorkCount* w, bool count_parked) {
+  std::lock_guard<std::mutex> lk(queue_mu_);
   work_ = w;
   count_parked_ = count_parked;
   busy_ = w != nullptr && wants_busy();
   if (w == nullptr) return 0;
-  std::lock_guard<std::mutex> lk(queue_mu_);
   return static_cast<std::int64_t>(incoming_.size() + outgoing_.size()) +
          (busy_ ? 1 : 0);
 }
@@ -204,7 +206,7 @@ void Site::send_packet(std::uint32_t dst_node,
   }
   // Same node: hand the frame straight to the sibling's inbox (paper
   // §5's shared-memory exchange; the heaps stay separate, so it is
-  // still marshalled). The daemon never sees it. The destination comes
+  // still marshalled). No queue sits between. The destination comes
   // from a NetRef, which may be forged: check it, never index with it.
   net::Packet p = net::Packet::parse(node_id_, node_id_, std::move(bytes));
   const std::uint32_t dst_site = p.hdr.dst_site;
@@ -229,11 +231,8 @@ void Site::queue_outgoing(std::uint32_t dst_node,
   }
   net::Packet p = net::Packet::parse(node_id_, dst_node, std::move(bytes));
   if (work_ != nullptr) work_->take();
-  {
-    std::lock_guard<std::mutex> lk(queue_mu_);
-    outgoing_.push_back(std::move(p));
-  }
-  daemon_bell_.ring();
+  std::lock_guard<std::mutex> lk(queue_mu_);
+  outgoing_.push_back(std::move(p));
 }
 
 std::size_t Site::process_incoming(std::size_t max_packets) {
@@ -256,6 +255,9 @@ std::size_t Site::process_incoming(std::size_t max_packets) {
     // Debtor attribution: credit returning in this packet pays down the
     // sender's debt slot (a self-delivery attributes to ourselves, which
     // is equally correct — our own node is never written off).
+    if (d.src_node != node_id_ && ring_.should_record(d.hdr.sampled))
+      ring_.record(obs::EventType::kPacketRecv, d.hdr.trace_id,
+                   d.bytes.size());
     machine_.set_credit_peer(d.src_node);
     machine_.set_credit_trace(d.hdr.trace_id);
     try {

@@ -4,14 +4,16 @@
 // RemoteBackend that re-implements trmsg/trobj/instof for network
 // references (section 5).
 //
-// Threading contract: the Machine and process_incoming()/run_slice() are
-// owned by exactly one executor thread; push_incoming()/pop_outgoing()
-// are thread-safe and are the only surface other threads touch. The
-// node daemon pops the outbox and pushes transport arrivals and
-// name-service replies; sibling executors on the same node push their
-// same-node packets straight into this site's inbox (the direct
-// handoff of send_packet). The executor parks on doorbell(), which
-// every inbox push rings.
+// Threading contract: the Machine, process_incoming()/run_slice() and
+// the outbox are owned by exactly one executor thread, which also
+// drains the outbox after each slice (Node::pump_site_outgoing).
+// push_incoming() is thread-safe and is the only surface other threads
+// touch: sibling executors push their same-node packets (the direct
+// handoff of send_packet), the transport's delivering thread pushes
+// packets from other nodes (the sender's executor in-process, the I/O
+// thread over TCP), and the node daemon pushes name-service replies and
+// PEER-DOWN notices. The executor parks on doorbell(), which every
+// inbox push rings.
 #pragma once
 
 #include <atomic>
@@ -70,14 +72,13 @@ class Site {
 
   /// `siblings` is the owning node's site table (this site included):
   /// same-node packets are handed off straight into its inboxes.
-  /// `daemon_bell` is the node daemon's bell, rung by every outbox push.
   /// Name-service requests go to the owning shard primary in `router`;
   /// `cache`, when non-null, is consulted before lookups cross the wire.
-  /// All of them outlive the site (the node owns the table, the bell and
-  /// the cache, the Network the router).
+  /// All of them outlive the site (the node owns the table and the
+  /// cache, the Network the router).
   Site(std::string name, std::uint32_t node_id, std::uint32_t site_id,
-       const Table& siblings, net::Doorbell& daemon_bell,
-       const ns::ShardRouter& router, ns::LeaseCache* cache = nullptr);
+       const Table& siblings, const ns::ShardRouter& router,
+       ns::LeaseCache* cache = nullptr);
   ~Site();
 
   Site(const Site&) = delete;
@@ -125,12 +126,17 @@ class Site {
   /// owner). Returns the number of packets queued (0 once failed).
   std::size_t collect(bool final, bool resend = false);
 
-  // -- daemon and sibling-executor operations (thread-safe) --
+  /// Take the next outbox packet (name-service frames and packets for
+  /// other nodes; executor thread, or any thread at rest).
+  bool pop_outgoing(net::Packet& out);
+
+  // -- operations for other threads (thread-safe) --
 
   /// Queue a delivery. Its `src_node` (the transport's sender, or this
-  /// node for a same-node handoff) drives GC debtor attribution.
-  void push_incoming(net::Packet p);
-  bool pop_outgoing(net::Packet& out);
+  /// node for a same-node handoff) drives GC debtor attribution. With
+  /// `fresh` the packet holds no work token yet (it came from another
+  /// process): one is taken as it is queued, if a count is attached.
+  void push_incoming(net::Packet p, bool fresh = false);
   std::size_t incoming_size() const;
   std::size_t outgoing_size() const;
 
@@ -232,11 +238,11 @@ class Site {
   void sync_busy();
   /// Send a site-addressed frame to `dst_node`. Same-node frames are
   /// handed off into the inbox of the sibling their header names; the
-  /// rest are queued for the daemon and the transport.
+  /// rest are queued in the outbox for the transport.
   void send_packet(std::uint32_t dst_node, std::vector<std::uint8_t> bytes);
-  /// Take a work token and queue `bytes` in the outbox for the daemon.
-  /// Name-service frames always go this way, even to this node: its
-  /// daemon serves the directory slice.
+  /// Take a work token and queue `bytes` in the outbox, which the
+  /// executor drains after its slice. Name-service frames always go
+  /// this way, even to this node, whose directory slice serves them.
   void queue_outgoing(std::uint32_t dst_node,
                       std::vector<std::uint8_t> bytes);
   void record_error(std::string what);
@@ -273,7 +279,6 @@ class Site {
   std::string name_;
   std::uint32_t node_id_, site_id_;
   const Table& siblings_;
-  net::Doorbell& daemon_bell_;
   const ns::ShardRouter& ns_router_;
   ns::LeaseCache* lease_cache_;
   // Lookup tokens answered from the lease cache (a synthesized reply

@@ -307,9 +307,34 @@ void TcpTransport::send(Packet p, double /*now_us: wall clock rules*/) {
     if (WorkCount* w = work_.load(std::memory_order_acquire)) w->release();
 }
 
-void TcpTransport::set_doorbell(std::uint32_t node, Doorbell* bell) {
+void TcpTransport::set_receiver(std::uint32_t node, Receiver* r) {
   std::lock_guard<std::mutex> lk(mu_);
-  if (node == cfg_.self) bell_ = bell;
+  if (node == cfg_.self) receiver_ = r;
+}
+
+void TcpTransport::arrive(Packet p, bool fresh) {
+  if (ring_.should_record(p.hdr.sampled))
+    ring_.record(obs::EventType::kTcpRecv, p.hdr.trace_id, p.src_node);
+  if (slo_hook_ && p.hdr.trace_id != 0)
+    slo_hook_(p.hdr.trace_id, false, obs::trace_now_ns());
+  if (receiver_ == nullptr || !receiver_->deliver(p, fresh)) {
+    inbox_.push_back(std::move(p));
+    queued_.fetch_add(1, std::memory_order_release);
+    // A frame from another process enters this process's work count;
+    // a mesh part's or a looped-back frame still holds its sender's.
+    if (fresh)
+      if (WorkCount* w = work_.load(std::memory_order_acquire)) w->take();
+    if (receiver_ != nullptr) receiver_->daemon_bell().ring();
+  }
+  if (transit_ != nullptr) transit_->fetch_sub(1, std::memory_order_acq_rel);
+}
+
+std::size_t TcpTransport::arrived(bool sites) const {
+  // No mu_: the mesh polls this once per pump pass, and the I/O thread
+  // holds mu_ while it reads. receiver_ is set before traffic starts.
+  std::size_t n = queued_.load(std::memory_order_acquire);
+  if (sites && receiver_ != nullptr) n += receiver_->inbox_backlog();
+  return n;
 }
 
 std::size_t TcpTransport::attach_work(WorkCount* w) {
@@ -333,9 +358,9 @@ bool TcpTransport::post(Packet p) {
   }
   const std::size_t wire = p.bytes.size();
   if (p.dst_node == cfg_.self) {
-    // Loopback: a daemon packet addressed to this very node skips the
-    // socket. Rare: sites hand same-node packets straight to each other
-    // and the daemon serves its own name-service frames.
+    // Loopback: a packet addressed to this very node skips the socket.
+    // Rare: sites hand same-node packets straight to each other and
+    // their own node serves their name-service frames.
     std::lock_guard<std::mutex> lk(mu_);
     packets_out_.fetch_add(1, std::memory_order_relaxed);
     bytes_out_.fetch_add(wire, std::memory_order_relaxed);
@@ -343,8 +368,7 @@ bool TcpTransport::post(Packet p) {
       ring_.record(obs::EventType::kTcpSend, p.hdr.trace_id, p.dst_node);
     if (slo_hook_ && p.hdr.trace_id != 0)
       slo_hook_(p.hdr.trace_id, true, obs::trace_now_ns());
-    inbox_.push_back(std::move(p));
-    if (bell_ != nullptr) bell_->ring();
+    arrive(std::move(p), /*fresh=*/false);
     return true;
   }
   // Encode straight into a pooled buffer — the steady-state hot path
@@ -425,20 +449,20 @@ bool TcpTransport::post(Packet p) {
 }
 
 bool TcpTransport::recv(std::uint32_t node, Packet& out, double /*now_us*/) {
+  if (node != cfg_.self || queued_.load(std::memory_order_acquire) == 0)
+    return false;
   std::lock_guard<std::mutex> lk(mu_);
-  if (node != cfg_.self || inbox_.empty()) return false;
+  if (inbox_.empty()) return false;
   out = std::move(inbox_.front());
   inbox_.pop_front();
-  if (ring_.should_record(out.hdr.sampled))
-    ring_.record(obs::EventType::kTcpRecv, out.hdr.trace_id, out.src_node);
-  if (slo_hook_ && out.hdr.trace_id != 0)
-    slo_hook_(out.hdr.trace_id, false, obs::trace_now_ns());
+  queued_.fetch_sub(1, std::memory_order_relaxed);
   return true;
 }
 
 std::size_t TcpTransport::in_flight() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::size_t n = inbox_.size();
+  if (receiver_ != nullptr) n += receiver_->inbox_backlog();
   for (const auto& [node, p] : peers_) n += p.queued_frames;
   return n;
 }
@@ -595,10 +619,11 @@ void TcpTransport::mark_dead(std::uint32_t node, Peer& p) {
   }
   if (death_frame_) {
     inbox_.push_back(Packet::parse(node, cfg_.self, death_frame_(node)));
+    queued_.fetch_add(1, std::memory_order_release);
     if (WorkCount* w = work_.load(std::memory_order_acquire)) w->take();
   }
   // The daemon also folds the advisory set into its shard map.
-  if (bell_ != nullptr) bell_->ring();
+  if (receiver_ != nullptr) receiver_->daemon_bell().ring();
   backpressure_cv_.notify_all();
 }
 
@@ -688,12 +713,7 @@ bool TcpTransport::handle_payload(int fd, std::uint32_t tagged_node,
       const std::uint32_t liveness_node =
           tagged_node != kUnknownNode ? tagged_node : src;
       feed_liveness(liveness_node, now);
-      inbox_.push_back(std::move(p));
-      // A frame from another process enters this process's work count;
-      // a mesh part's frame still holds its sender's token.
-      if (cfg_.multiprocess)
-        if (WorkCount* w = work_.load(std::memory_order_acquire)) w->take();
-      if (bell_ != nullptr) bell_->ring();
+      arrive(std::move(p), /*fresh=*/cfg_.multiprocess);
       return true;
     }
     case FrameKind::kHeartbeat: {
@@ -774,7 +794,7 @@ bool TcpTransport::handle_payload(int fd, std::uint32_t tagged_node,
       if (deaths_changed) {
         advisory_gen_.fetch_add(1, std::memory_order_release);
         broadcast_peers_locked();
-        if (bell_ != nullptr) bell_->ring();
+        if (receiver_ != nullptr) receiver_->daemon_bell().ring();
       }
       if (tagged_node != kUnknownNode) feed_liveness(tagged_node, now);
       (void)changed;
@@ -1075,6 +1095,8 @@ TcpMeshTransport::TcpMeshTransport(std::size_t nodes, TcpConfig base) {
     c.peers.clear();
     c.multiprocess = false;
     parts_.push_back(std::make_unique<TcpTransport>(c));
+    std::lock_guard<std::mutex> lk(parts_.back()->mu_);
+    parts_.back()->transit_ = &in_flight_;
   }
   for (std::size_t i = 0; i < nodes; ++i)
     for (std::size_t j = 0; j < nodes; ++j)
@@ -1103,19 +1125,28 @@ void TcpMeshTransport::send(Packet p, double /*now_us*/) {
   }
 }
 
-void TcpMeshTransport::set_doorbell(std::uint32_t node, Doorbell* bell) {
-  parts_.at(node)->set_doorbell(node, bell);
+void TcpMeshTransport::set_receiver(std::uint32_t node, Receiver* r) {
+  parts_.at(node)->set_receiver(node, r);
+}
+
+std::size_t TcpMeshTransport::in_flight() const {
+  // Transit first: a packet that has left it is already queued at its
+  // part (arrive() queues, then decrements), so it cannot slip between.
+  std::size_t n = in_flight_.load(std::memory_order_acquire);
+  for (const auto& p : parts_) n += p->arrived(/*sites=*/true);
+  return n;
 }
 
 std::size_t TcpMeshTransport::attach_work(WorkCount* w) {
   work_ = w;
-  return in_flight();
+  // Site inboxes are the sites' share of the count (Site::attach_work).
+  std::size_t n = in_flight_.load(std::memory_order_acquire);
+  for (const auto& p : parts_) n += p->arrived(/*sites=*/false);
+  return n;
 }
 
 bool TcpMeshTransport::recv(std::uint32_t node, Packet& out, double now_us) {
-  if (!parts_.at(node)->recv(node, out, now_us)) return false;
-  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-  return true;
+  return parts_.at(node)->recv(node, out, now_us);
 }
 
 }  // namespace dityco::net

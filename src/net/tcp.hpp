@@ -9,7 +9,9 @@
 //     (net/packet.hpp), whose header is parsed once on arrival and whose
 //     payload is opaque here, so SHIPM/SHIPO/FETCH/REL, the trace flags
 //     and GC credit cross process boundaries verbatim;
-//   * a poll()-based I/O loop thread owning every socket;
+//   * a poll()-based I/O loop thread owning every socket, which hands
+//     each arriving site packet to the node's receiver (straight into
+//     the site's inbox) and queues only daemon frames;
 //   * per-peer outbound queues with byte-bounded backpressure
 //     (`send` blocks once a peer's queue exceeds max_queue_bytes);
 //   * connection establishment on first send and reconnect with
@@ -335,7 +337,7 @@ class TcpTransport : public Transport {
   }
   void shutdown() override;
   bool remote() const override { return cfg_.multiprocess; }
-  void set_doorbell(std::uint32_t node, Doorbell* bell) override;
+  void set_receiver(std::uint32_t node, Receiver* r) override;
   std::size_t attach_work(WorkCount* w) override;
   /// send() without work accounting: queue (or loop back) the packet
   /// and return false when it was dropped instead — filtered, dead
@@ -381,8 +383,9 @@ class TcpTransport : public Transport {
   /// and gossips the new value to every connected peer. Thread-safe.
   void set_monitor_port(std::uint16_t port);
 
-  /// Record socket-level trace events (tcp-send/tcp-recv on the daemon
-  /// pump paths, tcp-reconnect/tcp-peer-dead from the I/O loop) into a
+  /// Record socket-level trace events (tcp-send on the sending thread,
+  /// tcp-recv as a packet arrives, tcp-reconnect/tcp-peer-dead from the
+  /// I/O loop) into a
   /// transport-owned ring. All record sites hold mu_, so the ring's
   /// single-producer contract holds even though two threads record.
   /// Sampling mirrors the wire bit (the sampled flag of the packet's
@@ -398,7 +401,7 @@ class TcpTransport : public Transport {
   /// SLO plane stage hooks (obs/slo.hpp): called with mu_ held at the
   /// same points as the kTcpSend/kTcpRecv ring records — outbound=true
   /// when a frame is queued for (or looped back past) a socket,
-  /// outbound=false when the daemon pump pops an inbound packet. Fires
+  /// outbound=false when an inbound packet arrives. Fires
   /// for every traced packet regardless of the wire sampling bit (the
   /// ledger needs every request, like the flight recorder). The hook
   /// must be cheap and must not call back into the transport.
@@ -512,6 +515,15 @@ class TcpTransport : public Transport {
   void broadcast_peers_locked();
   double now_ms() const;
   std::uint64_t now_us() const;
+  /// A packet for this node came off a socket (or looped back): offer
+  /// it to the receiver, else queue it for the daemon. `fresh` as in
+  /// Receiver::deliver. Takes it out of the mesh's transit count.
+  void arrive(Packet p, bool fresh);
+  /// Packets that reached this node and wait in its daemon queue or,
+  /// with `sites`, in its site inboxes too.
+  std::size_t arrived(bool sites) const;
+
+  friend class TcpMeshTransport;
 
   TcpConfig cfg_;
   int listen_fd_ = -1;
@@ -527,12 +539,19 @@ class TcpTransport : public Transport {
   std::atomic<std::uint64_t> advisory_gen_{0};
   std::map<int, Inbound> inbound_;
   std::deque<Packet> inbox_;
+  // inbox_.size(), written under mu_ and read without it, so that
+  // recv() on an empty daemon queue does not contend with the I/O
+  // thread for mu_.
+  std::atomic<std::size_t> queued_{0};
   std::function<std::vector<std::uint8_t>(std::uint32_t)> death_frame_;
   std::function<void(PeerEvent, std::uint32_t, std::uint64_t)>
       peer_event_hook_;
   std::function<void(std::uint64_t, bool, std::uint64_t)> slo_hook_;
   std::function<bool(const Packet&)> drop_filter_;
-  Doorbell* bell_ = nullptr;  // this node's daemon; rung under mu_
+  Receiver* receiver_ = nullptr;  // this node's; called under mu_
+  // A mesh part: the mesh's count of packets in socket transit, which
+  // arrive() decrements once the packet is queued here. Set under mu_.
+  std::atomic<std::size_t>* transit_ = nullptr;
   // Attached under mu_ so the attach and the inbox count agree; loaded
   // without it on the send path.
   std::atomic<WorkCount*> work_{nullptr};
@@ -563,9 +582,7 @@ class TcpMeshTransport : public Transport {
 
   void send(Packet p, double now_us) override;
   bool recv(std::uint32_t node, Packet& out, double now_us) override;
-  std::size_t in_flight() const override {
-    return in_flight_.load(std::memory_order_acquire);
-  }
+  std::size_t in_flight() const override;
   std::uint64_t bytes_sent() const override {
     return bytes_.load(std::memory_order_relaxed);
   }
@@ -575,7 +592,7 @@ class TcpMeshTransport : public Transport {
   void shutdown() override;
   // In-process: termination detection needs no remote grace period.
   bool remote() const override { return false; }
-  void set_doorbell(std::uint32_t node, Doorbell* bell) override;
+  void set_receiver(std::uint32_t node, Receiver* r) override;
   std::size_t attach_work(WorkCount* w) override;
 
   TcpTransport& part(std::size_t i) { return *parts_.at(i); }
@@ -584,6 +601,7 @@ class TcpMeshTransport : public Transport {
  private:
   std::vector<std::unique_ptr<TcpTransport>> parts_;
   WorkCount* work_ = nullptr;  // set at rest, before daemons start
+  // Sent, not yet queued at the destination part (socket transit).
   std::atomic<std::size_t> in_flight_{0};
   std::atomic<std::uint64_t> bytes_{0};
   std::atomic<std::uint64_t> packets_{0};

@@ -50,7 +50,7 @@ void Doorbell::wait_for(std::uint32_t ticket,
 }
 
 void InProcTransport::send(Packet p, double /*now_us*/) {
-  Doorbell* bell = nullptr;
+  Receiver* r = nullptr;
   {
     std::lock_guard<std::mutex> lk(mu_);
     // A node outside the fleet (a forged NetRef) is dropped like a lossy
@@ -62,22 +62,28 @@ void InProcTransport::send(Packet p, double /*now_us*/) {
     }
     bytes_ += p.bytes.size();
     ++packets_;
+    r = receivers_[p.dst_node];
+  }
+  // The sender's thread delivers: a site packet (its work token with
+  // it) lands in the destination inbox before send returns.
+  if (r != nullptr && r->deliver(p, /*fresh=*/false)) return;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
     ++in_flight_;
-    bell = bells_.at(p.dst_node);
     inboxes_[p.dst_node].push_back(std::move(p));
   }
-  if (bell != nullptr) bell->ring();
+  if (r != nullptr) r->daemon_bell().ring();
 }
 
-void InProcTransport::set_doorbell(std::uint32_t node, Doorbell* bell) {
+void InProcTransport::set_receiver(std::uint32_t node, Receiver* r) {
   std::lock_guard<std::mutex> lk(mu_);
-  bells_.at(node) = bell;
+  receivers_.at(node) = r;
 }
 
 std::size_t InProcTransport::attach_work(WorkCount* w) {
   std::lock_guard<std::mutex> lk(mu_);
   work_ = w;
-  return in_flight_;
+  return in_flight_.load(std::memory_order_relaxed);
 }
 
 void InProcTransport::set_drop_filter(std::function<bool(const Packet&)> f) {
@@ -92,6 +98,7 @@ std::uint64_t InProcTransport::dropped() const {
 
 bool InProcTransport::recv(std::uint32_t node, Packet& out,
                            double /*now_us*/) {
+  if (in_flight_.load(std::memory_order_acquire) == 0) return false;
   std::lock_guard<std::mutex> lk(mu_);
   auto& q = inboxes_.at(node);
   if (q.empty()) return false;
@@ -102,8 +109,7 @@ bool InProcTransport::recv(std::uint32_t node, Packet& out,
 }
 
 std::size_t InProcTransport::in_flight() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return in_flight_;
+  return in_flight_.load(std::memory_order_acquire);
 }
 
 LinkModel myrinet() { return LinkModel{10.0, 1000.0, 1.0}; }

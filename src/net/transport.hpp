@@ -72,6 +72,31 @@ class WorkCount {
   Doorbell done_;
 };
 
+/// A node's delivery hook, one per node (Transport::set_receiver). A
+/// real transport offers it every packet that arrives for the node, on
+/// the thread that delivers: the sender's under InProcTransport, the
+/// I/O thread under TCP. Site-addressed packets go straight into the
+/// site's inbox; what the hook declines (daemon frames, a site the node
+/// does not have) waits in the transport for the node daemon's recv().
+class Receiver {
+ public:
+  /// Push `p` into the inbox of the site its header names and ring that
+  /// site's bell; false (and `p` untouched) for a packet the daemon
+  /// must route. With `fresh` the packet holds no work token yet (it
+  /// came from another process): the site takes one as it queues it.
+  virtual bool deliver(Packet& p, bool fresh) = 0;
+  /// Rung after a declined packet is queued for the daemon.
+  virtual Doorbell& daemon_bell() = 0;
+  /// Packets sitting in the node's site inboxes. A transport that
+  /// delivers on a thread of its own counts them in in_flight(), so a
+  /// single-threaded pump that reads in_flight() after its sites never
+  /// misses an arrival.
+  virtual std::size_t inbox_backlog() const = 0;
+
+ protected:
+  ~Receiver() = default;
+};
+
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -90,7 +115,9 @@ class Transport {
   /// clock; packets still "in the wire" at that time are not returned.
   virtual bool recv(std::uint32_t node, Packet& out, double now_us) = 0;
 
-  /// Packets sent but not yet received (for quiescence detection).
+  /// Packets sent but not yet received (for quiescence detection). A
+  /// transport that delivers on a thread of its own also counts those
+  /// its receivers hold in site inboxes (see Receiver::inbox_backlog).
   virtual std::size_t in_flight() const = 0;
 
   /// Stop any background machinery (I/O threads, sockets) and release
@@ -106,11 +133,12 @@ class Transport {
   /// serving until the remote side goes idle too.
   virtual bool remote() const { return false; }
 
-  /// Ring `bell` whenever a packet for `node` becomes receivable (the
-  /// node daemon parks on it). The bell must outlive the transport.
-  virtual void set_doorbell(std::uint32_t node, Doorbell* bell) {
+  /// Hand every packet that arrives for `node` to `r` (see Receiver);
+  /// null detaches. The receiver must outlive the transport. Virtual-
+  /// time transports ignore it: their driver delivers by arrival time.
+  virtual void set_receiver(std::uint32_t node, Receiver* r) {
     (void)node;
-    (void)bell;
+    (void)r;
   }
 
   /// Report to `w` from now on every packet this transport drops (and,
@@ -135,18 +163,20 @@ class Transport {
   virtual std::uint64_t packets_sent() const = 0;
 };
 
-/// Immediate delivery with per-node FIFO inboxes; thread safe.
+/// Immediate delivery on the sender's thread: a node's receiver takes
+/// site packets at send; per-node FIFO queues hold the rest for the
+/// daemon. Thread safe.
 class InProcTransport : public Transport {
  public:
   explicit InProcTransport(std::size_t nodes)
-      : inboxes_(nodes), bells_(nodes, nullptr) {}
+      : inboxes_(nodes), receivers_(nodes, nullptr) {}
 
   void send(Packet p, double now_us) override;
   bool recv(std::uint32_t node, Packet& out, double now_us) override;
   std::size_t in_flight() const override;
   std::uint64_t bytes_sent() const override { return bytes_; }
   std::uint64_t packets_sent() const override { return packets_; }
-  void set_doorbell(std::uint32_t node, Doorbell* bell) override;
+  void set_receiver(std::uint32_t node, Receiver* r) override;
   std::size_t attach_work(WorkCount* w) override;
 
   /// Fault injection: packets the filter claims are silently discarded
@@ -160,10 +190,12 @@ class InProcTransport : public Transport {
  private:
   mutable std::mutex mu_;
   std::vector<std::deque<Packet>> inboxes_;
-  std::vector<Doorbell*> bells_;
+  std::vector<Receiver*> receivers_;
   WorkCount* work_ = nullptr;
   std::function<bool(const Packet&)> drop_;
-  std::size_t in_flight_ = 0;
+  // Written under mu_; read without it so that recv() on an empty
+  // queue — the daemon's usual case — takes no lock.
+  std::atomic<std::size_t> in_flight_{0};
   std::uint64_t bytes_ = 0;
   std::uint64_t packets_ = 0;
   std::uint64_t dropped_ = 0;

@@ -56,14 +56,14 @@ enum class EventType : std::uint8_t {
   kNsExport,      // name-service export (site issue / node service)
   kNsLookup,      // name-service lookup (site issue / node service)
   kNsReply,       // name-service reply arrival
-  kPacketSend,    // daemon moved a packet out  arg = bytes
-  kPacketRecv,    // daemon received a packet   arg = bytes
+  kPacketSend,    // site sent a packet to another node    arg = bytes
+  kPacketRecv,    // site took a packet from another node  arg = bytes
   kSliceBegin,    // run-slice started
   kSliceEnd,      // run-slice finished         arg = instructions executed
   kRelOut,        // GC REL frame departure     arg = cumulative credit
   kRelIn,         // GC REL frame applied       arg = cumulative credit
   kTcpSend,       // frame queued to a peer socket   arg = dst node
-  kTcpRecv,       // frame popped from the socket    arg = src node
+  kTcpRecv,       // frame arrived off the socket    arg = src node
   kTcpReconnect,  // outbound connection re-established  arg = peer node
   kTcpPeerDead,   // peer confirmed dead, queue written off  arg = peer node
 };

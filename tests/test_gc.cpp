@@ -463,7 +463,7 @@ TEST(GcAudit, CreditInFlightIsNotALeak) {
   net::Transport& tr = net.transport();
   net.submit_source("server", "export new p in 0");
   server.run_slice(1000);
-  net.nodes()[1]->pump_outgoing(tr, 0);
+  net.nodes()[1]->pump_site_outgoing(tr, 0, 0);
   ASSERT_EQ(tr.in_flight(), 1u) << "the export frame is on the wire";
 
   namespace fleet = obs::fleet;

@@ -1,6 +1,7 @@
 // Protocol-level tests for the TyCOd daemon (Node) and the name-service
 // packet formats: header parsing, routing to sites, unroutable frames,
-// the same-node direct handoff, and NS request/reply framing.
+// the same-node direct handoff, direct delivery between nodes, and NS
+// request/reply framing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -69,6 +70,22 @@ bool has_error(const Network& net, const std::string& what) {
   });
 }
 
+// Queue at `server` (which exports `p`) a SHIPM p![k] whose argument k
+// is the reference `forged`, as if a peer had shipped it.
+void push_forged_ship(Network& net, Site& server, const vm::NetRef& forged) {
+  const auto p = net.name_service().lookup_id("server", "p");
+  ASSERT_TRUE(p.has_value());
+  vm::Machine forger("forger");
+  Writer w;
+  write_header(w, MsgType::kShipMsg, p->site);
+  w.u64(p->heap_id);
+  w.str("val");
+  marshal_values(
+      forger, {vm::Value::make_netref(forger.intern_netref_credit(forged, 0))},
+      w);
+  server.push_incoming(net::Packet::parse(0, 0, w.take()));
+}
+
 // A transport frame with a valid header that the daemon still cannot
 // route is dropped at the route boundary, its work token released and
 // the drop counted: the daemon thread must not die on it, and the
@@ -124,14 +141,14 @@ TEST(SameNodeHandoff, ShipmSkipsTheDaemon) {
   net::Transport& t = net.transport();
   net.submit_source("server", "export new p in p?(v) = print[v]");
   net.submit_source("client", "import p from server in p![42]");
-  // Name-service frames still go through the outbox to the daemon,
-  // which serves this node's directory slice.
+  // Name-service frames still go through the outbox; draining it
+  // serves them from this node's directory slice.
   server.run_slice(1000);
   EXPECT_EQ(server.outgoing_size(), 1u) << "the export";
-  EXPECT_EQ(node.pump_outgoing(t, 0), 1u);
+  EXPECT_EQ(node.pump_site_outgoing(t, 0, 0), 1u);
   client.run_slice(1000);
   EXPECT_EQ(client.outgoing_size(), 1u) << "the lookup";
-  EXPECT_EQ(node.pump_outgoing(t, 0), 1u);
+  EXPECT_EQ(node.pump_site_outgoing(t, 1, 0), 1u);
   EXPECT_EQ(client.incoming_size(), 1u) << "the reply";
   client.process_incoming();
   // The resumed import ships the message: after the sender's slice it
@@ -141,7 +158,7 @@ TEST(SameNodeHandoff, ShipmSkipsTheDaemon) {
   EXPECT_EQ(server.incoming_size(), 1u);
   EXPECT_EQ(node.local_deliveries(), 1u);
   EXPECT_EQ(client.mobility().local_handoffs, 1u);
-  EXPECT_EQ(node.pump_outgoing(t, 0), 0u);
+  EXPECT_EQ(node.pump_site_outgoing(t, 1, 0), 0u);
   server.process_incoming();
   server.run_slice(1000);
   EXPECT_EQ(net.output("server"), std::vector<std::string>{"42"});
@@ -249,20 +266,9 @@ TEST(SameNodeHandoff, ForgedRefToMissingSiteIsDropped) {
       Site& server = net.add_site(0, "server");
       net.submit_source("server", "export new p in p?{ val(k) = k![1] }");
       ASSERT_TRUE(net.run().quiescent);
-      const auto p = net.name_service().lookup_id("server", "p");
-      ASSERT_TRUE(p.has_value());
       // SHIPM p![k] where k names site 9 of `forged_node`.
-      vm::Machine forger("forger");
-      const vm::NetRef forged{vm::NetRef::Kind::kChan, forged_node, 9, 1};
-      Writer w;
-      write_header(w, MsgType::kShipMsg, p->site);
-      w.u64(p->heap_id);
-      w.str("val");
-      marshal_values(
-          forger,
-          {vm::Value::make_netref(forger.intern_netref_credit(forged, 0))},
-          w);
-      server.push_incoming(net::Packet::parse(0, 0, w.take()));
+      push_forged_ship(net, server,
+                       {vm::NetRef::Kind::kChan, forged_node, 9, 1});
       Network::Result res;
       EXPECT_NO_THROW(res = net.run());
       EXPECT_FALSE(res.budget_exhausted);
@@ -292,19 +298,8 @@ TEST(SameNodeHandoff, ForgedRefToMissingNodeIsDroppedAtSend) {
     Site& server = net.add_site(0, "server");
     net.submit_source("server", "export new p in p?{ val(k) = k![1] }");
     ASSERT_TRUE(net.run().quiescent);
-    const auto p = net.name_service().lookup_id("server", "p");
-    ASSERT_TRUE(p.has_value());
     // SHIPM p![k] where k names site 0 of node 7 (the fleet has 2).
-    vm::Machine forger("forger");
-    const vm::NetRef forged{vm::NetRef::Kind::kChan, 7, 0, 1};
-    Writer w;
-    write_header(w, MsgType::kShipMsg, p->site);
-    w.u64(p->heap_id);
-    w.str("val");
-    marshal_values(
-        forger,
-        {vm::Value::make_netref(forger.intern_netref_credit(forged, 0))}, w);
-    server.push_incoming(net::Packet::parse(0, 0, w.take()));
+    push_forged_ship(net, server, {vm::NetRef::Kind::kChan, 7, 0, 1});
     Network::Result res;
     EXPECT_NO_THROW(res = net.run());
     EXPECT_TRUE(res.quiescent);
@@ -317,6 +312,167 @@ TEST(SameNodeHandoff, ForgedRefToMissingNodeIsDroppedAtSend) {
             : dynamic_cast<net::InProcTransport&>(t).dropped();
     EXPECT_EQ(dropped, 1u);
   }
+}
+
+// ---------------------------------------------------------------------
+// Direct delivery between nodes: the sending executor hands a packet to
+// Transport::send, and the transport's receiver hook (Node::deliver)
+// pushes it into the destination site's inbox. Only daemon frames and
+// frames the node cannot route wait for the daemon.
+// ---------------------------------------------------------------------
+
+const char* transport_name(Network::TransportKind k) {
+  return k == Network::TransportKind::kTcp ? "tcp" : "inproc";
+}
+
+// A packet for a site node 1 does not have arrives through the hook: it
+// is declined to the daemon, which drops it and counts it, and its work
+// token is released, so the threaded run ends on its own.
+TEST(DirectDelivery, ForgedSiteFromTransportIsDropped) {
+  for (const auto kind :
+       {Network::TransportKind::kInProc, Network::TransportKind::kTcp})
+    for (const auto mode :
+         {Network::Mode::kSequential, Network::Mode::kThreaded}) {
+      SCOPED_TRACE(std::string(transport_name(kind)) + ", mode " +
+                   std::to_string(static_cast<int>(mode)));
+      Network::Config cfg;
+      cfg.mode = mode;
+      cfg.transport = kind;
+      cfg.timeout_ms = 5'000;
+      Network net(cfg);
+      net.add_node();
+      net.add_node();
+      Site& server = net.add_site(0, "server");
+      net.add_site(1, "other");
+      net.submit_source("server", "export new p in p?{ val(k) = k![1] }");
+      ASSERT_TRUE(net.run().quiescent);
+      push_forged_ship(net, server, {vm::NetRef::Kind::kChan, 1, 9, 1});
+      const Network::Result res = net.run();
+      EXPECT_TRUE(res.quiescent);
+      EXPECT_FALSE(res.budget_exhausted);
+      EXPECT_FALSE(has_error(net, "stopped early"));
+      EXPECT_EQ(net.nodes()[1]->frames_malformed(), 1u);
+      EXPECT_EQ(net.transport().in_flight(), 0u);
+      EXPECT_EQ(net.find_site("other")->incoming_size(), 0u);
+    }
+}
+
+// Two sites on node 1 each ship 1 000 numbered messages to one sink on
+// node 0; the sink prints them as it takes them. Each sender's numbers
+// arrive in the order it sent them.
+TEST(DirectDelivery, OrderHoldsPerSitePair) {
+  constexpr int kMessages = 1000;
+  for (const auto kind :
+       {Network::TransportKind::kInProc, Network::TransportKind::kTcp}) {
+    SCOPED_TRACE(transport_name(kind));
+    Network::Config cfg;
+    cfg.mode = Network::Mode::kThreaded;
+    cfg.transport = kind;
+    cfg.timeout_ms = 20'000;
+    Network net(cfg);
+    net.add_node();
+    net.add_node();
+    net.add_site(0, "sink");
+    net.add_site(1, "a");
+    net.add_site(1, "b");
+    net.submit_source("sink",
+                      "export new p in def S(self) = "
+                      "self?{ val(k, i) = (print[k, i]; S[self]) } in S[p]");
+    for (const auto& [site, k] : {std::pair{"a", 0}, std::pair{"b", 1}})
+      net.submit_source(site, "import p from sink in def L(i) = if i == " +
+                                  std::to_string(kMessages) +
+                                  " then 0 else (p![" + std::to_string(k) +
+                                  ", i] | L[i + 1]) in L[0]");
+    const Network::Result res = net.run();
+    ASSERT_TRUE(res.quiescent);
+    EXPECT_EQ(net.all_errors(), std::vector<std::string>{});
+    const auto& out = net.output("sink");
+    ASSERT_EQ(out.size(), 2u * kMessages);
+    int next[2] = {0, 0};
+    for (const auto& line : out) {
+      const int k = line[0] - '0';
+      ASSERT_TRUE(k == 0 || k == 1) << line;
+      ASSERT_EQ(line, std::to_string(k) + " " + std::to_string(next[k]));
+      ++next[k];
+    }
+  }
+}
+
+// A request/reply chain across three nodes: client (node 2) -> relay
+// (node 1) -> server (node 0) and back. Every driver prints the same.
+// A sequential pump shows the daemons move only name-service frames:
+// every site packet reached its inbox through the receiver hook.
+TEST(DirectDelivery, CrossNodeRpcChainAgreesAcrossDrivers) {
+  const auto build = [](Network& net) {
+    net.add_node();
+    net.add_node();
+    net.add_node();
+    net.add_site(0, "server");
+    net.add_site(1, "relay");
+    net.add_site(2, "client");
+    net.submit_source("server",
+                      "export new svc in def Serve(self) = "
+                      "self?{ val(x, r) = (r![x + 1] | Serve[self]) } in "
+                      "Serve[svc]");
+    net.submit_source("relay",
+                      "import svc from server in export new mid in "
+                      "def Relay(self) = self?{ val(x, r) = "
+                      "((let y = svc![x * 2] in r![y]) | Relay[self]) } in "
+                      "Relay[mid]");
+    net.submit_source("client",
+                      "import mid from relay in let a = mid![1] in "
+                      "let b = mid![a] in print[\"chain\", a, b]");
+  };
+  const auto run = [&](Network::Mode mode) {
+    Network::Config cfg;
+    cfg.mode = mode;
+    cfg.timeout_ms = 10'000;
+    Network net(cfg);
+    build(net);
+    const Network::Result res = net.run();
+    EXPECT_TRUE(res.quiescent);
+    EXPECT_FALSE(res.budget_exhausted);
+    EXPECT_EQ(net.all_errors(), std::vector<std::string>{});
+    return net.output("client");
+  };
+  const std::vector<std::string> seq = run(Network::Mode::kSequential);
+  ASSERT_EQ(seq, std::vector<std::string>{"chain 3 7"});
+  EXPECT_EQ(run(Network::Mode::kThreaded), seq);
+  EXPECT_EQ(run(Network::Mode::kSim), seq);
+
+  // The sequential driver's pump with pump_incoming's loop spelled out,
+  // so each packet the daemons take can be inspected.
+  Network net;
+  build(net);
+  net::Transport& t = net.transport();
+  std::size_t daemon_frames = 0;
+  for (bool busy = true; busy;) {
+    busy = false;
+    for (const auto& n : net.nodes()) {
+      net::Packet p;
+      while (t.recv(n->id(), p, 0)) {
+        EXPECT_TRUE(p.hdr.for_daemon())
+            << "type " << static_cast<int>(p.hdr.type) << " to site "
+            << p.hdr.dst_site;
+        n->route(std::move(p), t, 0);
+        ++daemon_frames;
+        busy = true;
+      }
+      for (std::size_t i = 0; i < n->sites().size(); ++i) {
+        Site& s = *n->sites()[i];
+        busy |= s.process_incoming() != 0;
+        busy |= s.run_slice(256) != 0;
+        busy |= n->pump_site_outgoing(t, i, 0) != 0;
+      }
+    }
+    busy |= t.in_flight() != 0;
+  }
+  EXPECT_EQ(net.output("client"), seq);
+  // Remote name-service frames: relay's lookup and export, client's
+  // lookup. The server's own export is served as it is sent.
+  EXPECT_EQ(daemon_frames, 3u);
+  EXPECT_GE(t.packets_sent(), daemon_frames + 8u)
+      << "4 requests and 4 replies crossed nodes without a daemon";
 }
 
 TEST(NameServicePackets, ExportThenLookupRoundTrip) {

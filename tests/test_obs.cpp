@@ -880,8 +880,8 @@ TEST(Flight, SlowFetchIsPromotedWithEveryHopDeterministically) {
   EXPECT_EQ(e.reason, obs::FlightRecorder::Reason::kSlow);
   EXPECT_GE(e.latency_us, 50'000.0);
   // Every hop of the operation: request issued at the client, request
-  // packet through both daemons, served at the server, reply packet
-  // through both daemons, reply linked at the client.
+  // packet sent by the client and taken by the server, served at the
+  // server, reply packet sent and taken back, reply linked at the client.
   auto has = [&](obs::EventType t) {
     for (const auto& ev : e.events)
       if (ev.type == t && ev.trace_id == e.trace_id) return true;
@@ -890,7 +890,8 @@ TEST(Flight, SlowFetchIsPromotedWithEveryHopDeterministically) {
   EXPECT_TRUE(has(obs::EventType::kFetchReq));
   EXPECT_TRUE(has(obs::EventType::kFetchServed));
   EXPECT_TRUE(has(obs::EventType::kFetchReply));
-  EXPECT_TRUE(has(obs::EventType::kPacketSend)) << "daemon hops harvested";
+  EXPECT_TRUE(has(obs::EventType::kPacketSend)) << "send hops harvested";
+  EXPECT_TRUE(has(obs::EventType::kPacketRecv)) << "receive hops harvested";
   // /flight renders as Chrome trace JSON with the server-side hop.
   const std::string json = net.flight_json();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
