@@ -330,8 +330,8 @@ void TcpTransport::arrive(Packet p, bool fresh) {
 }
 
 std::size_t TcpTransport::arrived(bool sites) const {
-  // No mu_: the mesh polls this once per pump pass, and the I/O thread
-  // holds mu_ while it reads. receiver_ is set before traffic starts.
+  // No mu_: pumps poll this once per pass, and the I/O thread holds
+  // mu_ while it reads. receiver_ is set before traffic starts.
   std::size_t n = queued_.load(std::memory_order_acquire);
   if (sites && receiver_ != nullptr) n += receiver_->inbox_backlog();
   return n;
@@ -460,9 +460,8 @@ bool TcpTransport::recv(std::uint32_t node, Packet& out, double /*now_us*/) {
 }
 
 std::size_t TcpTransport::in_flight() const {
+  std::size_t n = arrived(/*sites=*/true);
   std::lock_guard<std::mutex> lk(mu_);
-  std::size_t n = inbox_.size();
-  if (receiver_ != nullptr) n += receiver_->inbox_backlog();
   for (const auto& [node, p] : peers_) n += p.queued_frames;
   return n;
 }
