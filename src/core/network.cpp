@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -1110,9 +1112,10 @@ Network::Result Network::run_threaded() {
   t.attach_work(nullptr);
   for (auto& n : nodes_) n->attach_work(nullptr, false);
   instructions_run_ += res.instructions;
-  // In-process, zero is exact termination: at the join no packet is
-  // queued and no machine is runnable, so the GC drain below executes no
-  // byte code. Anything left means the run stopped early.
+  // In-process, zero is exact termination: once the workers have
+  // returned, no packet is queued and no machine is runnable, so the GC
+  // drain below executes no byte code. Anything left means the run
+  // stopped early.
   if (!remote && !res.budget_exhausted) {
     std::size_t left = t.in_flight();
     for (auto& n : nodes_)
@@ -1120,13 +1123,13 @@ Network::Result Network::run_threaded() {
         left += s->incoming_size() + s->outgoing_size() +
                 (s->failed() || s->machine().idle() ? 0 : 1);
     if (left != 0)
-      run_errors_.push_back("threaded run stopped early: " +
-                            std::to_string(left) +
-                            " packets or runnable sites left at the join");
+      run_errors_.push_back(
+          "threaded run stopped early: " + std::to_string(left) +
+          " packets or runnable sites left when the workers returned");
   }
-  // Executors are joined: the network is single-threaded again, so GC
-  // passes run through the sequential pump (over a remote transport,
-  // frames peers sent since are applied and executed inline).
+  // The workers have returned: the network is single-threaded again,
+  // so GC passes run through the sequential pump (over a remote
+  // transport, frames peers sent since are applied and executed inline).
   if (!res.budget_exhausted) {
     Result gc_res;
     sequential_drain(t, gc_res);
@@ -1135,6 +1138,114 @@ Network::Result Network::run_threaded() {
   }
   return finish(res);
 }
+
+namespace {
+
+/// The threaded driver's threads, kept for the life of the process
+/// (paper §4: a site is a long-lived thread of its node's process). A
+/// run leases one parked worker per body instead of spawning and
+/// joining a thread; concurrent runs lease disjoint workers, so the
+/// cache grows to the peak number of bodies running at once. Each body
+/// takes the first free worker, so the runs of one network give a site
+/// the same thread (and malloc arena) every time. Between bodies a
+/// worker parks on its own doorbell. The cache joins every worker at
+/// process exit.
+class WorkerCache {
+ public:
+  /// One run's workers: the bodies started and not yet returned.
+  struct Lease {
+    std::size_t running = 0;  // under the cache's mu_
+  };
+
+  static WorkerCache& instance() {
+    static WorkerCache cache;
+    return cache;
+  }
+  WorkerCache() = default;
+  WorkerCache(const WorkerCache&) = delete;
+  WorkerCache& operator=(const WorkerCache&) = delete;
+
+  /// Run `body` on a parked worker (a new one if none is parked). A
+  /// worker that cannot be made ends the process, as a joinable
+  /// std::thread's destructor would: the bodies already started hold
+  /// references into the caller's frame.
+  void start(Lease& lease, std::function<void()> body) noexcept {
+    std::unique_lock<std::mutex> lk(mu_);
+    Worker* w = nullptr;
+    for (auto& parked : workers_)
+      if (parked->lease == nullptr) {
+        w = parked.get();
+        break;
+      }
+    if (w == nullptr) {
+      auto fresh = std::make_unique<Worker>();
+      w = fresh.get();
+      w->thread = std::thread([this, w] { loop(*w); });
+      workers_.push_back(std::move(fresh));
+    }
+    w->body = std::move(body);
+    w->lease = &lease;
+    ++lease.running;
+    lk.unlock();
+    w->bell.ring();
+  }
+
+  /// Until every body of `lease` has returned. The count is read under
+  /// mu_, so what the bodies did happens-before the return, as with
+  /// join().
+  void wait(Lease& lease) {
+    std::unique_lock<std::mutex> lk(mu_);
+    returned_.wait(lk, [&] { return lease.running == 0; });
+  }
+
+  ~WorkerCache() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      quit_ = true;
+    }
+    for (auto& w : workers_) w->bell.ring();
+    for (auto& w : workers_) w->thread.join();
+  }
+
+ private:
+  struct Worker {
+    net::Doorbell bell;
+    std::function<void()> body;  // under mu_
+    Lease* lease = nullptr;      // under mu_; null while parked
+    std::thread thread;
+  };
+
+  void loop(Worker& w) {
+    ::prctl(PR_SET_TIMERSLACK, 1000, 0, 0, 0);
+    for (;;) {
+      const std::uint32_t ticket = w.bell.ticket();
+      std::function<void()> body;
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (quit_) return;
+        body = std::exchange(w.body, nullptr);
+      }
+      if (!body) {
+        w.bell.wait(ticket);
+        continue;
+      }
+      body();
+      body = nullptr;
+      // Parked again in the step that tells the lease, so the run that
+      // follows finds this worker free.
+      std::lock_guard<std::mutex> lk(mu_);
+      if (--std::exchange(w.lease, nullptr)->running == 0)
+        returned_.notify_all();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable returned_;
+  std::vector<std::unique_ptr<Worker>> workers_;  // under mu_
+  bool quit_ = false;                             // under mu_
+};
+
+}  // namespace
 
 void Network::drive_threads(net::Transport& t, net::WorkCount& work,
                             Result& res) {
@@ -1162,10 +1273,10 @@ void Network::drive_threads(net::Transport& t, net::WorkCount& work,
   // scheduler pass is picked up without a wakeup), then park on their
   // doorbell until a push rings it.
   constexpr std::uint32_t kYieldsBeforePark = 64;
-  std::vector<std::thread> threads;
+  WorkerCache& workers = WorkerCache::instance();
+  WorkerCache::Lease lease;
   for (const SiteRef ref : sites) {
-    threads.emplace_back([&, ref] {
-      ::prctl(PR_SET_TIMERSLACK, 1000, 0, 0, 0);
+    workers.start(lease, [&, ref] {
       Site& s = *ref.node->sites()[ref.idx];
       net::Doorbell& bell = s.doorbell();
       // Periodic REL resend (Config::gc_resend_ms): collect() is an
@@ -1226,8 +1337,7 @@ void Network::drive_threads(net::Transport& t, net::WorkCount& work,
     });
   }
   for (auto& n : nodes_) {
-    threads.emplace_back([&, node = n.get()] {
-      ::prctl(PR_SET_TIMERSLACK, 1000, 0, 0, 0);
+    workers.start(lease, [&, node = n.get()] {
       net::Doorbell& bell = node->daemon_bell();
       std::uint32_t idle_streak = 0;
       // Over a real wire: death advisories gossiped on kPeers frames
@@ -1310,7 +1420,7 @@ void Network::drive_threads(net::Transport& t, net::WorkCount& work,
   for (const SiteRef ref : sites)
     ref.node->sites()[ref.idx]->doorbell().ring();
   for (auto& n : nodes_) n->daemon_bell().ring();
-  for (auto& th : threads) th.join();
+  workers.wait(lease);
   res.instructions = executed.load() - executed0;
 }
 

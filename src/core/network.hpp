@@ -8,7 +8,8 @@
 //     sharing the node's address space). Each executor sends its own
 //     site's packets; the transport delivers them into the destination
 //     site's inbox, and the daemon serves only name-service frames and
-//     PEER-DOWN notices.
+//     PEER-DOWN notices. The threads are leased per run from a
+//     process-wide cache of parked workers and parked again after it.
 //   * kSim        — conservative virtual-time execution over a
 //     SimTransport: site execution is metered in instructions per
 //     microsecond and packets cost latency + size/bandwidth. Used by the
@@ -314,8 +315,10 @@ class Network {
   Result run_sequential();
   Result run_threaded();
   /// run_threaded's live part: one executor per site and one daemon per
-  /// node, while the main thread sleeps until `work` reaches zero (plus
-  /// the remote confirm window), the budget or the deadline.
+  /// node, each on a worker leased from the process-wide cache, while
+  /// the main thread sleeps until `work` reaches zero (plus the remote
+  /// confirm window), the budget or the deadline; it returns once every
+  /// worker has given its body back and parked again.
   void drive_threads(net::Transport& t, net::WorkCount& work, Result& res);
   Result run_sim();
   bool anything_parked() const;

@@ -91,11 +91,12 @@ void Node::emit(net::Packet p, net::Transport& t, double now_us) {
     t.send(std::move(p), now_us);
 }
 
-bool Node::deliver(net::Packet& p, bool fresh) {
+bool Node::deliver(net::Packet& p, bool fresh,
+                   std::atomic<std::size_t>* transit) {
   // PEER-DOWN names no site, so it stays with the daemon too.
   const net::PacketHeader& h = p.hdr;
   if (h.for_daemon() || h.dst_site >= sites_.size()) return false;
-  sites_[h.dst_site]->push_incoming(std::move(p), fresh);
+  sites_[h.dst_site]->push_incoming(std::move(p), fresh, transit);
   return true;
 }
 

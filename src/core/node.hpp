@@ -102,7 +102,8 @@ class Node final : public net::Receiver {
   /// A site-addressed packet for a site this node has goes into that
   /// site's inbox; daemon frames, PEER-DOWN and unknown sites are
   /// declined and wait for pump_incoming.
-  bool deliver(net::Packet& p, bool fresh) override;
+  bool deliver(net::Packet& p, bool fresh,
+               std::atomic<std::size_t>* transit) override;
   /// The daemon's parking bell: rung by the transport when it queues a
   /// packet for pump_incoming.
   net::Doorbell& daemon_bell() override { return bell_; }

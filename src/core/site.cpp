@@ -145,13 +145,17 @@ void Site::record_error(std::string what) {
 // Queues
 // ---------------------------------------------------------------------
 
-void Site::push_incoming(net::Packet p, bool fresh) {
+void Site::push_incoming(net::Packet p, bool fresh,
+                         std::atomic<std::size_t>* transit) {
   {
     std::lock_guard<std::mutex> lk(queue_mu_);
     // Under the lock that attach_work counts the inbox with: the
     // packet is either counted there or takes its token here.
     if (fresh && work_ != nullptr) work_->take();
     incoming_.push_back(std::move(p));
+    // Out of transit only where the executor's pop can see it: a scan
+    // that reads transit, then the inbox, counts it at least once.
+    if (transit != nullptr) transit->fetch_sub(1, std::memory_order_acq_rel);
   }
   bell_.ring();
 }

@@ -136,7 +136,10 @@ class Site {
   /// node for a same-node handoff) drives GC debtor attribution. With
   /// `fresh` the packet holds no work token yet (it came from another
   /// process): one is taken as it is queued, if a count is attached.
-  void push_incoming(net::Packet p, bool fresh = false);
+  /// A non-null `transit` drops by one under the same lock (see
+  /// net::Receiver::deliver).
+  void push_incoming(net::Packet p, bool fresh = false,
+                     std::atomic<std::size_t>* transit = nullptr);
   std::size_t incoming_size() const;
   std::size_t outgoing_size() const;
 

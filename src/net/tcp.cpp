@@ -317,16 +317,19 @@ void TcpTransport::arrive(Packet p, bool fresh) {
     ring_.record(obs::EventType::kTcpRecv, p.hdr.trace_id, p.src_node);
   if (slo_hook_ && p.hdr.trace_id != 0)
     slo_hook_(p.hdr.trace_id, false, obs::trace_now_ns());
-  if (receiver_ == nullptr || !receiver_->deliver(p, fresh)) {
+  // A site packet leaves transit_ inside its inbox's critical section;
+  // a declined one here, under mu_, which the daemon's recv() takes.
+  if (receiver_ == nullptr || !receiver_->deliver(p, fresh, transit_)) {
     inbox_.push_back(std::move(p));
     queued_.fetch_add(1, std::memory_order_release);
     // A frame from another process enters this process's work count;
     // a mesh part's or a looped-back frame still holds its sender's.
     if (fresh)
       if (WorkCount* w = work_.load(std::memory_order_acquire)) w->take();
+    if (transit_ != nullptr)
+      transit_->fetch_sub(1, std::memory_order_acq_rel);
     if (receiver_ != nullptr) receiver_->daemon_bell().ring();
   }
-  if (transit_ != nullptr) transit_->fetch_sub(1, std::memory_order_acq_rel);
 }
 
 std::size_t TcpTransport::arrived(bool sites) const {
@@ -1129,8 +1132,9 @@ void TcpMeshTransport::set_receiver(std::uint32_t node, Receiver* r) {
 }
 
 std::size_t TcpMeshTransport::in_flight() const {
-  // Transit first: a packet that has left it is already queued at its
-  // part (arrive() queues, then decrements), so it cannot slip between.
+  // Transit first: a packet that has left it is already queued in a
+  // site inbox or at its part (the decrement is made inside the queue's
+  // critical section), so it cannot slip between.
   std::size_t n = in_flight_.load(std::memory_order_acquire);
   for (const auto& p : parts_) n += p->arrived(/*sites=*/true);
   return n;

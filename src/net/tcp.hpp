@@ -550,7 +550,8 @@ class TcpTransport : public Transport {
   std::function<bool(const Packet&)> drop_filter_;
   Receiver* receiver_ = nullptr;  // this node's; called under mu_
   // A mesh part: the mesh's count of packets in socket transit, which
-  // arrive() decrements once the packet is queued here. Set under mu_.
+  // drops as arrive() queues the packet, inside the queue's critical
+  // section (a site inbox's or, for the daemon, mu_). Set under mu_.
   std::atomic<std::size_t>* transit_ = nullptr;
   // Attached under mu_ so the attach and the inbox count agree; loaded
   // without it on the send path.

@@ -66,7 +66,7 @@ void InProcTransport::send(Packet p, double /*now_us*/) {
   }
   // The sender's thread delivers: a site packet (its work token with
   // it) lands in the destination inbox before send returns.
-  if (r != nullptr && r->deliver(p, /*fresh=*/false)) return;
+  if (r != nullptr && r->deliver(p, /*fresh=*/false, nullptr)) return;
   {
     std::lock_guard<std::mutex> lk(mu_);
     ++in_flight_;

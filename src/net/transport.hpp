@@ -84,7 +84,12 @@ class Receiver {
   /// site's bell; false (and `p` untouched) for a packet the daemon
   /// must route. With `fresh` the packet holds no work token yet (it
   /// came from another process): the site takes one as it queues it.
-  virtual bool deliver(Packet& p, bool fresh) = 0;
+  /// A non-null `transit` is the sender's count of packets in socket
+  /// transit: it drops by one inside the critical section that queues
+  /// the packet, so no executor can apply the packet (and release the
+  /// run's last work token) while it is still counted in transit.
+  virtual bool deliver(Packet& p, bool fresh,
+                       std::atomic<std::size_t>* transit) = 0;
   /// Rung after a declined packet is queued for the daemon.
   virtual Doorbell& daemon_bell() = 0;
   /// Packets sitting in the node's site inboxes. A transport that

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <memory>
+#include <thread>
 
 #include "core/network.hpp"
 #include "core/node.hpp"
@@ -473,6 +476,60 @@ TEST(DirectDelivery, CrossNodeRpcChainAgreesAcrossDrivers) {
   EXPECT_EQ(daemon_frames, 3u);
   EXPECT_GE(t.packets_sent(), daemon_frames + 8u)
       << "4 requests and 4 replies crossed nodes without a daemon";
+}
+
+// A receiver hook that stalls the delivering thread (over TCP, the
+// destination's I/O thread) for 50 ms after each site packet it hands
+// on, so the destination executor applies the packet — and may release
+// the run's last work token — before deliver() returns.
+class StallingReceiver final : public net::Receiver {
+ public:
+  explicit StallingReceiver(net::Receiver& inner) : inner_(inner) {}
+  bool deliver(net::Packet& p, bool fresh,
+               std::atomic<std::size_t>* transit) override {
+    if (!inner_.deliver(p, fresh, transit)) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return true;
+  }
+  net::Doorbell& daemon_bell() override { return inner_.daemon_bell(); }
+  std::size_t inbox_backlog() const override {
+    return inner_.inbox_backlog();
+  }
+
+ private:
+  net::Receiver& inner_;
+};
+
+// The run's last packet is applied while the mesh's I/O thread still
+// sits in deliver(). The packet left socket transit when it was queued,
+// so the threaded run ends with nothing left over.
+TEST(DirectDelivery, PacketAppliedBeforeDeliverReturnsIsNotInTransit) {
+  Network::Config cfg;
+  cfg.mode = Network::Mode::kThreaded;
+  cfg.transport = Network::TransportKind::kTcp;
+  cfg.timeout_ms = 10'000;
+  std::vector<std::unique_ptr<StallingReceiver>> stalls;  // outlive net
+  Network net(cfg);
+  net.add_node();
+  net.add_node();
+  net.add_site(0, "server");
+  net.add_site(1, "client");
+  net.submit_source("server",
+                    "export new svc in def Serve(self) = "
+                    "self?{ val(x, r) = (r![x + 1] | Serve[self]) } in "
+                    "Serve[svc]");
+  net.submit_source("client",
+                    "import svc from server in let y = svc![41] in "
+                    "print[\"got\", y]");
+  for (const auto& n : net.nodes()) {
+    stalls.push_back(std::make_unique<StallingReceiver>(*n));
+    net.transport().set_receiver(n->id(), stalls.back().get());
+  }
+  const Network::Result res = net.run();
+  EXPECT_TRUE(res.quiescent);
+  EXPECT_FALSE(res.budget_exhausted);
+  EXPECT_EQ(net.all_errors(), std::vector<std::string>{});
+  EXPECT_EQ(net.output("client"), std::vector<std::string>{"got 42"});
 }
 
 TEST(NameServicePackets, ExportThenLookupRoundTrip) {

@@ -1,12 +1,16 @@
 // Stress and robustness tests: heavy cross-site traffic under the
 // threaded driver, deep recursion, wide fan-outs, long pipelines, VM
 // profiling, and API misuse.
+#include <dirent.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <functional>
 #include <map>
+#include <set>
+#include <thread>
 
 #include "compiler/codegen.hpp"
 #include "core/network.hpp"
@@ -87,17 +91,17 @@ void expect_exact_termination(const Scenario& scenario, bool stalled) {
   }
 }
 
+void cross_node_rpc(Network& net) {
+  net.add_node();
+  net.add_node();
+  net.add_site(0, "server");
+  net.add_site(1, "client");
+  net.submit_source("server", kServer);
+  net.submit_source("client", kClient);
+}
+
 TEST(Termination, CrossNodeRpc) {
-  expect_exact_termination(
-      [](Network& net) {
-        net.add_node();
-        net.add_node();
-        net.add_site(0, "server");
-        net.add_site(1, "client");
-        net.submit_source("server", kServer);
-        net.submit_source("client", kClient);
-      },
-      /*stalled=*/false);
+  expect_exact_termination(cross_node_rpc, /*stalled=*/false);
 }
 
 TEST(Termination, SameNodeRpc) {
@@ -190,6 +194,78 @@ TEST(Termination, EmptyRunEndsWellUnderAMillisecond) {
   }
   std::nth_element(us.begin(), us.begin() + 100, us.end());
   EXPECT_LT(us[100], 500.0) << "median run() of an empty network, us";
+}
+
+// ---------------------------------------------------------------------
+// Leased workers: threaded runs take their executor and daemon threads
+// from a process-wide cache of parked workers and give them back.
+// ---------------------------------------------------------------------
+
+/// The process's OS threads (the entries of /proc/self/task).
+std::set<int> os_threads() {
+  std::set<int> tids;
+  DIR* d = ::opendir("/proc/self/task");
+  if (d == nullptr) return tids;
+  while (const dirent* e = ::readdir(d))
+    if (e->d_name[0] != '.') tids.insert(std::atoi(e->d_name));
+  ::closedir(d);
+  return tids;
+}
+
+TEST(WorkerReuse, RunsAfterTheFirstStartNoThread) {
+  const Outcome want = run_once(Network::Mode::kSequential, cross_node_rpc);
+  run_once(Network::Mode::kThreaded, cross_node_rpc);
+  // Two executors and two daemons stay parked after the run.
+  const std::set<int> after_first = os_threads();
+  ASSERT_GE(after_first.size(), 1u + 4u);
+  for (int i = 0; i < 50; ++i) {
+    const Outcome got = run_once(Network::Mode::kThreaded, cross_node_rpc);
+    ASSERT_EQ(got.output, want.output) << "run " << i;
+    ASSERT_EQ(os_threads(), after_first) << "run " << i;
+  }
+}
+
+TEST(WorkerReuse, ConcurrentNetworksEachEndExact) {
+  const Outcome want = run_once(Network::Mode::kSequential, cross_node_rpc);
+  const int runs = kSanitized ? 50 : 500;
+  auto loop = [&] {
+    for (int i = 0; i < runs; ++i) {
+      const Outcome got = run_once(Network::Mode::kThreaded, cross_node_rpc);
+      EXPECT_TRUE(got.quiescent) << "run " << i;
+      EXPECT_EQ(got.output, want.output) << "run " << i;
+      if (::testing::Test::HasFailure()) return;
+    }
+  };
+  std::thread a(loop), b(loop);
+  a.join();
+  b.join();
+}
+
+TEST(WorkerReuse, BudgetAndDeadlineRunsReturnTheirWorkers) {
+  const Outcome want = run_once(Network::Mode::kSequential, cross_node_rpc);
+  run_once(Network::Mode::kThreaded, cross_node_rpc);
+  const std::set<int> parked = os_threads();
+  ASSERT_GE(parked.size(), 1u + 4u);
+  constexpr const char* kSpin = "def Spin(i) = Spin[i + 1] in Spin[0]";
+  for (const bool by_budget : {true, false}) {
+    SCOPED_TRACE(by_budget ? "budget" : "deadline");
+    Network::Config cfg;
+    cfg.mode = Network::Mode::kThreaded;
+    cfg.max_instructions = by_budget ? 200'000 : ~0ull;
+    cfg.timeout_ms = by_budget ? 10'000 : 50;
+    Network net(cfg);
+    net.add_node();
+    net.add_node();
+    net.add_site(0, "a");
+    net.add_site(1, "b");
+    net.submit_source("a", kSpin);
+    net.submit_source("b", kSpin);
+    EXPECT_TRUE(net.run().budget_exhausted);
+    EXPECT_EQ(os_threads(), parked);
+    const Outcome got = run_once(Network::Mode::kThreaded, cross_node_rpc);
+    EXPECT_EQ(got.output, want.output);
+    EXPECT_EQ(os_threads(), parked);
+  }
 }
 
 TEST(Stress, ThreadedManyToOneFlood) {
