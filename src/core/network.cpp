@@ -1074,7 +1074,14 @@ void Network::sequential_drain(net::Transport& t, Result& res) {
       res.budget_exhausted = true;
       return;
     }
-    if (moved == 0 && executed == 0 && t.in_flight() == 0) {
+    if (moved == 0 && executed == 0) {
+      if (t.in_flight() != 0) {
+        // Nothing to do here while packets cross the sockets: give the
+        // CPU to the I/O threads carrying them, as an idle executor does
+        // before it parks.
+        std::this_thread::yield();
+        continue;
+      }
       // Quiescent. Run a GC pass; if it queued RELs, keep pumping so the
       // owners apply them (and possibly cascade further collections).
       if (gc_pass(/*final=*/false) > 0) continue;
@@ -1458,7 +1465,10 @@ Network::GcReport Network::collect_garbage(int max_rounds) {
         for (auto& s : n->sites()) moved += s->process_incoming();
       if (moved == 0) {
         if (t.in_flight() != 0) {
-          now += 1e9;  // sim: jump past any link latency
+          if (cfg_.mode == Mode::kSim)
+            now += 1e9;  // jump past any link latency
+          else
+            std::this_thread::yield();  // the I/O threads carry them
           continue;
         }
         if (t.remote() && quiet_ms < 300) {

@@ -1,5 +1,7 @@
 #include "core/site.hpp"
 
+#include <algorithm>
+
 #include "core/nameservice.hpp"
 #include "ns/cache.hpp"
 #include "ns/shard.hpp"
@@ -505,7 +507,16 @@ std::size_t Site::collect(bool final, bool resend) {
   }
   const auto rels =
       resend ? machine_.all_releases() : machine_.take_pending_releases();
-  for (const auto& [ref, cum] : rels) {
+  // One REL packet per owner site, its records in first-seen order. Each
+  // record is a cumulative total, so a batch is as safe as its records
+  // sent one by one, and per-sender FIFO still holds per owner.
+  struct Batch {
+    std::uint32_t node, site;
+    std::vector<std::size_t> recs;  // indices into rels
+  };
+  std::vector<Batch> batches;
+  for (std::size_t i = 0; i < rels.size(); ++i) {
+    const auto& [ref, cum] = rels[i];
     if (dead_peers_.count(ref.node) != 0) {
       // The owner is confirmed dead: a REL cannot reach it, and its
       // survivors already wrote this credit off. Drop instead of queue.
@@ -518,13 +529,30 @@ std::size_t Site::collect(bool final, bool resend) {
       machine_.apply_release(ref.kind, ref.heap_id, node_id_, site_id_, cum);
       continue;
     }
-    const obs::TraceTag tid = fresh_trace_id();
-    if (ring_.should_record(tid.sampled))
-      ring_.record(obs::EventType::kRelOut, tid.id, cum);
-    send_packet(ref.node, make_release(ref, node_id_, site_id_, cum, tid.id,
-                                       tid.sampled));
-    ++mobility_.gc_rel_sent;
-    ++queued;
+    auto b = std::find_if(batches.begin(), batches.end(), [&](const Batch& x) {
+      return x.node == ref.node && x.site == ref.site;
+    });
+    if (b == batches.end())
+      b = batches.insert(batches.end(), Batch{ref.node, ref.site, {}});
+    b->recs.push_back(i);
+  }
+  for (const Batch& b : batches) {
+    for (std::size_t at = 0; at < b.recs.size(); at += kRelRecordsPerPacket) {
+      const std::size_t end =
+          std::min(b.recs.size(), at + kRelRecordsPerPacket);
+      const obs::TraceTag tid = fresh_trace_id();
+      if (ring_.should_record(tid.sampled))
+        ring_.record(obs::EventType::kRelOut, tid.id, end - at);
+      Writer w;
+      write_header(w, MsgType::kRelease, b.site, tid.id, tid.sampled);
+      for (std::size_t k = at; k < end; ++k) {
+        const auto& [ref, cum] = rels[b.recs[k]];
+        write_release_record(w, ref, node_id_, site_id_, cum);
+      }
+      send_packet(b.node, w.take());
+      mobility_.gc_rel_sent += end - at;
+      ++queued;
+    }
   }
   // While a monitor serves /gc, every collection pass ends with a fresh
   // published snapshot, so /gc served mid-run reflects the credit state
@@ -701,23 +729,24 @@ void Site::handle_packet(const net::PacketHeader& h, Reader& r,
       return;
     }
     case MsgType::kRelease: {
-      // REL: a releaser's new cumulative released-credit total for one of
-      // this site's export-table entries. Idempotent (max-merge), so
-      // duplicated or reordered deliveries are safely ignored.
-      const vm::NetRef ref = read_netref(r);
-      const std::uint32_t rel_node = r.u32();
-      const std::uint32_t rel_site = r.u32();
-      const std::uint64_t cum = r.u64();
-      ++mobility_.gc_rel_received;
-      if (ring_.should_record(h.sampled))
-        ring_.record(obs::EventType::kRelIn, h.trace_id, cum);
-      const auto res =
-          machine_.apply_release(ref.kind, ref.heap_id, rel_node, rel_site,
-                                 cum);
-      if (res == vm::Machine::ReleaseResult::kStale && flight_ != nullptr &&
-          h.trace_id != 0)
-        flight_->promote(h.trace_id,
-                         obs::FlightRecorder::Reason::kRelAnomaly);
+      // REL: a releaser's new cumulative released-credit totals for this
+      // site's export-table entries, one record each, applied until the
+      // body ends. Idempotent (max-merge), so duplicated or reordered
+      // deliveries are safely ignored, and the records applied before a
+      // torn one stand.
+      do {
+        const ReleaseRecord rec = read_release_record(r);
+        ++mobility_.gc_rel_received;
+        if (ring_.should_record(h.sampled))
+          ring_.record(obs::EventType::kRelIn, h.trace_id, rec.cum);
+        const auto res = machine_.apply_release(
+            rec.ref.kind, rec.ref.heap_id, rec.rel_node, rec.rel_site,
+            rec.cum);
+        if (res == vm::Machine::ReleaseResult::kStale && flight_ != nullptr &&
+            h.trace_id != 0)
+          flight_->promote(h.trace_id,
+                           obs::FlightRecorder::Reason::kRelAnomaly);
+      } while (r.remaining() != 0);
       return;
     }
     case MsgType::kPeerDown: {

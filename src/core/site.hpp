@@ -57,8 +57,9 @@ class Site {
     obs::Counter loopback;          // remote ops resolved locally
     obs::Counter dropped;           // deliveries to this site after it
                                     // failed (fault injection)
-    obs::Counter gc_rel_sent;       // REL frames sent to owners
-    obs::Counter gc_rel_received;   // REL frames applied as owner
+    obs::Counter gc_rel_sent;       // REL records sent to owners
+    obs::Counter gc_rel_received;   // REL records applied as owner
+                                    // (a REL packet carries one or more)
     obs::Counter gc_rel_dead;       // RELs discarded (owner confirmed dead)
     obs::Counter peers_down;        // PEER-DOWN notices processed
     obs::Counter ns_dropped;        // NS frames whose key had no live
@@ -118,13 +119,19 @@ class Site {
 
   /// Distributed-GC collection pass (executor thread, between run
   /// slices): local mark-and-sweep with the site's fetch structures as
-  /// extra roots, then queue one REL per foreign reference whose
-  /// cumulative released credit changed. With `final`, also drops the
-  /// dynamic-link cache and unregisters this site's name-service
-  /// bindings (shutdown epoch). With `resend`, retransmits *every*
-  /// non-zero cumulative release (heals lost RELs; idempotent at the
-  /// owner). Returns the number of packets queued (0 once failed).
+  /// extra roots, then queue one REL packet per owner site, with a
+  /// record for each of its references whose cumulative released
+  /// credit changed (a fixed cap per packet splits huge batches). With
+  /// `final`, also drops the dynamic-link cache and unregisters this
+  /// site's name-service bindings (shutdown epoch). With `resend`,
+  /// retransmits *every* non-zero cumulative release (heals lost RELs;
+  /// idempotent at the owner). Returns the number of packets queued (0
+  /// once failed).
   std::size_t collect(bool final, bool resend = false);
+  /// collect()'s cap on records per REL packet: a resend of a
+  /// long-lived site's whole ledger to one owner goes out in frames of
+  /// at most ~135 KB (33 bytes a record), far below net::kMaxFrameBytes.
+  static constexpr std::size_t kRelRecordsPerPacket = 4096;
 
   /// Take the next outbox packet (name-service frames and packets for
   /// other nodes; executor thread, or any thread at rest).

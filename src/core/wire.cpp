@@ -133,11 +133,26 @@ std::vector<std::uint8_t> make_release(const vm::NetRef& ref,
                                        bool sampled) {
   Writer w;
   write_header(w, MsgType::kRelease, ref.site, trace_id, sampled);
+  write_release_record(w, ref, rel_node, rel_site, cum);
+  return w.take();
+}
+
+void write_release_record(Writer& w, const vm::NetRef& ref,
+                          std::uint32_t rel_node, std::uint32_t rel_site,
+                          std::uint64_t cum) {
   write_netref(w, ref);
   w.u32(rel_node);
   w.u32(rel_site);
   w.u64(cum);
-  return w.take();
+}
+
+ReleaseRecord read_release_record(Reader& r) {
+  ReleaseRecord out;
+  out.ref = read_netref(r);
+  out.rel_node = r.u32();
+  out.rel_site = r.u32();
+  out.cum = r.u64();
+  return out;
 }
 
 std::vector<std::uint8_t> make_peer_down(std::uint32_t dead_node) {

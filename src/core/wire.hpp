@@ -51,12 +51,27 @@ std::vector<vm::Value> unmarshal_values(vm::Machine& m, Reader& r);
 /// retransmission.
 /// `trace_id`/`sampled` ride the standard header bits so traced sites
 /// can follow REL frames too.
+///
+/// A REL body is one or more records (write_release_record), all for
+/// exports of the site the header names; the owner applies them until
+/// the body ends. make_release builds the one-record frame, a site's
+/// GC pass packs every record for one owner into one frame.
 std::vector<std::uint8_t> make_release(const vm::NetRef& ref,
                                        std::uint32_t rel_node,
                                        std::uint32_t rel_site,
                                        std::uint64_t cum,
                                        std::uint64_t trace_id = 0,
                                        bool sampled = true);
+struct ReleaseRecord {
+  vm::NetRef ref;
+  std::uint32_t rel_node = 0;
+  std::uint32_t rel_site = 0;
+  std::uint64_t cum = 0;
+};
+void write_release_record(Writer& w, const vm::NetRef& ref,
+                          std::uint32_t rel_node, std::uint32_t rel_site,
+                          std::uint64_t cum);
+ReleaseRecord read_release_record(Reader& r);
 
 /// Build a PEER-DOWN frame: a local failure detector confirmed
 /// `dead_node` dead. Never sent over the network — the transport injects

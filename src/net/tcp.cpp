@@ -173,20 +173,35 @@ std::uint64_t TcpTransport::now_us() const {
 }
 
 void TcpTransport::shutdown() {
-  if (stop_.exchange(true)) {
-    if (io_.joinable()) io_.join();
-    return;
-  }
-  // Unblock any sender stuck in backpressure, then stop the loop.
-  backpressure_cv_.notify_all();
-  if (wake_w_ >= 0) {
-    const char b = 1;
-    [[maybe_unused]] ssize_t rc = ::write(wake_w_, &b, 1);
+  stop_io();
+  close_sockets(/*reset=*/false);
+}
+
+void TcpTransport::stop_io() {
+  if (!stop_.exchange(true)) {
+    // Unblock any sender stuck in backpressure, then stop the loop.
+    backpressure_cv_.notify_all();
+    if (wake_w_ >= 0) {
+      const char b = 1;
+      [[maybe_unused]] ssize_t rc = ::write(wake_w_, &b, 1);
+    }
   }
   if (io_.joinable()) io_.join();
+}
+
+void TcpTransport::close_sockets(bool reset) {
   std::lock_guard<std::mutex> lk(mu_);
+  const auto close_conn = [reset](int fd) {
+    if (fd >= 0 && reset) {
+      // Abortive close: an RST instead of a FIN, so neither end of the
+      // connection waits out TIME_WAIT.
+      const linger lg{1, 0};
+      ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof lg);
+    }
+    close_quietly(fd);
+  };
   for (auto& [node, p] : peers_) {
-    close_quietly(p.fd);
+    close_conn(p.fd);
     p.fd = -1;
     // Return undelivered frames so the pool gauge drains to baseline —
     // the ASan leak check (and /peers) can then prove nothing escaped.
@@ -195,7 +210,7 @@ void TcpTransport::shutdown() {
     p.out_bytes = 0;
     p.wr_off = 0;
   }
-  for (auto& [fd, in] : inbound_) close_quietly(fd);
+  for (auto& [fd, in] : inbound_) close_conn(fd);
   inbound_.clear();
   close_quietly(listen_fd_);
   close_quietly(wake_r_);
@@ -1111,7 +1126,13 @@ TcpMeshTransport::TcpMeshTransport(std::size_t nodes, TcpConfig base) {
 TcpMeshTransport::~TcpMeshTransport() { shutdown(); }
 
 void TcpMeshTransport::shutdown() {
-  for (auto& p : parts_) p->shutdown();
+  // Every part's I/O thread stops before any socket closes, so no part
+  // answers a peer's close with its own: each connection is then reset
+  // rather than closed. A graceful close would leave its active side in
+  // TIME_WAIT for 60 s, and a process that builds mesh after mesh would
+  // pile up thousands of them (and slow its later connects).
+  for (auto& p : parts_) p->stop_io();
+  for (auto& p : parts_) p->close_sockets(/*reset=*/true);
 }
 
 void TcpMeshTransport::send(Packet p, double /*now_us*/) {

@@ -513,6 +513,11 @@ class TcpTransport : public Transport {
   void queue_frame(Peer& p, FrameKind kind,
                    const std::vector<std::uint8_t>& body);
   void broadcast_peers_locked();
+  /// shutdown()'s two halves: stop (and join) the I/O thread, then
+  /// close every socket; with `reset`, connections close abortively
+  /// (SO_LINGER {1, 0}). Each is idempotent.
+  void stop_io();
+  void close_sockets(bool reset);
   double now_ms() const;
   std::uint64_t now_us() const;
   /// A packet for this node came off a socket (or looped back): offer

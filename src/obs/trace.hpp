@@ -60,8 +60,8 @@ enum class EventType : std::uint8_t {
   kPacketRecv,    // site took a packet from another node  arg = bytes
   kSliceBegin,    // run-slice started
   kSliceEnd,      // run-slice finished         arg = instructions executed
-  kRelOut,        // GC REL frame departure     arg = cumulative credit
-  kRelIn,         // GC REL frame applied       arg = cumulative credit
+  kRelOut,        // GC REL packet departure    arg = records it carries
+  kRelIn,         // GC REL record applied      arg = cumulative credit
   kTcpSend,       // frame queued to a peer socket   arg = dst node
   kTcpRecv,       // frame arrived off the socket    arg = src node
   kTcpReconnect,  // outbound connection re-established  arg = peer node

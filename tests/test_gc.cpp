@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 
 #include "core/network.hpp"
 #include "core/wire.hpp"
@@ -137,6 +138,65 @@ TEST(Gc, ReplyChannelReclaimedDuringRun) {
   EXPECT_GE(server.mobility().gc_rel_sent, 1u);
   EXPECT_GE(client.mobility().gc_rel_received, 1u);
   expect_all_empty(net, net.collect_garbage());
+}
+
+/// The sequential driver's pump without its GC passes: runs `net` until
+/// nothing moves, so garbage stays uncollected until a test collects.
+void pump_without_gc(Network& net) {
+  net::Transport& t = net.transport();
+  for (bool busy = true; busy;) {
+    busy = false;
+    for (const auto& n : net.nodes()) {
+      busy |= n->pump_incoming(t, 0) != 0;
+      for (std::size_t i = 0; i < n->sites().size(); ++i) {
+        Site& s = *n->sites()[i];
+        busy |= s.process_incoming() != 0;
+        busy |= s.run_slice(256) != 0;
+        busy |= n->pump_site_outgoing(t, i, 0) != 0;
+      }
+    }
+    busy |= t.in_flight() != 0;
+  }
+}
+
+TEST(Gc, OnePassSendsOneReleasePacketPerOwner) {
+  // The server answers kCalls calls, each on a fresh reply channel the
+  // client exported: once they are answered the server holds kCalls dead
+  // netrefs, all owned by the one client site. Its collect pass packs
+  // their records into one REL packet.
+  constexpr std::uint64_t kCalls = 12;
+  Network net;
+  net.add_node();
+  net.add_node();
+  net.add_site(0, "server");
+  net.add_site(1, "client");
+  net.submit_source("server",
+                    "export new p in def Serve(self) = "
+                    "self?{ val(x, r) = (r![x * 2] | Serve[self]) } in "
+                    "Serve[p]");
+  net.submit_source("client",
+                    "import p from server in def Call(i) = if i == 0 then 0 "
+                    "else (new r (p!val[i, r] | r?(z) = print[z]) | "
+                    "Call[i - 1]) in Call[" + std::to_string(kCalls) + "]");
+  pump_without_gc(net);
+  ASSERT_TRUE(net.all_errors().empty());
+  ASSERT_EQ(net.output("client").size(), kCalls);
+  Site& server = *net.find_site("server");
+  Site& client = *net.find_site("client");
+  ASSERT_EQ(client.machine().live_exports(), kCalls);
+
+  net::Transport& t = net.transport();
+  const std::uint64_t packets0 = t.packets_sent();
+  EXPECT_EQ(server.collect(/*final=*/false), 1u);
+  EXPECT_EQ(net.nodes()[0]->pump_site_outgoing(t, 0, 0), 1u);
+  EXPECT_EQ(t.packets_sent() - packets0, 1u) << "one REL packet per owner";
+  EXPECT_EQ(server.mobility().gc_rel_sent, kCalls) << "counts records";
+
+  pump_without_gc(net);
+  EXPECT_EQ(client.mobility().gc_rel_received, kCalls);
+  EXPECT_EQ(client.machine().gc_stats().exports_reclaimed, kCalls);
+  EXPECT_EQ(client.machine().live_exports(), 0u);
+  EXPECT_TRUE(net.all_errors().empty());
 }
 
 TEST(Gc, ThreadedRingDrainsToEmpty) {

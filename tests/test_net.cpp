@@ -313,6 +313,126 @@ TEST(Wire, ReleaseFrameRoundTrip) {
   EXPECT_EQ(r.u64(), vm::kMintCredit / 2);
 }
 
+/// A channel of `owner`'s marshalled once (as a SHIPM argument would
+/// carry it), minting kMintCredit against a fresh export entry: a REL
+/// record for the whole amount drains and reclaims that entry.
+vm::NetRef mint_export(vm::Machine& owner) {
+  Writer w;
+  marshal_value(owner, vm::Value::make_chan(owner.new_channel()), w);
+  Reader r(w.data());
+  r.u8();  // the netref wire tag
+  return read_netref(r);
+}
+
+/// A REL to `dst_site` with one record per reference, each releasing
+/// kMintCredit on behalf of releaser (1, 0).
+std::vector<std::uint8_t> release_body(std::uint32_t dst_site,
+                                       const std::vector<vm::NetRef>& refs) {
+  Writer w;
+  write_header(w, MsgType::kRelease, dst_site);
+  for (const auto& ref : refs)
+    write_release_record(w, ref, /*rel_node=*/1, /*rel_site=*/0,
+                         vm::kMintCredit);
+  return w.take();
+}
+
+TEST(Wire, ReleaseBodyAppliesEveryRecord) {
+  Network net;
+  net.add_node();
+  Site& site = net.add_site(0, "s");
+  const vm::NetRef a = mint_export(site.machine());
+  const vm::NetRef b = mint_export(site.machine());
+  ASSERT_EQ(site.machine().live_exports(), 2u);
+  site.push_incoming(
+      net::Packet::parse(1, 0, release_body(site.site_id(), {a, b})));
+  site.process_incoming();
+  EXPECT_TRUE(site.errors().empty());
+  EXPECT_EQ(site.mobility().gc_rel_received, 2u);
+  EXPECT_EQ(site.machine().gc_stats().exports_reclaimed, 2u);
+  EXPECT_EQ(site.machine().live_exports(), 0u);
+}
+
+TEST(Wire, TornTrailingReleaseRecordIsRejected) {
+  // Records apply in order until the body ends; a torn last record is a
+  // DecodeError that poisons the packet, while the records before it
+  // stand (each is a cumulative total, so a prefix is safe to apply).
+  Network net;
+  net.add_node();
+  Site& site = net.add_site(0, "s");
+  const vm::NetRef a = mint_export(site.machine());
+  const vm::NetRef b = mint_export(site.machine());
+  auto bytes = release_body(site.site_id(), {a, b});
+  bytes.erase(bytes.end() - 3, bytes.end());
+  site.push_incoming(net::Packet::parse(1, 0, std::move(bytes)));
+  site.process_incoming();
+  ASSERT_EQ(site.errors().size(), 1u);
+  EXPECT_NE(site.errors()[0].find("malformed packet"), std::string::npos);
+  EXPECT_EQ(site.mobility().gc_rel_received, 1u);
+  EXPECT_EQ(site.machine().live_exports(), 1u) << "the first record stands";
+}
+
+/// Intern `n` references to fresh channels of `owner` into `holder`,
+/// each with the credit a SHIPM argument carries; returns the last one.
+vm::NetRef import_from(vm::Machine& owner, vm::Machine& holder,
+                       std::size_t n) {
+  vm::NetRef ref;
+  for (std::size_t i = 0; i < n; ++i) {
+    Writer w;
+    marshal_value(owner, vm::Value::make_chan(owner.new_channel()), w);
+    Reader r(w.data());
+    const vm::Value v = unmarshal_value(holder, r);
+    EXPECT_EQ(v.tag, vm::Value::Tag::kNetRef);
+    ref = holder.netref(v.idx);
+  }
+  return ref;
+}
+
+TEST(Wire, OneRecordReleaseIsMakeReleasesFrame) {
+  // A GC pass with a single dead reference for an owner sends the very
+  // frame make_release builds: the batched layout adds no second form.
+  Network net;
+  net.add_node();
+  net.add_node();
+  Site& site = net.add_site(0, "s");
+  net.add_site(1, "o");
+  vm::Machine owner("owner", 1, 0);
+  const vm::NetRef ref = import_from(owner, site.machine(), 1);
+
+  EXPECT_EQ(site.collect(/*final=*/true), 1u);
+  net::Packet p;
+  ASSERT_TRUE(site.pop_outgoing(p));
+  EXPECT_EQ(p.dst_node, 1u);
+  EXPECT_EQ(p.bytes, make_release(ref, site.node_id(), site.site_id(),
+                                  vm::kMintCredit, p.hdr.trace_id,
+                                  p.hdr.sampled));
+  EXPECT_FALSE(site.pop_outgoing(p));
+}
+
+TEST(Wire, ReleaseBatchSplitsAtTheRecordCap) {
+  // One owner, one record past the cap: two packets, full then one.
+  Network net;
+  net.add_node();
+  net.add_node();
+  Site& site = net.add_site(0, "s");
+  net.add_site(1, "o");
+  vm::Machine owner("owner", 1, 0);
+  const std::size_t cap = Site::kRelRecordsPerPacket;
+  import_from(owner, site.machine(), cap + 1);
+
+  EXPECT_EQ(site.collect(/*final=*/true), 2u);
+  EXPECT_EQ(site.mobility().gc_rel_sent, cap + 1);
+  constexpr std::size_t kRecordBytes = 17 + 4 + 4 + 8;
+  std::vector<std::size_t> records;
+  net::Packet p;
+  while (site.pop_outgoing(p)) {
+    EXPECT_EQ(p.hdr.type, MsgType::kRelease);
+    const std::size_t body = p.payload().size();
+    EXPECT_EQ(body % kRecordBytes, 0u);
+    records.push_back(body / kRecordBytes);
+  }
+  EXPECT_EQ(records, (std::vector<std::size_t>{cap, 1}));
+}
+
 TEST(Wire, PlainValuesCarryNoCreditField) {
   // Only netrefs carry credit: a builtin value is its tag and payload.
   vm::Machine m("m", 0, 0);

@@ -1193,6 +1193,70 @@ TEST(TcpMesh, PoolDrainsToZeroAfterImportStorm) {
   }
 }
 
+/// IPv4 sockets in TIME_WAIT (state 06 in /proc/net/tcp), each as its
+/// "local remote" address pair in the file's hex notation.
+std::set<std::string> time_wait_sockets() {
+  std::set<std::string> out;
+  FILE* f = std::fopen("/proc/net/tcp", "r");
+  if (f == nullptr) {
+    ADD_FAILURE() << "cannot read /proc/net/tcp";
+    return out;
+  }
+  char line[512];
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    char local[64], remote[64], state[8];
+    if (std::sscanf(line, " %*[^:]: %63s %63s %7s", local, remote, state) ==
+            3 &&
+        std::string(state) == "06")
+      out.insert(std::string(local) + " " + remote);
+  }
+  std::fclose(f);
+  return out;
+}
+
+/// The two ports of a time_wait_sockets() entry.
+std::pair<std::uint16_t, std::uint16_t> entry_ports(const std::string& e) {
+  unsigned local = 0, remote = 0;
+  std::sscanf(e.c_str(), "%*[^:]:%x %*[^:]:%x", &local, &remote);
+  return {static_cast<std::uint16_t>(local),
+          static_cast<std::uint16_t>(remote)};
+}
+
+TEST(TcpMesh, ShutdownLeavesNoTimeWaitSockets) {
+  // A graceful close leaves the side that closes first in TIME_WAIT for
+  // 60 s, and a process that builds mesh after mesh piles them up. The
+  // mesh stops every I/O thread, then resets its connections.
+  const std::set<std::string> before = time_wait_sockets();
+  std::set<std::uint16_t> ports;
+  for (int i = 0; i < 3; ++i) {
+    core::Network::Config cfg;
+    cfg.mode = core::Network::Mode::kThreaded;
+    cfg.transport = core::Network::TransportKind::kTcp;
+    core::Network net(cfg);
+    net.add_node();
+    net.add_node();
+    net.add_site(0, "server");
+    net.add_site(1, "client");
+    net.submit_network_source(
+        "site server { export new x in x![10] }\n"
+        "site client { import x from server in x?(v) = print[v + 1] }");
+    EXPECT_TRUE(net.run().quiescent);
+    EXPECT_EQ(net.output("server"), std::vector<std::string>{"11"});
+    auto* mesh = dynamic_cast<net::TcpMeshTransport*>(&net.transport());
+    ASSERT_NE(mesh, nullptr);
+    for (std::size_t p = 0; p < mesh->parts_count(); ++p) {
+      EXPECT_GT(mesh->part(p).stats().frames_in.load(), 0u) << "part " << p;
+      ports.insert(mesh->part(p).port());
+    }
+  }  // each Network shuts its mesh down as it goes
+  for (const std::string& e : time_wait_sockets()) {
+    if (before.count(e) != 0) continue;
+    const auto [local, remote] = entry_ports(e);
+    EXPECT_TRUE(ports.count(local) == 0 && ports.count(remote) == 0)
+        << "a mesh connection left TIME_WAIT socket " << e;
+  }
+}
+
 TEST(TcpMesh, SimModeRejectsTcp) {
   core::Network::Config cfg;
   cfg.mode = core::Network::Mode::kSim;
