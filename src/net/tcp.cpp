@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
@@ -92,6 +93,47 @@ void close_quietly(int fd) {
   if (fd >= 0) ::close(fd);
 }
 
+/// A socket bound to `addr` (with SO_REUSEADDR) and listening, or -1
+/// with errno set.
+int open_listener(const sockaddr_in& addr) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+          0 ||
+      ::listen(fd, 64) != 0) {
+    const int err = errno;
+    ::close(fd);
+    errno = err;
+    return -1;
+  }
+  return fd;
+}
+
+/// One xorshift64 step: cheap spread, not unpredictability.
+std::uint64_t xorshift(std::uint64_t& r) {
+  r ^= r << 13;
+  r ^= r >> 7;
+  r ^= r << 17;
+  return r;
+}
+
+/// The kernel's range for auto-assigned local ports.
+std::pair<std::uint32_t, std::uint32_t> ephemeral_port_range() {
+  std::uint32_t lo = 32768, hi = 60999;
+  if (FILE* f = std::fopen("/proc/sys/net/ipv4/ip_local_port_range", "r")) {
+    unsigned a = 0, b = 0;
+    if (std::fscanf(f, "%u %u", &a, &b) == 2 && 1024 <= a && a < b &&
+        b <= 65535) {
+      lo = a;
+      hi = b;
+    }
+    std::fclose(f);
+  }
+  return {lo, hi};
+}
+
 sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -120,22 +162,31 @@ TcpTransport::TcpTransport(TcpConfig cfg)
     : cfg_(std::move(cfg)), epoch_(std::chrono::steady_clock::now()) {
   rng_ ^= static_cast<std::uint64_t>(::getpid()) << 17 ^ cfg_.self;
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw std::runtime_error("tcp: socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
   sockaddr_in addr = make_addr(cfg_.listen_host, cfg_.listen_port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    close_quietly(listen_fd_);
-    throw std::runtime_error("tcp: cannot bind " + cfg_.listen_host + ":" +
-                             std::to_string(cfg_.listen_port) + ": " +
+  if (cfg_.listen_port == 0) {
+    // Pick the ephemeral port here, at random. The kernel's own port-0
+    // search walks past every port a TIME_WAIT socket holds (with
+    // SO_REUSEADDR, through half the range), so once other processes
+    // have left thousands of them on loopback a bind costs about 1 ms.
+    // An explicit port held only by TIME_WAIT sockets binds at once
+    // under SO_REUSEADDR, and a live one fails and is retried. Port 0
+    // stays the fallback.
+    const auto [lo, hi] = ephemeral_port_range();
+    std::uint64_t r =
+        rng_ ^ static_cast<std::uint64_t>(
+                   std::chrono::steady_clock::now().time_since_epoch().count());
+    for (int i = 0; i < 8 && listen_fd_ < 0; ++i) {
+      sockaddr_in a = addr;
+      a.sin_port =
+          htons(static_cast<std::uint16_t>(lo + xorshift(r) % (hi - lo + 1)));
+      listen_fd_ = open_listener(a);
+    }
+  }
+  if (listen_fd_ < 0) listen_fd_ = open_listener(addr);
+  if (listen_fd_ < 0)
+    throw std::runtime_error("tcp: cannot listen on " + cfg_.listen_host +
+                             ":" + std::to_string(cfg_.listen_port) + ": " +
                              std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    close_quietly(listen_fd_);
-    throw std::runtime_error("tcp: listen() failed");
-  }
   socklen_t alen = sizeof addr;
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &alen);
   port_ = ntohs(addr.sin_port);
@@ -583,10 +634,8 @@ void TcpTransport::fail_connect(std::uint32_t node, Peer& p, double now) {
                      ? cfg_.backoff_min_ms
                      : std::min(p.backoff_ms * 2, cfg_.backoff_max_ms);
   stats_.reconnect_backoff_ms.record(p.backoff_ms);
-  rng_ ^= rng_ << 13;
-  rng_ ^= rng_ >> 7;
-  rng_ ^= rng_ << 17;
-  const std::uint64_t jitter = p.backoff_ms > 1 ? rng_ % (p.backoff_ms / 2 + 1) : 0;
+  const std::uint64_t r = xorshift(rng_);
+  const std::uint64_t jitter = p.backoff_ms > 1 ? r % (p.backoff_ms / 2 + 1) : 0;
   p.next_connect_ms = now + static_cast<double>(p.backoff_ms + jitter);
   (void)node;
 }

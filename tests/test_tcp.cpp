@@ -444,6 +444,38 @@ TEST(TcpTransport, SelfSendStaysLocal) {
   EXPECT_EQ(body_of(got), "loop");
 }
 
+TEST(TcpTransport, EphemeralListenPortsAreDistinctAndInTheLocalRange) {
+  // Port 0 is chosen at random from the kernel's local port range (not
+  // by the kernel's own search); live listeners must still never share
+  // a port, and each must accept.
+  unsigned lo = 32768, hi = 60999;
+  if (FILE* f = std::fopen("/proc/sys/net/ipv4/ip_local_port_range", "r")) {
+    ASSERT_EQ(std::fscanf(f, "%u %u", &lo, &hi), 2);
+    std::fclose(f);
+  }
+  std::vector<std::unique_ptr<TcpTransport>> ts;
+  std::set<std::uint16_t> ports;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    TcpConfig c;
+    c.self = i;
+    c.detect_failures = false;
+    ts.push_back(std::make_unique<TcpTransport>(c));
+    const std::uint16_t port = ts.back()->port();
+    EXPECT_GE(port, lo);
+    EXPECT_LE(port, hi);
+    EXPECT_TRUE(ports.insert(port).second) << "port " << port << " twice";
+  }
+  for (std::uint32_t i = 1; i < ts.size(); ++i)
+    ts[0]->add_peer(i, "127.0.0.1:" + std::to_string(ts[i]->port()));
+  for (std::uint32_t i = 1; i < ts.size(); ++i) {
+    ts[0]->send(make_packet(0, i, "hi " + std::to_string(i)), 0);
+    net::Packet got;
+    ASSERT_TRUE(recv_wait(*ts[i], i, got)) << "node " << i;
+    EXPECT_EQ(body_of(got), "hi " + std::to_string(i));
+  }
+  for (auto& t : ts) t->shutdown();
+}
+
 TEST(TcpTransport, QueuedFramesSurviveLateConnect) {
   // Frames queue before any connection exists (connect on first send)
   // and flush once the listener appears at the configured address.
